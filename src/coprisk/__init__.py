@@ -21,7 +21,14 @@ from .copula import (
     theta_for_tau,
     theta_from_ratio,
 )
-from .data import Observation, Sample, read_dataset_csv, write_dataset_csv
+from .data import (
+    Observation,
+    Sample,
+    read_dataset_csv,
+    write_dataset_csv,
+    write_mc_replicates_csv,
+    write_theta_series_csv,
+)
 from .dgp import (
     DgpConfig,
     LatentDraws,
@@ -41,25 +48,11 @@ from .estimator import (
     default_trim_from_series,
     monte_carlo,
     oracle_surface_estimates,
-    replicate_theta_series,
     summarize_replicates,
     theta_series,
     trim_series,
-    write_mc_replicates_csv,
-    write_theta_series_csv,
 )
-from .kernel import (
-    EmptyNeighborhoodError,
-    KernelShape,
-    KernelSpec,
-    KernelSums,
-    SurfaceEstimate,
-    estimate_surface,
-    estimate_surface_grid,
-    kernel_deriv,
-    kernel_eval,
-    raw_sums,
-)
+from .kernel import EmptyNeighborhoodError, KernelSpec, SurfaceEstimate, estimate_surface_grid
 
 __version__ = "0.1.0"
 
@@ -71,9 +64,7 @@ __all__ = [
     "EmptyNeighborhoodError",
     "GeneratorValue",
     "GridSpec",
-    "KernelShape",
     "KernelSpec",
-    "KernelSums",
     "LatentDraws",
     "McSummary",
     "NoRootError",
@@ -88,21 +79,16 @@ __all__ = [
     "conditional_copula_inverse",
     "default_config",
     "default_trim_from_series",
-    "estimate_surface",
     "estimate_surface_grid",
     "generator",
     "inverse_generator",
     "joint_survival",
     "kendalls_tau",
-    "kernel_deriv",
-    "kernel_eval",
     "monte_carlo",
     "oracle_surface",
     "oracle_surface_estimates",
     "phi_log_deriv_ratio",
-    "raw_sums",
     "read_dataset_csv",
-    "replicate_theta_series",
     "simulate",
     "simulate_latent",
     "summarize_replicates",

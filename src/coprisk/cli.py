@@ -10,7 +10,8 @@ Four subcommands cover the full workflow:
 Every run writes a ``manifest.txt`` with the fully resolved configuration;
 feeding that file back through ``--config`` replays the run byte-for-byte.
 Setting precedence is defaults < config file < command-line flags.  Exit
-codes: 0 success, 2 configuration error, 3 estimation failure at runtime.
+codes: 0 success, 2 configuration error, 3 estimation failure at runtime
+(including a crashed worker process), 130 interrupted.
 """
 
 from __future__ import annotations
@@ -19,25 +20,31 @@ import argparse
 import math
 import os
 import sys
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 
 from . import __version__
 from .copula import CopulaFamily, NoRootError, _d2phi, _dphi, theta_for_tau, theta_from_ratio
-from .data import read_dataset_csv, write_dataset_csv
+from .data import (
+    _fmt,
+    _write_mc_summary_csv,
+    _write_surface_csv,
+    read_dataset_csv,
+    write_dataset_csv,
+    write_mc_replicates_csv,
+    write_theta_series_csv,
+)
 from .dgp import default_config, simulate
 from .estimator import (
     AllPointsExcludedError,
     GridSpec,
-    McSummary,
+    monte_carlo,
     oracle_surface_estimates,
-    replicate_theta_series,
     summarize_replicates,
     theta_series,
-    write_mc_replicates_csv,
-    write_theta_series_csv,
 )
-from .kernel import EmptyNeighborhoodError, KernelSpec, estimate_surface_grid
+from .kernel import KernelSpec
 
 INF = float("inf")
 
@@ -270,10 +277,6 @@ def _atomic_write(out_dir, name, write_fn):
     return final
 
 
-def _fmt(x):
-    return repr(float(x))
-
-
 def _write_manifest(out_dir, command, settings):
     trim_lo, trim_hi = settings["trim"]
     trim = "none" if math.isinf(trim_lo) and math.isinf(trim_hi) else f"{_fmt(trim_lo)}:{_fmt(trim_hi)}"
@@ -301,37 +304,6 @@ def _write_manifest(out_dir, command, settings):
     return _atomic_write(out_dir, "manifest.txt", write)
 
 
-def _write_surface_csv(t_grid, surfaces, path):
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t", "pi", "dpi1", "dpi2", "d2pi"])
-        for t, est in zip(t_grid, surfaces):
-            writer.writerow(
-                [_fmt(t), _fmt(est.pi_hat), _fmt(est.dpi_hat[0]), _fmt(est.dpi_hat[1]), _fmt(est.d2pi_hat)]
-            )
-
-
-def _write_mc_summary_csv(untrimmed: McSummary, trimmed: McSummary, path):
-    import csv
-
-    rows = [
-        ("mean", untrimmed.mean, trimmed.mean),
-        ("p05", untrimmed.p05, trimmed.p05),
-        ("p95", untrimmed.p95, trimmed.p95),
-        ("spread", untrimmed.p95 - untrimmed.p05, trimmed.p95 - trimmed.p05),
-        ("n_replicates", untrimmed.replicate_thetas.size, trimmed.replicate_thetas.size),
-        ("n_failed", untrimmed.n_failed, trimmed.n_failed),
-    ]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["statistic", "no_trimming", "trimming"])
-        for name, u, t in rows:
-            as_text = (str(u), str(t)) if isinstance(u, (int, np.integer)) else (_fmt(u), _fmt(t))
-            writer.writerow([name, *as_text])
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -357,20 +329,11 @@ def _cmd_estimate(settings, out_dir, threads):
     else:
         sample = simulate(dgp)
         _atomic_write(out_dir, "dataset.csv", lambda p: write_dataset_csv(sample, p))
-    grid = _grid_spec(settings)
     try:
-        t_grid, z = grid.resolve(sample)
-    except ValueError as exc:
+        series = theta_series(sample, spec, _grid_spec(settings), settings["family"])
+    except ValueError as exc:  # e.g. a degenerate duration range in the data
         raise EstimationFailure(str(exc)) from None
-    surfaces = estimate_surface_grid(sample, spec, t_grid, z)
-    resolved = GridSpec(
-        t_grid=tuple(float(v) for v in t_grid),
-        z_eval=tuple(float(v) for v in z),
-        trim_lo=grid.trim_lo,
-        trim_hi=grid.trim_hi,
-    )
-    series = theta_series(None, None, resolved, settings["family"], surfaces=surfaces)
-    _atomic_write(out_dir, "surface.csv", lambda p: _write_surface_csv(t_grid, surfaces, p))
+    _atomic_write(out_dir, "surface.csv", lambda p: _write_surface_csv(series, p))
     _atomic_write(out_dir, "theta_series.csv", lambda p: write_theta_series_csv(series, p))
     _write_manifest(out_dir, "estimate", settings)
     print(f"theta_hat={_fmt(series.theta_hat)} n_included={series.n_included}")
@@ -381,17 +344,10 @@ def _cmd_montecarlo(settings, out_dir, threads):
     dgp = _dgp_config(settings)
     spec = KernelSpec(bandwidths=settings["bandwidth"])
     grid = _grid_spec(settings)
-    replicates = settings["replicates"]
-    runs = replicate_theta_series(
-        dgp,
-        spec,
-        grid,
-        settings["family"],
-        replicates,
-        workers=max(1, min(threads, replicates)),
+    trimmed = monte_carlo(
+        dgp, spec, grid, settings["family"], settings["replicates"], workers=threads
     )
-    trimmed = summarize_replicates(runs, grid.trim_lo, grid.trim_hi)
-    untrimmed = summarize_replicates(runs, -INF, INF)
+    untrimmed = summarize_replicates(trimmed.series, -INF, INF)
     _atomic_write(out_dir, "mc_replicates.csv", lambda p: write_mc_replicates_csv(trimmed, p))
     _atomic_write(
         out_dir, "mc_summary.csv", lambda p: _write_mc_summary_csv(untrimmed, trimmed, p)
@@ -492,7 +448,9 @@ def _build_parser():
         help="average over the whole duration grid",
     )
     common.add_argument("--replicates", help="number of Monte Carlo replicates")
-    common.add_argument("--threads", help="worker processes (outputs do not depend on it)")
+    common.add_argument(
+        "--threads", help="worker processes, at most one per CPU and replicate (outputs do not depend on it)"
+    )
     common.add_argument(
         "--covariate-scale-is-sd",
         dest="covariate_scale_is_sd",
@@ -531,12 +489,15 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return 2
-    except (EmptyNeighborhoodError, AllPointsExcludedError, EstimationFailure) as exc:
+    except (AllPointsExcludedError, BrokenProcessPool, EstimationFailure) as exc:
         print(f"error: estimation: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -1,8 +1,11 @@
-"""Observation records, the column-backed Sample container, and dataset CSV.
+"""Observation records, the column-backed Sample container, and every CSV
+artifact the package writes.
 
-The CSV dialect is fixed: header ``t,delta,z1,...``, LF line endings, floats
-written as shortest round-trip decimals so that write -> read reproduces the
-in-memory arrays bit for bit.
+The CSV dialect is fixed: a header row, LF line endings, floats written as
+shortest round-trip decimals so that write -> read reproduces the in-memory
+arrays bit for bit, integers and flags as integers.  Datasets use the header
+``t,delta,z1,...``.  All five writers (dataset, surface, theta series, Monte
+Carlo replicates and summary) go through one column-wise writer.
 """
 
 from __future__ import annotations
@@ -10,10 +13,21 @@ from __future__ import annotations
 import csv
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-__all__ = ["Observation", "Sample", "read_dataset_csv", "write_dataset_csv"]
+if TYPE_CHECKING:
+    from .estimator import McSummary, ThetaSeries
+
+__all__ = [
+    "Observation",
+    "Sample",
+    "read_dataset_csv",
+    "write_dataset_csv",
+    "write_mc_replicates_csv",
+    "write_theta_series_csv",
+]
 
 
 @dataclass(frozen=True)
@@ -94,19 +108,71 @@ class Sample(Sequence):
 
 
 def _fmt(x: float) -> str:
+    """Shortest round-trip decimal of a float, taken from a Python float
+    (numpy scalars repr as ``np.float64(...)``)."""
     return repr(float(x))
+
+
+def _column_text(column) -> list[str]:
+    if isinstance(column, np.ndarray):
+        if column.dtype.kind == "f":
+            return list(map(repr, column.tolist()))
+        return list(map(str, column.astype(np.int64, copy=False).tolist()))  # bools as 0/1
+    return [v if isinstance(v, str) else _fmt(v) if isinstance(v, float) else str(int(v)) for v in column]
+
+
+_BLOCK_ROWS = 1024
+
+
+def _write_csv(path, header, columns) -> None:
+    """Write a header row and equal-length columns with LF endings.
+
+    A float array becomes shortest round-trip decimals, an integer or bool
+    array integers (bools as 0/1); a plain sequence is formatted value by
+    value the same way, with strings passed through.  Rows are joined in
+    blocks so that a large sample never exists as text all at once.
+    """
+    n = len(columns[0])
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for lo in range(0, n, _BLOCK_ROWS):
+            cells = [_column_text(col[lo : lo + _BLOCK_ROWS]) for col in columns]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def write_dataset_csv(sample: Sample, path) -> None:
     """Write a sample using the ``t,delta,z1,...`` schema with LF endings."""
     header = ["t", "delta"] + [f"z{j + 1}" for j in range(sample.d)]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for i in range(len(sample)):
-            row = [_fmt(sample.t[i]), str(int(sample.delta[i]))]
-            row.extend(_fmt(v) for v in sample.z[i])
-            writer.writerow(row)
+    _write_csv(path, header, [sample.t, sample.delta, *sample.z.T])
+
+
+def write_theta_series_csv(series: ThetaSeries, path) -> None:
+    """Write ``t,theta,included`` rows; theta is NaN at undefined points."""
+    _write_csv(path, ["t", "theta", "included"], [series.t, series.theta_pointwise, series.included])
+
+
+def _write_surface_csv(series: ThetaSeries, path) -> None:
+    """Write the ``t,pi,dpi1,dpi2,d2pi`` surface a theta series was solved from."""
+    _write_csv(path, ["t", "pi", "dpi1", "dpi2", "d2pi"], [series.t, *series.surface.T])
+
+
+def write_mc_replicates_csv(summary: McSummary, path) -> None:
+    """Write ``replicate,theta_hat,n_included,failed`` rows."""
+    _write_csv(
+        path,
+        ["replicate", "theta_hat", "n_included", "failed"],
+        [np.arange(summary.replicate_thetas.size), summary.replicate_thetas, summary.n_included, summary.failed],
+    )
+
+
+def _write_mc_summary_csv(untrimmed: McSummary, trimmed: McSummary, path) -> None:
+    """Write ``statistic,no_trimming,trimming`` rows for two summaries of one study."""
+    columns = [
+        (s.mean, s.p05, s.p95, s.p95 - s.p05, s.replicate_thetas.size, s.n_failed)
+        for s in (untrimmed, trimmed)
+    ]
+    names = ("mean", "p05", "p95", "spread", "n_replicates", "n_failed")
+    _write_csv(path, ["statistic", "no_trimming", "trimming"], [names, *columns])
 
 
 def read_dataset_csv(path) -> Sample:

@@ -9,15 +9,18 @@ the pointwise values over grid points inside a trimming window, skipping
 points where the surface estimate is unusable (empty kernel neighborhood,
 level outside (0, 1), nonfinite ratio, out-of-domain parameter, or no root).
 
-Monte Carlo replicates are independent jobs with derived seeds; aggregation
-is keyed by replicate index, so summaries are bitwise independent of worker
-count and scheduling.
+theta_series is the one route from a sample to a series: it builds the
+kernel surface along the grid, solves it pointwise and averages, and the
+returned series carries the surface it solved.  monte_carlo is the one
+replicate driver.  Replicates are independent jobs with derived seeds;
+aggregation is keyed by replicate index, so summaries are bitwise
+independent of worker count and scheduling.
 """
 
 from __future__ import annotations
 
-import csv
 import math
+import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -37,12 +40,9 @@ __all__ = [
     "default_trim_from_series",
     "monte_carlo",
     "oracle_surface_estimates",
-    "replicate_theta_series",
     "summarize_replicates",
     "theta_series",
     "trim_series",
-    "write_mc_replicates_csv",
-    "write_theta_series_csv",
 ]
 
 _SOLVABLE_FAMILIES = (CopulaFamily.CLAYTON, CopulaFamily.GUMBEL, CopulaFamily.FRANK)
@@ -124,6 +124,8 @@ class ThetaSeries:
     additionally applies the trim window; ``theta_hat`` is the arithmetic
     mean of the included values.  ``iterations`` and ``near_independence``
     are root-solver diagnostics (zero/False for closed-form families).
+    ``surface`` is the solved surface, one (pi, dpi1, dpi2, d2pi) row per
+    grid point, NaN where there was no surface estimate.
     """
 
     t: np.ndarray
@@ -132,6 +134,7 @@ class ThetaSeries:
     included: np.ndarray
     iterations: np.ndarray
     near_independence: np.ndarray
+    surface: np.ndarray
     theta_hat: float
     n_included: int
     trim_lo: float
@@ -145,6 +148,7 @@ class ThetaSeries:
             self.included,
             self.iterations,
             self.near_independence,
+            self.surface,
         ):
             arr.setflags(write=False)
 
@@ -163,22 +167,28 @@ def oracle_surface_estimates(config: DgpConfig, t_grid, z) -> list[SurfaceEstima
     ]
 
 
-def _solve_pointwise(t_grid, estimates, family):
-    n = len(t_grid)
+def _surface_array(estimates) -> np.ndarray:
+    no_estimate = (math.nan,) * 4
+    rows = [
+        no_estimate if e is None else (e.pi_hat, e.dpi_hat[0], e.dpi_hat[1], e.d2pi_hat)
+        for e in estimates
+    ]
+    return np.array(rows, dtype=float)
+
+
+def _solve_pointwise(surface, family):
+    n = surface.shape[0]
     theta = np.full(n, np.nan)
     defined = np.zeros(n, dtype=bool)
     iterations = np.zeros(n, dtype=np.int64)
     near0 = np.zeros(n, dtype=bool)
-    for i, est in enumerate(estimates):
-        if est is None:
+    for i, (pi, dpi1, dpi2, d2pi) in enumerate(surface.tolist()):
+        if not (0.0 < pi < 1.0):  # also skips the NaN rows of missing estimates
             continue
-        pi = est.pi_hat
-        if not (0.0 < pi < 1.0):
-            continue
-        denom = est.dpi_hat[0] * est.dpi_hat[1]
+        denom = dpi1 * dpi2
         if denom == 0.0 or not math.isfinite(denom):
             continue
-        ratio = est.d2pi_hat / denom
+        ratio = d2pi / denom
         if not math.isfinite(ratio):
             continue
         try:
@@ -192,7 +202,7 @@ def _solve_pointwise(t_grid, estimates, family):
     return theta, defined, iterations, near0
 
 
-def _assemble(t, theta, defined, iterations, near0, trim_lo, trim_hi) -> ThetaSeries:
+def _assemble(t, surface, theta, defined, iterations, near0, trim_lo, trim_hi) -> ThetaSeries:
     included = defined & (t >= trim_lo) & (t <= trim_hi)
     n_included = int(np.count_nonzero(included))
     if n_included == 0:
@@ -208,6 +218,7 @@ def _assemble(t, theta, defined, iterations, near0, trim_lo, trim_hi) -> ThetaSe
         included=included,
         iterations=iterations,
         near_independence=near0,
+        surface=surface,
         theta_hat=theta_hat,
         n_included=n_included,
         trim_lo=float(trim_lo),
@@ -221,15 +232,17 @@ def theta_series(
     grid: GridSpec,
     family: CopulaFamily,
     *,
-    surfaces: list[SurfaceEstimate] | None = None,
+    surfaces: list[SurfaceEstimate | None] | None = None,
 ) -> ThetaSeries:
     """Pointwise theta estimates along the duration grid, plus their
     trimmed average.
 
-    With ``surfaces`` given (one SurfaceEstimate per grid point, e.g. from
-    oracle_surface_estimates), the kernel step is bypassed and neither
-    sample nor spec is touched beyond grid resolution.  Raises
-    AllPointsExcludedError when nothing survives definedness and trimming.
+    Estimates the kernel surface of ``sample`` along the resolved grid and
+    solves it point by point.  With ``surfaces`` given (one SurfaceEstimate
+    or None per grid point, e.g. from oracle_surface_estimates), the kernel
+    step is bypassed and neither sample nor spec is touched beyond grid
+    resolution.  Raises AllPointsExcludedError when the kernel window at the
+    evaluation point is empty or nothing survives definedness and trimming.
     """
     if family not in _SOLVABLE_FAMILIES:
         raise ValueError(f"family {family!r} has no dependence parameter to estimate")
@@ -238,19 +251,14 @@ def theta_series(
         if sample is None or spec is None:
             raise ValueError("kernel estimation needs both a sample and a kernel spec")
         try:
-            estimates: list[SurfaceEstimate | None] = list(
-                estimate_surface_grid(sample, spec, t, z)
-            )
-        except EmptyNeighborhoodError:
-            estimates = [None] * len(t)  # no kernel mass at z: whole curve undefined
-    else:
-        if len(surfaces) != len(t):
-            raise ValueError(
-                f"got {len(surfaces)} surfaces for {len(t)} grid points"
-            )
-        estimates = list(surfaces)
-    theta, defined, iterations, near0 = _solve_pointwise(t, estimates, family)
-    return _assemble(t, theta, defined, iterations, near0, grid.trim_lo, grid.trim_hi)
+            surfaces = estimate_surface_grid(sample, spec, t, z)
+        except EmptyNeighborhoodError as exc:  # no kernel mass at z: whole curve undefined
+            raise AllPointsExcludedError(str(exc)) from None
+    elif len(surfaces) != len(t):
+        raise ValueError(f"got {len(surfaces)} surfaces for {len(t)} grid points")
+    surface = _surface_array(surfaces)
+    theta, defined, iterations, near0 = _solve_pointwise(surface, family)
+    return _assemble(t, surface, theta, defined, iterations, near0, grid.trim_lo, grid.trim_hi)
 
 
 def trim_series(series: ThetaSeries, trim_lo: float, trim_hi: float) -> ThetaSeries:
@@ -263,6 +271,7 @@ def trim_series(series: ThetaSeries, trim_lo: float, trim_hi: float) -> ThetaSer
         raise ValueError(f"trim_lo must be below trim_hi, got {trim_lo!r} >= {trim_hi!r}")
     return _assemble(
         series.t,
+        series.surface,
         series.theta_pointwise,
         series.defined,
         series.iterations,
@@ -327,8 +336,10 @@ class McSummary:
     """Replicate-level estimates with mean and nearest-rank percentiles.
 
     ``replicate_thetas`` is NaN at failed replicates; ``mean``/``p05``/
-    ``p95`` summarize the successes.  ``config_echo`` records the full run
-    configuration the summary was computed under.
+    ``p95`` summarize the successes.  ``series`` holds the replicate series
+    the summary was trimmed from (None where a replicate produced none;
+    untrimmed when built by monte_carlo), so one study can be summarized
+    again under another window.
     """
 
     replicate_thetas: np.ndarray
@@ -338,7 +349,7 @@ class McSummary:
     p05: float
     p95: float
     n_failed: int
-    config_echo: dict
+    series: tuple[ThetaSeries | None, ...]
 
     def __post_init__(self) -> None:
         for arr in (self.replicate_thetas, self.n_included, self.failed):
@@ -363,44 +374,16 @@ def _replicate_job(args) -> ThetaSeries | None:
         return None
 
 
-def replicate_theta_series(
-    dgp: DgpConfig,
-    spec: KernelSpec,
-    grid: GridSpec,
-    family: CopulaFamily,
-    replicates: int,
-    base_seed: int | None = None,
-    *,
-    workers: int = 1,
-) -> list[ThetaSeries | None]:
-    """Untrimmed theta series for ``replicates`` independent samples.
-
-    Replicate r uses seed (base_seed + r) mod 2**64, so the result list is a
-    pure function of the arguments; trimming is deliberately deferred so one
-    set of replicates can be summarized under several windows.  ``workers``
-    > 1 distributes replicates over processes without changing any value.
-    """
-    if not isinstance(replicates, int) or replicates < 1:
-        raise ValueError(f"replicates must be a positive integer, got {replicates!r}")
-    if not isinstance(workers, int) or workers < 1:
-        raise ValueError(f"workers must be a positive integer, got {workers!r}")
-    base = dgp.seed if base_seed is None else int(base_seed)
-    grid = _untrimmed(grid)
-    jobs = [
-        (replace(dgp, seed=(base + r) % 2**64), spec, grid, family)
-        for r in range(replicates)
-    ]
-    if workers == 1:
-        return [_replicate_job(job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_replicate_job, jobs))
+def _worker_count(workers: int, replicates: int) -> int:
+    """Processes to start: never more than replicates or CPUs (a fork pool
+    starts every worker at once)."""
+    return min(workers, replicates, os.cpu_count() or 1)
 
 
 def summarize_replicates(
     series_list: list[ThetaSeries | None],
     trim_lo: float,
     trim_hi: float,
-    config_echo: dict | None = None,
 ) -> McSummary:
     """Trim each replicate series, then aggregate the replicate averages.
 
@@ -428,9 +411,6 @@ def summarize_replicates(
     ok = np.sort(thetas[~failed])
     if ok.size == 0:
         raise AllPointsExcludedError("every replicate failed under this trim window")
-    echo = dict(config_echo or {})
-    echo["trim_lo"] = float(trim_lo)
-    echo["trim_hi"] = float(trim_hi)
     return McSummary(
         replicate_thetas=thetas,
         n_included=n_included,
@@ -439,24 +419,8 @@ def summarize_replicates(
         p05=_nearest_rank(ok, 5.0),
         p95=_nearest_rank(ok, 95.0),
         n_failed=int(np.count_nonzero(failed)),
-        config_echo=echo,
+        series=tuple(series_list),
     )
-
-
-def _config_echo(dgp, spec, grid, family, replicates, base_seed) -> dict:
-    return {
-        "family": family.value,
-        "theta": dgp.copula.theta,
-        "n": dgp.n,
-        "base_seed": int(base_seed),
-        "replicates": int(replicates),
-        "bandwidths": tuple(spec.bandwidths),
-        "kernel": spec.kernel.value,
-        "grid_points": grid.n_points if grid.t_grid is None else len(grid.t_grid),
-        "covariate_scale": dgp.covariate_scale,
-        "scale_is_sd": dgp.scale_is_sd,
-        "marginals": tuple((m.lam, m.eta, m.beta) for m in dgp.marginals),
-    }
 
 
 def monte_carlo(
@@ -472,52 +436,30 @@ def monte_carlo(
     """Simulate-and-estimate ``replicates`` times and summarize under the
     grid's trim window.
 
-    Deterministic given the configuration and base seed (default: the DGP
-    seed); independent of ``workers``.
+    Replicate r uses seed (base_seed + r) mod 2**64 (default base: the DGP
+    seed), so the summary is a pure function of the arguments.  Each
+    replicate series is computed untrimmed and kept in ``series``, so the
+    study can be re-summarized under other windows without re-running it.
+    ``workers`` > 1 spreads replicates over at most that many processes
+    (also capped at the replicate and CPU counts) without changing any value.
     """
+    if not isinstance(replicates, int) or replicates < 1:
+        raise ValueError(f"replicates must be a positive integer, got {replicates!r}")
+    if not isinstance(workers, int) or workers < 1:
+        raise ValueError(f"workers must be a positive integer, got {workers!r}")
     base = dgp.seed if base_seed is None else int(base_seed)
-    series = replicate_theta_series(
-        dgp, spec, grid, family, replicates, base, workers=workers
-    )
-    echo = _config_echo(dgp, spec, grid, family, replicates, base)
-    return summarize_replicates(series, grid.trim_lo, grid.trim_hi, echo)
-
-
-# ----------------------------------------------------------------------
-# CSV emitters
-# ----------------------------------------------------------------------
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
-def write_theta_series_csv(series: ThetaSeries, path) -> None:
-    """Write ``t,theta,included`` rows; theta is NaN at undefined points."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t", "theta", "included"])
-        for i in range(series.t.size):
-            writer.writerow(
-                [
-                    _fmt(series.t[i]),
-                    _fmt(series.theta_pointwise[i]),
-                    str(int(series.included[i])),
-                ]
-            )
-
-
-def write_mc_replicates_csv(summary: McSummary, path) -> None:
-    """Write ``replicate,theta_hat,n_included,failed`` rows."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["replicate", "theta_hat", "n_included", "failed"])
-        for r in range(summary.replicate_thetas.size):
-            writer.writerow(
-                [
-                    str(r),
-                    _fmt(summary.replicate_thetas[r]),
-                    str(int(summary.n_included[r])),
-                    str(int(summary.failed[r])),
-                ]
-            )
+    untrimmed = _untrimmed(grid)
+    jobs = [
+        (replace(dgp, seed=(base + r) % 2**64), spec, untrimmed, family)
+        for r in range(replicates)
+    ]
+    n_workers = _worker_count(workers, replicates)
+    if n_workers == 1:
+        series = [_replicate_job(job) for job in jobs]
+    else:
+        pool = ProcessPoolExecutor(max_workers=n_workers)
+        try:
+            series = list(pool.map(_replicate_job, jobs))
+        finally:
+            pool.shutdown(cancel_futures=True)  # an interrupt drops the queued replicates
+    return summarize_replicates(series, grid.trim_lo, grid.trim_hi)

@@ -12,17 +12,18 @@ quotient rule with the exact kernel derivative (the derivative factor in
 coordinate k is K'(u_ik) / h_k**2), and the cross derivative is taken in
 the first two covariate coordinates.
 
-Every reported sum is evaluated with math.fsum, which returns the correctly
+Every kernel sum is evaluated with math.fsum, which returns the correctly
 rounded value of the exact real sum.  Numbers are therefore bitwise
 independent of summation order, of scheduling across evaluation points, and
 of whether a duration grid is evaluated in one pass or point by point.
+The one entry point, estimate_surface_grid, builds the weights at z once
+and evaluates every grid duration from them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -30,15 +31,9 @@ from .data import Sample
 
 __all__ = [
     "EmptyNeighborhoodError",
-    "KernelShape",
     "KernelSpec",
-    "KernelSums",
     "SurfaceEstimate",
-    "estimate_surface",
     "estimate_surface_grid",
-    "kernel_deriv",
-    "kernel_eval",
-    "raw_sums",
 ]
 
 
@@ -46,18 +41,12 @@ class EmptyNeighborhoodError(RuntimeError):
     """No observation carries kernel weight at the evaluation covariate point."""
 
 
-class KernelShape(Enum):
-    """Supported kernel shapes (bounded support, finite second moment)."""
-
-    EPANECHNIKOV = "epanechnikov"
-
-
 @dataclass(frozen=True)
 class KernelSpec:
-    """Bandwidth vector (one per covariate coordinate) and kernel shape."""
+    """Bandwidth vector of the product Epanechnikov kernel, one per covariate
+    coordinate."""
 
     bandwidths: tuple[float, ...]
-    kernel: KernelShape = KernelShape.EPANECHNIKOV
 
     def __post_init__(self) -> None:
         bw = tuple(float(h) for h in self.bandwidths)
@@ -65,30 +54,11 @@ class KernelSpec:
             raise ValueError("at least one bandwidth is required")
         if not all(math.isfinite(h) and h > 0.0 for h in bw):
             raise ValueError(f"bandwidths must be positive and finite, got {bw!r}")
-        if not isinstance(self.kernel, KernelShape):
-            raise ValueError(f"unknown kernel shape {self.kernel!r}")
         object.__setattr__(self, "bandwidths", bw)
 
     @property
     def d(self) -> int:
         return len(self.bandwidths)
-
-
-@dataclass(frozen=True)
-class KernelSums:
-    """Raw numerator/denominator sums behind one surface evaluation.
-
-    ``a`` carries the duration indicator, ``b`` does not; ``*_grad`` swap in
-    the kernel-derivative factor for one coordinate, ``*_cross`` for the
-    first two coordinates at once.
-    """
-
-    a: float
-    b: float
-    a_grad: tuple[float, ...]
-    b_grad: tuple[float, ...]
-    a_cross: float
-    b_cross: float
 
 
 @dataclass(frozen=True)
@@ -103,22 +73,6 @@ class SurfaceEstimate:
     dpi_hat: tuple[float, ...]
     d2pi_hat: float
     b_at_z: float
-
-
-def kernel_eval(kernel: KernelShape, u: float) -> float:
-    """Kernel value K(u): 0.75 * (1 - u^2) on |u| <= 1, else 0."""
-    if not isinstance(kernel, KernelShape):
-        raise ValueError(f"unknown kernel shape {kernel!r}")
-    u = float(u)
-    return 0.75 * (1.0 - u * u) if abs(u) <= 1.0 else 0.0
-
-
-def kernel_deriv(kernel: KernelShape, u: float) -> float:
-    """Kernel derivative K'(u): -1.5 * u on |u| <= 1, else 0."""
-    if not isinstance(kernel, KernelShape):
-        raise ValueError(f"unknown kernel shape {kernel!r}")
-    u = float(u)
-    return -1.5 * u if abs(u) <= 1.0 else 0.0
 
 
 class _ZWeights:
@@ -170,16 +124,28 @@ class _ZWeights:
         self.b_grad = tuple(math.fsum(col) for col in self.w_grad)
         self.b_cross = math.fsum(self.w_cross)
 
-    def sums_at(self, t: float) -> KernelSums:
+    def sums_at(self, t: float) -> tuple[float, tuple[float, ...], float]:
+        """Duration-dependent sums over {T_i > t}: (a, a_grad, a_cross)."""
         i0 = int(np.searchsorted(self.t_sorted, t, side="right"))
-        return KernelSums(
-            a=math.fsum(self.w[i0:]),
-            b=self.b,
-            a_grad=tuple(math.fsum(col[i0:]) for col in self.w_grad),
-            b_grad=self.b_grad,
-            a_cross=math.fsum(self.w_cross[i0:]),
-            b_cross=self.b_cross,
+        return (
+            math.fsum(self.w[i0:]),
+            tuple(math.fsum(col[i0:]) for col in self.w_grad),
+            math.fsum(self.w_cross[i0:]),
         )
+
+    def surface_at(self, t: float) -> SurfaceEstimate:
+        """Quotient-rule surface and derivatives at duration t (needs b > 0)."""
+        a, a_grad, a_cross = self.sums_at(t)
+        b, b_grad = self.b, self.b_grad
+        b2 = b * b
+        pi_hat = a / b
+        dpi_hat = tuple((ak * b - a * bk) / b2 for ak, bk in zip(a_grad, b_grad))
+        d2pi_hat = (
+            a_cross / b
+            - (b_grad[0] * a_grad[1] + a_grad[0] * b_grad[1] + self.b_cross * a) / b2
+            + 2.0 * b_grad[0] * a * b_grad[1] / (b2 * b)
+        )
+        return SurfaceEstimate(pi_hat=pi_hat, dpi_hat=dpi_hat, d2pi_hat=d2pi_hat, b_at_z=b)
 
 
 def _check_point(sample: Sample, spec: KernelSpec, z) -> np.ndarray:
@@ -203,58 +169,14 @@ def _check_t(t) -> float:
     return t
 
 
-def raw_sums(sample: Sample, spec: KernelSpec, t, z) -> KernelSums:
-    """Kernel numerator/denominator sums at one (duration, covariate) point.
-
-    An all-zero result (empty kernel window) is a legal return; turning it
-    into an error is the surface estimator's job.
-    """
-    z = _check_point(sample, spec, z)
-    return _ZWeights(sample, spec, z).sums_at(_check_t(t))
-
-
-def _surface_from(sums: KernelSums) -> SurfaceEstimate:
-    b = sums.b
-    if b == 0.0:
-        raise EmptyNeighborhoodError(
-            "no kernel mass at the evaluation covariate point"
-        )
-    a = sums.a
-    b2 = b * b
-    pi_hat = a / b
-    dpi_hat = tuple(
-        (ak * b - a * bk) / b2 for ak, bk in zip(sums.a_grad, sums.b_grad)
-    )
-    d2pi_hat = (
-        sums.a_cross / b
-        - (
-            sums.b_grad[0] * sums.a_grad[1]
-            + sums.a_grad[0] * sums.b_grad[1]
-            + sums.b_cross * a
-        )
-        / b2
-        + 2.0 * sums.b_grad[0] * a * sums.b_grad[1] / (b2 * b)
-    )
-    return SurfaceEstimate(pi_hat=pi_hat, dpi_hat=dpi_hat, d2pi_hat=d2pi_hat, b_at_z=b)
-
-
-def estimate_surface(sample: Sample, spec: KernelSpec, t, z) -> SurfaceEstimate:
-    """Estimate the joint survival surface and its covariate derivatives.
-
-    Raises EmptyNeighborhoodError when no observation carries kernel weight
-    at z (the caller decides whether to skip the point).
-    """
-    z = _check_point(sample, spec, z)
-    return _surface_from(_ZWeights(sample, spec, z).sums_at(_check_t(t)))
-
-
 def estimate_surface_grid(sample: Sample, spec: KernelSpec, t_grid, z) -> list[SurfaceEstimate]:
     """Evaluate the surface along a duration grid at one covariate point.
 
     The kernel weights depend on z only, so they are built once and shared
     by all grid points; each returned entry is bitwise identical to a
-    separate estimate_surface call at the same duration.  The empty-window
-    error is duration independent, hence raised for the grid as a whole.
+    one-point grid at the same duration.  Raises EmptyNeighborhoodError when
+    no observation carries kernel weight at z; the empty window is duration
+    independent, hence raised for the grid as a whole.
     """
     z = _check_point(sample, spec, z)
     ts = [_check_t(t) for t in np.asarray(t_grid, dtype=float).ravel()]
@@ -265,4 +187,4 @@ def estimate_surface_grid(sample: Sample, spec: KernelSpec, t_grid, z) -> list[S
         raise EmptyNeighborhoodError(
             "no kernel mass at the evaluation covariate point"
         )
-    return [_surface_from(weights.sums_at(t)) for t in ts]
+    return [weights.surface_at(t) for t in ts]

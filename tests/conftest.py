@@ -13,13 +13,8 @@ import pytest
 
 from coprisk.copula import CopulaFamily
 from coprisk.dgp import default_config, oracle_surface, simulate
-from coprisk.estimator import (
-    AllPointsExcludedError,
-    GridSpec,
-    replicate_theta_series,
-    theta_series,
-)
-from coprisk.kernel import KernelSpec, estimate_surface
+from coprisk.estimator import AllPointsExcludedError, GridSpec, monte_carlo, theta_series
+from coprisk.kernel import KernelSpec, estimate_surface_grid
 
 BENCH_BANDWIDTH = 0.3
 
@@ -54,7 +49,7 @@ def fd_clean_points():
             z = np.asarray(z, dtype=float)
             if not _fd_stencil_is_clean(sample, spec, z, delta):
                 continue
-            est = estimate_surface(sample, spec, t, z)
+            est = estimate_surface_grid(sample, spec, [t], z)[0]
             if abs(est.dpi_hat[0]) < min_first or abs(est.dpi_hat[1]) < min_first:
                 continue
             if abs(est.d2pi_hat) < min_cross:
@@ -93,7 +88,7 @@ def mc50_series(fixture_runtimes):
     cfg = default_config(100_000, seed=9_000_000)
     spec = KernelSpec((BENCH_BANDWIDTH, BENCH_BANDWIDTH))
     start = time.perf_counter()
-    series = replicate_theta_series(cfg, spec, GridSpec(), CopulaFamily.CLAYTON, 50)
+    series = monte_carlo(cfg, spec, GridSpec(), CopulaFamily.CLAYTON, 50).series
     fixture_runtimes["mc50_series"] = time.perf_counter() - start
     return series
 
@@ -118,7 +113,7 @@ def consistency_runs(fixture_runtimes):
             sample = simulate(cfg)
             zbar = sample.mean_covariates()
             pi_error = abs(
-                estimate_surface(sample, spec, 1.5, zbar).pi_hat
+                estimate_surface_grid(sample, spec, [1.5], zbar)[0].pi_hat
                 - oracle_surface(cfg, 1.5, zbar).pi
             )
             try:

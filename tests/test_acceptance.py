@@ -41,7 +41,7 @@ from coprisk.estimator import (
     summarize_replicates,
     theta_series,
 )
-from coprisk.kernel import KernelSpec, estimate_surface
+from coprisk.kernel import KernelSpec, estimate_surface_grid
 
 
 def _report(number: int, label: str, ok: bool, detail: str) -> None:
@@ -230,21 +230,21 @@ def test_acceptance_5_derivatives_match_finite_differences(fd_clean_points):
     )
     worst_rel = 0.0
     for t, z in points:
-        est = estimate_surface(sample, spec, t, z)
+        est = estimate_surface_grid(sample, spec, [t], z)[0]
         step = 1e-6
         for k in range(2):
             zp, zm = z.copy(), z.copy()
             zp[k] += step
             zm[k] -= step
             fd = (
-                estimate_surface(sample, spec, t, zp).pi_hat
-                - estimate_surface(sample, spec, t, zm).pi_hat
+                estimate_surface_grid(sample, spec, [t], zp)[0].pi_hat
+                - estimate_surface_grid(sample, spec, [t], zm)[0].pi_hat
             ) / (2.0 * step)
             worst_rel = max(worst_rel, abs(est.dpi_hat[k] - fd) / abs(fd))
         step = 1e-5
 
         def pi_at(d1, d2):
-            return estimate_surface(sample, spec, t, [z[0] + d1, z[1] + d2]).pi_hat
+            return estimate_surface_grid(sample, spec, [t], [z[0] + d1, z[1] + d2])[0].pi_hat
 
         fd = (
             pi_at(step, step)

@@ -10,11 +10,14 @@ from __future__ import annotations
 import hashlib
 import subprocess
 import sys
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 
+import coprisk.cli
 from coprisk.cli import main
+from coprisk.data import Sample, write_dataset_csv
 
 
 def run_cli(args, capsys):
@@ -246,6 +249,32 @@ def test_config_violations_exit_2(tmp_path, capsys, args):
     assert err.count("\n") == 1
 
 
+def test_empty_kernel_window_exits_3_with_the_reason(tmp_path, capsys):
+    # two covariate clusters at -5 and +5: the mean covariate point between
+    # them has no observation inside a 0.3 bandwidth window
+    rng = np.random.default_rng(11)
+    n = 200
+    centers = np.where(np.arange(n)[:, None] % 2 == 0, -5.0, 5.0)
+    sample = Sample(
+        rng.exponential(1.0, n) + 0.01, rng.integers(1, 3, n), centers + rng.normal(0.0, 0.1, (n, 2))
+    )
+    data = tmp_path / "clusters.csv"
+    write_dataset_csv(sample, data)
+    code, _, err = run_cli(["estimate", "--data", str(data), "--out", str(tmp_path / "run")], capsys)
+    assert code == 3
+    assert err.startswith("error: estimation:") and "kernel mass" in err
+    assert err.count("\n") == 1
+
+
+def test_dataset_wider_than_the_bandwidths_exits_3(tmp_path, capsys):
+    data = tmp_path / "wide.csv"
+    write_dataset_csv(Sample([1.0, 2.0, 1.5], [1, 2, 1], [[0.1, 0.2, 0.3], [0.0, 0.1, 0.2], [-0.1, 0.0, 0.1]]), data)
+    code, _, err = run_cli(["estimate", "--data", str(data), "--out", str(tmp_path / "run")], capsys)
+    assert code == 3
+    assert err.startswith("error: estimation:") and "3 covariates" in err
+    assert err.count("\n") == 1
+
+
 def test_impossible_trim_window_exits_3(tmp_path, capsys):
     code, _, err = run_cli(
         ["estimate", *SMALL, "--trim", "100:200", "--out", str(tmp_path)], capsys
@@ -353,3 +382,39 @@ def test_no_temp_files_left_behind(tmp_path, capsys):
     assert run_cli(["estimate", *SMALL, "--out", str(out)], capsys)[0] == 0
     leftovers = [p.name for p in out.iterdir() if ".tmp" in p.name]
     assert leftovers == []
+
+
+def test_broken_worker_pool_exits_3(tmp_path, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise BrokenProcessPool("a process in the process pool was terminated abruptly")
+
+    monkeypatch.setattr(coprisk.cli, "monte_carlo", broken)
+    out = tmp_path / "run"
+    code, _, err = run_cli(["montecarlo", *MC, "--out", str(out)], capsys)
+    assert code == 3
+    assert err.startswith("error: estimation:") and "terminated abruptly" in err
+    assert err.count("\n") == 1
+    assert [p.name for p in out.iterdir() if ".tmp" in p.name] == []
+
+
+def test_interrupt_exits_130_and_removes_partial_files(tmp_path, capsys, monkeypatch):
+    def interrupted(summary, path):
+        with open(path, "w") as fh:
+            fh.write("replicate,")
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(coprisk.cli, "write_mc_replicates_csv", interrupted)
+    out = tmp_path / "run"
+    code, _, err = run_cli(["montecarlo", *MC, "--threads", "1", "--out", str(out)], capsys)
+    assert code == 130
+    assert err == "error: interrupted\n"
+    assert list(out.iterdir()) == []  # the partial temp file is gone, nothing was renamed
+
+    def interrupt_study(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(coprisk.cli, "monte_carlo", interrupt_study)
+    code, _, err = run_cli(["montecarlo", *MC, "--out", str(out)], capsys)
+    assert code == 130
+    assert err == "error: interrupted\n"
+    assert list(out.iterdir()) == []

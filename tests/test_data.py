@@ -1,9 +1,11 @@
-"""Sample container and dataset CSV round-trip tests."""
+"""Sample container, dataset CSV round-trip, and CSV writer tests."""
+
+import csv
 
 import numpy as np
 import pytest
 
-from coprisk.data import Observation, Sample, read_dataset_csv, write_dataset_csv
+from coprisk.data import _BLOCK_ROWS, Observation, Sample, _write_csv, read_dataset_csv, write_dataset_csv
 
 
 def _toy_sample() -> Sample:
@@ -131,3 +133,35 @@ def test_csv_read_rejects_malformed(tmp_path, content):
     path.write_text(content)
     with pytest.raises(ValueError):
         read_dataset_csv(path)
+
+
+def test_csv_writer_matches_a_csv_writer_reference(tmp_path):
+    specials = [-0.0, float("nan"), float("inf"), -float("inf"), 5e-324, 1e16, 0.1, -2.5]
+    n = 2 * _BLOCK_ROWS + 3  # rows span three write blocks
+    floats = np.resize(np.array(specials), n)
+    ints = np.resize(np.array([0, -7, 2**40, 12], dtype=np.int64), n)
+    flags = np.resize(np.array([True, False, False]), n)
+    path = tmp_path / "written.csv"
+    _write_csv(path, ["x", "k", "flag"], [floats, ints, flags])
+
+    reference = tmp_path / "reference.csv"
+    with open(reference, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["x", "k", "flag"])
+        for x, k, f in zip(floats, ints, flags):
+            writer.writerow([repr(float(x)), str(int(k)), str(int(f))])
+    assert path.read_bytes() == reference.read_bytes()
+    assert path.read_text().splitlines()[1:9] == [
+        f"{v},{k},{f}"
+        for v, k, f in zip(
+            ["-0.0", "nan", "inf", "-inf", "5e-324", "1e+16", "0.1", "-2.5"],
+            ["0", "-7", "1099511627776", "12"] * 2,
+            ["1", "0", "0"] * 3,
+        )
+    ]
+
+
+def test_csv_writer_formats_plain_sequences_value_by_value(tmp_path):
+    path = tmp_path / "mixed.csv"
+    _write_csv(path, ["name", "value"], [("mean", "n", "flag"), (np.float64(0.5), np.int64(3), True)])
+    assert path.read_text() == "name,value\nmean,0.5\nn,3\nflag,1\n"

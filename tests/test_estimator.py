@@ -3,8 +3,8 @@
 Covers grid resolution and validation, the exclusion rules that decide which
 grid points enter the trimmed average, exactness on closed-form oracle
 surfaces, the data-driven trim suggestion, replicate orchestration
-(determinism, worker invariance, seed wraparound), summary statistics with
-nearest-rank percentiles, and the CSV emitters.
+(determinism, worker invariance and cap, seed wraparound), summary
+statistics with nearest-rank percentiles, and the CSV emitters.
 
 Three distributional targets for the 50-replicate benchmark at bandwidth 0.3
 are marked strict expected-fail at the bottom of this file.  Measurement
@@ -22,30 +22,29 @@ that does reach those targets visible as an unexpected pass.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from coprisk.copula import CopulaFamily, CopulaModel, kendalls_tau
-from coprisk.data import Sample
+from coprisk.data import Sample, write_mc_replicates_csv, write_theta_series_csv
 from coprisk.dgp import default_config, simulate
 from coprisk.estimator import (
     AllPointsExcludedError,
     GridSpec,
     McSummary,
     ThetaSeries,
+    _worker_count,
     default_trim_from_series,
     monte_carlo,
     oracle_surface_estimates,
-    replicate_theta_series,
     summarize_replicates,
     theta_series,
     trim_series,
-    write_mc_replicates_csv,
-    write_theta_series_csv,
 )
-from coprisk.kernel import KernelSpec, SurfaceEstimate
+from coprisk.kernel import KernelSpec, SurfaceEstimate, estimate_surface_grid
 
 INF = float("inf")
 
@@ -315,7 +314,7 @@ def test_all_points_excluded_when_no_surface_estimates():
 def test_empty_covariate_neighborhood_excludes_everything():
     sample = simulate(default_config(50, seed=3))
     grid = GridSpec(t_grid=(0.5, 1.0), z_eval=(50.0, 50.0))
-    with pytest.raises(AllPointsExcludedError):
+    with pytest.raises(AllPointsExcludedError, match="kernel mass"):
         theta_series(sample, KernelSpec(bandwidths=(0.3, 0.3)), grid, CopulaFamily.CLAYTON)
 
 
@@ -411,9 +410,13 @@ def _small_design():
     return dgp, spec, grid
 
 
+def replicate_series(dgp, spec, grid, family, replicates, **kwargs):
+    return monte_carlo(dgp, spec, grid, family, replicates, **kwargs).series
+
+
 def test_single_replicate_equals_direct_estimation():
     dgp, spec, grid = _small_design()
-    runs = replicate_theta_series(dgp, spec, grid, CopulaFamily.CLAYTON, replicates=1)
+    runs = replicate_series(dgp, spec, grid, CopulaFamily.CLAYTON, replicates=1)
     direct = theta_series(simulate(dgp), spec, grid, CopulaFamily.CLAYTON)
     assert len(runs) == 1
     assert np.array_equal(
@@ -424,7 +427,7 @@ def test_single_replicate_equals_direct_estimation():
 
 def test_replicates_advance_seed_by_one():
     dgp, spec, grid = _small_design()
-    runs = replicate_theta_series(dgp, spec, grid, CopulaFamily.CLAYTON, replicates=3)
+    runs = replicate_series(dgp, spec, grid, CopulaFamily.CLAYTON, replicates=3)
     for r, run in enumerate(runs):
         direct = theta_series(
             simulate(replace(dgp, seed=dgp.seed + r)), spec, grid, CopulaFamily.CLAYTON
@@ -435,7 +438,7 @@ def test_replicates_advance_seed_by_one():
 def test_replicate_seed_wraps_at_word_boundary():
     dgp, spec, grid = _small_design()
     dgp = replace(dgp, seed=2**64 - 1)
-    runs = replicate_theta_series(dgp, spec, grid, CopulaFamily.CLAYTON, replicates=2)
+    runs = replicate_series(dgp, spec, grid, CopulaFamily.CLAYTON, replicates=2)
     direct0 = theta_series(simulate(dgp), spec, grid, CopulaFamily.CLAYTON)
     direct1 = theta_series(simulate(replace(dgp, seed=0)), spec, grid, CopulaFamily.CLAYTON)
     assert np.array_equal(runs[0].theta_pointwise, direct0.theta_pointwise, equal_nan=True)
@@ -444,8 +447,8 @@ def test_replicate_seed_wraps_at_word_boundary():
 
 def test_worker_count_does_not_change_results():
     dgp, spec, grid = _small_design()
-    seq = replicate_theta_series(dgp, spec, grid, CopulaFamily.CLAYTON, replicates=4, workers=1)
-    par = replicate_theta_series(dgp, spec, grid, CopulaFamily.CLAYTON, replicates=4, workers=2)
+    seq = replicate_series(dgp, spec, grid, CopulaFamily.CLAYTON, replicates=4, workers=1)
+    par = replicate_series(dgp, spec, grid, CopulaFamily.CLAYTON, replicates=4, workers=2)
     assert len(seq) == len(par) == 4
     for a, b in zip(seq, par):
         assert np.array_equal(a.theta_pointwise, b.theta_pointwise, equal_nan=True)
@@ -458,7 +461,7 @@ def test_replicate_argument_validation(kwargs):
     dgp, spec, grid = _small_design()
     call = {"replicates": 1, **kwargs}
     with pytest.raises(ValueError):
-        replicate_theta_series(
+        replicate_series(
             dgp, spec, grid, CopulaFamily.CLAYTON, call["replicates"], workers=call.get("workers", 1)
         )
 
@@ -532,14 +535,6 @@ def test_summary_rejects_empty_input():
         summarize_replicates([], -INF, INF)
 
 
-def test_summary_echo_carries_trim_window():
-    ok = _oracle_series_for_theta(0.5)
-    summary = summarize_replicates([ok], 0.5, 2.5, config_echo={"n": 10})
-    assert summary.config_echo["trim_lo"] == 0.5
-    assert summary.config_echo["trim_hi"] == 2.5
-    assert summary.config_echo["n"] == 10
-
-
 # ---------------------------------------------------------------------------
 # Full study driver
 # ---------------------------------------------------------------------------
@@ -563,21 +558,47 @@ def test_monte_carlo_is_deterministic():
     assert a.mean == b.mean and a.p05 == b.p05 and a.p95 == b.p95
 
 
-def test_monte_carlo_echoes_resolved_configuration():
+def test_monte_carlo_keeps_untrimmed_series_for_resummary():
     dgp, spec, grid = _small_design()
-    summary = monte_carlo(dgp, spec, grid, CopulaFamily.CLAYTON, replicates=2)
-    echo = summary.config_echo
-    assert echo["family"] == "clayton"
-    assert echo["theta"] == 0.5
-    assert echo["n"] == dgp.n
-    assert echo["base_seed"] == dgp.seed
-    assert echo["replicates"] == 2
-    assert echo["bandwidths"] == (0.8, 0.8)
-    assert echo["kernel"] == "epanechnikov"
-    assert echo["grid_points"] == 4
-    assert echo["covariate_scale"] == dgp.covariate_scale
-    assert echo["scale_is_sd"] == dgp.scale_is_sd
-    assert echo["trim_lo"] == grid.trim_lo and echo["trim_hi"] == grid.trim_hi
+    trimmed = replace(grid, trim_lo=0.9, trim_hi=1.9)
+    summary = monte_carlo(dgp, spec, trimmed, CopulaFamily.CLAYTON, replicates=2)
+    assert len(summary.series) == 2
+    assert all(s.trim_lo == -INF and s.trim_hi == INF for s in summary.series)
+    again = summarize_replicates(summary.series, 0.9, 1.9)
+    assert np.array_equal(again.replicate_thetas, summary.replicate_thetas, equal_nan=True)
+    untrimmed = monte_carlo(dgp, spec, grid, CopulaFamily.CLAYTON, replicates=2)
+    resummary = summarize_replicates(summary.series, -INF, INF)
+    assert np.array_equal(resummary.replicate_thetas, untrimmed.replicate_thetas, equal_nan=True)
+
+
+def test_worker_count_is_capped_by_replicates_and_cpus(monkeypatch):
+    # resolves the pool size only: no process is started
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert _worker_count(5000, 5000) == 2
+    assert _worker_count(1, 5000) == 1
+    assert _worker_count(8, 3) == 2
+    monkeypatch.setattr(os, "cpu_count", lambda: 16)
+    assert _worker_count(8, 3) == 3
+    assert _worker_count(4, 50) == 4
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown CPU count
+    assert _worker_count(8, 8) == 1
+
+
+def test_theta_series_carries_its_surface():
+    sample = simulate(default_config(2000, seed=77_000))
+    spec = KernelSpec(bandwidths=(0.9, 0.9))
+    grid = GridSpec(n_points=30)
+    series = theta_series(sample, spec, grid, CopulaFamily.CLAYTON)
+    t, z = grid.resolve(sample)
+    expected = [[e.pi_hat, *e.dpi_hat, e.d2pi_hat] for e in estimate_surface_grid(sample, spec, t, z)]
+    assert series.surface.shape == (30, 4)
+    assert series.surface.tolist() == expected
+    with pytest.raises(ValueError):
+        series.surface[0, 0] = 0.5
+    # the surfaces seam keeps the same layout, NaN where no estimate was given
+    seam = _series_from([_clayton_surface(0.5), None])
+    assert seam.surface[0].tolist() == [0.3, -0.1, -0.2, _clayton_surface(0.5).d2pi_hat]
+    assert np.isnan(seam.surface[1]).all()
 
 
 # ---------------------------------------------------------------------------
