@@ -10,7 +10,7 @@ Carlo replicates and summary) go through one column-wise writer.
 
 from __future__ import annotations
 
-import csv
+import warnings
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -176,22 +176,27 @@ def _write_mc_summary_csv(untrimmed: McSummary, trimmed: McSummary, path) -> Non
 
 
 def read_dataset_csv(path) -> Sample:
-    """Read a dataset written by write_dataset_csv (or matching its schema)."""
+    """Read a dataset written by write_dataset_csv (or matching its schema).
+
+    The rows are parsed in one np.loadtxt pass: a value that is not a float,
+    a cause that is not an integer literal, a ``#`` anywhere, or a row wider
+    or narrower than the header raises ValueError.  Blank lines are skipped.
+    """
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
+        line = fh.readline()
+        if not line:
             raise ValueError(f"{path}: empty dataset file")
+        header = line.rstrip("\r\n").split(",")
         expected = ["t", "delta"] + [f"z{j + 1}" for j in range(len(header) - 2)]
         if header != expected or len(header) < 4:
             raise ValueError(f"{path}: bad header {header!r}, want t,delta,z1,z2,...")
-        t, delta, z = [], [], []
-        for row in reader:
-            if len(row) != len(header):
-                raise ValueError(f"{path}: row width {len(row)} != header width")
-            t.append(float(row[0]))
-            delta.append(int(row[1]))
-            z.append([float(v) for v in row[2:]])
-    if not t:
+        dtype = np.dtype([("t", float), ("delta", np.int64), ("z", float, (len(header) - 2,))])
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            try:
+                rows = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+            except ValueError as exc:  # numpy appends advice on its usecols argument
+                raise ValueError(f"{path}: {str(exc).partition(';')[0]}") from None
+    if rows.size == 0:
         raise ValueError(f"{path}: no data rows")
-    return Sample(t, delta, z)
+    return Sample(rows["t"], rows["delta"], rows["z"])

@@ -12,17 +12,19 @@ quotient rule with the exact kernel derivative (the derivative factor in
 coordinate k is K'(u_ik) / h_k**2), and the cross derivative is taken in
 the first two covariate coordinates.
 
-Every kernel sum is evaluated with math.fsum, which returns the correctly
-rounded value of the exact real sum.  Numbers are therefore bitwise
-independent of summation order, of scheduling across evaluation points, and
-of whether a duration grid is evaluated in one pass or point by point.
-The one entry point, estimate_surface_grid, builds the weights at z once
-and evaluates every grid duration from them.
+Every kernel sum is accumulated exactly in integers and rounded once, so
+it is the correctly rounded value of the exact real sum (what math.fsum
+returns).  Numbers are therefore bitwise independent of summation order, of
+scheduling across evaluation points, and of whether a duration grid is
+evaluated in one pass or point by point.  The one entry point,
+estimate_surface_grid, builds the weights at z once and takes every sum of
+the grid from them in one right-to-left sweep.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,77 +77,104 @@ class SurfaceEstimate:
     b_at_z: float
 
 
+def _suffix_sums(columns: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Correctly rounded ``columns[s:].sum(axis=0)`` for every start s.
+
+    A finite float is mant * 2**(exp - 53) exactly, with mant an integer of
+    at most 53 bits (np.frexp scaled by 2**53).  Shifted to the least
+    exponent of its column's nonzero entries (frexp reports exponent 0 for
+    a zero), every term is an integer, so Python-int sums are exact.  One
+    right-to-left sweep adds the segments between the sorted distinct
+    starts and rounds once at each start: int / int true division is
+    correctly rounded, as is float(int).  Rows of the result follow
+    ``starts``, which may be unsorted, repeat, or equal len(columns).
+    """
+    m, c = columns.shape
+    uniq, back = np.unique(starts, return_inverse=True)
+    bounds = [*uniq.tolist(), m]
+    out = np.zeros((uniq.size, c))
+    frac, exp = np.frexp(columns)
+    mant = (frac * 2.0**53).astype(np.int64)
+    for j in range(c):
+        nonzero = mant[:, j] != 0
+        if not nonzero.any():
+            continue  # every suffix sums to 0.0, as math.fsum gives
+        emin = int(exp[nonzero, j].min()) - 53
+        shift = np.where(nonzero, exp[:, j] - 53 - emin, 0).tolist()
+        terms = list(map(operator.lshift, mant[:, j].tolist(), shift))
+        scale = 1 << -emin if emin < 0 else 0
+        acc = 0
+        for k in range(uniq.size - 1, -1, -1):
+            acc += sum(terms[bounds[k] : bounds[k + 1]])
+            out[k, j] = acc / scale if scale else float(acc << emin)
+    return out[back]
+
+
 class _ZWeights:
     """All per-observation kernel weights for one covariate evaluation point.
 
     Observations outside the product-kernel support are dropped; the rest
     are sorted by duration so that the indicator sum over {T_i > t} is a
-    suffix, located by binary search.  Weight columns are kept as plain
-    lists: math.fsum consumes them fastest, and the b-side totals (duration
-    independent) are computed once here.
+    suffix, located by binary search.  ``columns`` holds the weight, its d
+    covariate derivatives and the cross derivative, one column each; every
+    sum a duration grid needs is taken from them by exact integer
+    accumulation in one sweep (_suffix_sums), rounded once per sum.
     """
 
-    __slots__ = ("t_sorted", "w", "w_grad", "w_cross", "b", "b_grad", "b_cross")
+    __slots__ = ("t_sorted", "columns")
 
     def __init__(self, sample: Sample, spec: KernelSpec, z: np.ndarray) -> None:
         d = sample.z.shape[1]
         h = np.asarray(spec.bandwidths, dtype=float)
-        u = (z[None, :] - sample.z) / h
-        inside = np.flatnonzero(np.all(np.abs(u) <= 1.0, axis=1))
-        if inside.size == 0:
-            self.t_sorted = np.empty(0)
-            self.w = []
-            self.w_grad = [[] for _ in range(d)]
-            self.w_cross = []
-            self.b = 0.0
-            self.b_grad = (0.0,) * d
-            self.b_cross = 0.0
-            return
-        u = u[inside]
-        factor = 0.75 * (1.0 - u * u) / h  # K(u_k)/h_k per coordinate
-        dfactor = -1.5 * u / (h * h)  # K'(u_k)/h_k^2 per coordinate
-        w = factor.prod(axis=1)
-        grad = np.empty((inside.size, d))
-        for k in range(d):
+        # a tiny bandwidth overflows distances (those rows leave the window)
+        # and weights (checked below) without a floating-point warning
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            u = (z[None, :] - sample.z) / h
+            inside = np.flatnonzero(np.all(np.abs(u) <= 1.0, axis=1))
+            u = u[inside]
+            factor = 0.75 * (1.0 - u * u) / h  # K(u_k)/h_k per coordinate
+            dfactor = -1.5 * u / (h * h)  # K'(u_k)/h_k^2 per coordinate
+            columns = np.empty((inside.size, d + 2))
+            columns[:, 0] = factor.prod(axis=1)
+            for k in range(d):
+                cols = factor.copy()
+                cols[:, k] = dfactor[:, k]
+                columns[:, 1 + k] = cols.prod(axis=1)
             cols = factor.copy()
-            cols[:, k] = dfactor[:, k]
-            grad[:, k] = cols.prod(axis=1)
-        cols = factor.copy()
-        cols[:, 0] = dfactor[:, 0]
-        cols[:, 1] = dfactor[:, 1]
-        cross = cols.prod(axis=1)
-
+            cols[:, 0] = dfactor[:, 0]
+            cols[:, 1] = dfactor[:, 1]
+            columns[:, d + 1] = cols.prod(axis=1)
+        if not np.all(np.isfinite(columns)):
+            raise ValueError(
+                f"kernel weights overflow: bandwidths too small for floating point, got {spec.bandwidths!r}"
+            )
         order = np.argsort(sample.t[inside], kind="stable")
         self.t_sorted = sample.t[inside][order]
-        self.w = w[order].tolist()
-        self.w_grad = [grad[order, k].tolist() for k in range(d)]
-        self.w_cross = cross[order].tolist()
-        self.b = math.fsum(self.w)
-        self.b_grad = tuple(math.fsum(col) for col in self.w_grad)
-        self.b_cross = math.fsum(self.w_cross)
+        self.columns = columns[order]
 
-    def sums_at(self, t: float) -> tuple[float, tuple[float, ...], float]:
-        """Duration-dependent sums over {T_i > t}: (a, a_grad, a_cross)."""
-        i0 = int(np.searchsorted(self.t_sorted, t, side="right"))
-        return (
-            math.fsum(self.w[i0:]),
-            tuple(math.fsum(col[i0:]) for col in self.w_grad),
-            math.fsum(self.w_cross[i0:]),
-        )
+    def sums(self, ts) -> np.ndarray:
+        """Row 0: the b-side totals (b, b_grad..., b_cross); row 1 + i: the
+        sums over {T_i > ts[i]} (a, a_grad..., a_cross)."""
+        starts = np.searchsorted(self.t_sorted, ts, side="right")
+        try:
+            return _suffix_sums(self.columns, np.concatenate(([0], starts)))
+        except OverflowError:  # finite weights whose exact sum is beyond the float range
+            raise ValueError("kernel weights overflow: their sum exceeds the float range") from None
 
-    def surface_at(self, t: float) -> SurfaceEstimate:
-        """Quotient-rule surface and derivatives at duration t (needs b > 0)."""
-        a, a_grad, a_cross = self.sums_at(t)
-        b, b_grad = self.b, self.b_grad
-        b2 = b * b
-        pi_hat = a / b
-        dpi_hat = tuple((ak * b - a * bk) / b2 for ak, bk in zip(a_grad, b_grad))
-        d2pi_hat = (
-            a_cross / b
-            - (b_grad[0] * a_grad[1] + a_grad[0] * b_grad[1] + self.b_cross * a) / b2
-            + 2.0 * b_grad[0] * a * b_grad[1] / (b2 * b)
-        )
-        return SurfaceEstimate(pi_hat=pi_hat, dpi_hat=dpi_hat, d2pi_hat=d2pi_hat, b_at_z=b)
+
+def _surface(
+    a: float, a_grad: list, a_cross: float, b: float, b_grad: list, b_cross: float
+) -> SurfaceEstimate:
+    """Quotient-rule surface and derivatives from the raw sums (needs b > 0)."""
+    b2 = b * b
+    pi_hat = a / b
+    dpi_hat = tuple((ak * b - a * bk) / b2 for ak, bk in zip(a_grad, b_grad))
+    d2pi_hat = (
+        a_cross / b
+        - (b_grad[0] * a_grad[1] + a_grad[0] * b_grad[1] + b_cross * a) / b2
+        + 2.0 * b_grad[0] * a * b_grad[1] / (b2 * b)
+    )
+    return SurfaceEstimate(pi_hat=pi_hat, dpi_hat=dpi_hat, d2pi_hat=d2pi_hat, b_at_z=b)
 
 
 def _check_point(sample: Sample, spec: KernelSpec, z) -> np.ndarray:
@@ -182,9 +211,9 @@ def estimate_surface_grid(sample: Sample, spec: KernelSpec, t_grid, z) -> list[S
     ts = [_check_t(t) for t in np.asarray(t_grid, dtype=float).ravel()]
     if not ts:
         raise ValueError("t_grid must be nonempty")
-    weights = _ZWeights(sample, spec, z)
-    if weights.b == 0.0:
+    (b, *b_grad, b_cross), *rows = _ZWeights(sample, spec, z).sums(ts).tolist()
+    if b == 0.0:
         raise EmptyNeighborhoodError(
             "no kernel mass at the evaluation covariate point"
         )
-    return [weights.surface_at(t) for t in ts]
+    return [_surface(a, a_grad, a_cross, b, b_grad, b_cross) for a, *a_grad, a_cross in rows]

@@ -266,6 +266,19 @@ def test_empty_kernel_window_exits_3_with_the_reason(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_overflowing_kernel_weights_exit_3(tmp_path, capsys):
+    # the mean covariate point (0, 0) is a data point, where K(0)^2 / h^2
+    # overflows at h = 1e-160
+    data = tmp_path / "symmetric.csv"
+    write_dataset_csv(Sample([1.0, 2.0, 1.5], [1, 2, 1], [[-1.0, -1.0], [0.0, 0.0], [1.0, 1.0]]), data)
+    code, _, err = run_cli(
+        ["estimate", "--data", str(data), "--bandwidth", "1e-160", "--out", str(tmp_path / "run")], capsys
+    )
+    assert code == 3
+    assert err.startswith("error: estimation:") and "kernel weights overflow" in err
+    assert err.count("\n") == 1
+
+
 def test_dataset_wider_than_the_bandwidths_exits_3(tmp_path, capsys):
     data = tmp_path / "wide.csv"
     write_dataset_csv(Sample([1.0, 2.0, 1.5], [1, 2, 1], [[0.1, 0.2, 0.3], [0.0, 0.1, 0.2], [-0.1, 0.0, 0.1]]), data)

@@ -126,6 +126,10 @@ def test_csv_three_covariates_header(tmp_path):
         "t,delta,z1\n1.0,1,0.0\n",  # too few covariate columns
         "t,delta,z1,z2\n1.0,1,0.0\n",  # short row
         "t,delta,z1,z2\n1.0,1,0.0,0.0,9.0\n",  # long row
+        "t,delta,z1,z2\n1.0,1.5,0.0,0.0\n",  # fractional cause
+        "t,delta,z1,z2\n1.0,1.0,0.0,0.0\n",  # cause written as a float
+        "t,delta,z1,z2\n1.0,x,0.0,0.0\n",  # cause not a number
+        "t,delta,z1,z2\n1.0,1,0.0,0.0 # note\n",  # trailing comment
     ],
 )
 def test_csv_read_rejects_malformed(tmp_path, content):

@@ -5,10 +5,13 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from coprisk.data import Sample
 from coprisk.dgp import default_config, oracle_surface, simulate
-from coprisk.kernel import EmptyNeighborhoodError, KernelSpec, _ZWeights, estimate_surface_grid
+from coprisk.kernel import EmptyNeighborhoodError, KernelSpec, _suffix_sums, _ZWeights, estimate_surface_grid
 
 # one observation at the origin, unit bandwidths: the kernel mass at (x, 0)
 # is K(x) * K(0) = 0.75 * K(x), and its z1-slope is K'(x) * K(0)
@@ -25,14 +28,17 @@ def mass(x):
 
 
 def mass_slope(x):
-    return _ZWeights(ORIGIN, UNIT, np.array([x, 0.0])).b_grad[0]
+    """z1-slope of the kernel mass at (x, 0): b_grad[0], row 0 of the sweep."""
+    return _ZWeights(ORIGIN, UNIT, np.array([x, 0.0])).sums([0.5])[0, 1]
 
 
 def raw_sums(sample, spec, t, z):
-    """Numerator/denominator sums of the private weight class at (t, z)."""
-    w = _ZWeights(sample, spec, np.asarray(z, dtype=float))
-    a, a_grad, a_cross = w.sums_at(t)
-    return SimpleNamespace(a=a, b=w.b, a_grad=a_grad, b_grad=w.b_grad, a_cross=a_cross, b_cross=w.b_cross)
+    """Numerator/denominator sums of the private weight class's sweep at (t, z)."""
+    weights = _ZWeights(sample, spec, np.asarray(z, dtype=float))
+    (b, *b_grad, b_cross), (a, *a_grad, a_cross) = weights.sums([t]).tolist()
+    return SimpleNamespace(
+        a=a, b=b, a_grad=tuple(a_grad), b_grad=tuple(b_grad), a_cross=a_cross, b_cross=b_cross
+    )
 
 
 @pytest.fixture(scope="module")
@@ -181,6 +187,52 @@ def test_raw_sums_cross_derivative_matches_finite_differences():
             + shifted(-step, -step, field)
         ) / (4.0 * step * step)
         assert got == pytest.approx(fd, rel=1e-6, abs=1e-7)
+
+
+# signed zeros, subnormals and exponents from 1e-300 to 1e300 in one column
+SUM_TERMS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e300, -1e300, 1.0, -1.0]),
+    st.floats(min_value=-1e300, max_value=1e300, allow_nan=False),
+)
+
+
+@st.composite
+def columns_and_starts(draw):
+    m = draw(st.integers(0, 30))
+    c = draw(st.integers(1, 4))
+    columns = draw(arrays(float, (m, c), elements=SUM_TERMS))
+    if draw(st.booleans()):  # one all-zero column
+        columns[:, draw(st.integers(0, c - 1))] = draw(st.sampled_from([0.0, -0.0]))
+    starts = draw(st.lists(st.integers(0, m), min_size=1, max_size=12))  # unsorted, repeated, m
+    return columns, starts
+
+
+@given(columns_and_starts())
+@settings(max_examples=400, deadline=None)
+def test_suffix_sweep_equals_fsum(case):
+    columns, starts = case
+    got = _suffix_sums(columns, np.array(starts, dtype=np.intp))
+    assert got.shape == (len(starts), columns.shape[1])
+    for row, start in zip(got.tolist(), starts):
+        for j, value in enumerate(row):
+            want = math.fsum(columns[start:, j].tolist())
+            assert value == want
+            assert math.copysign(1.0, value) == math.copysign(1.0, want)
+
+
+@pytest.mark.parametrize(
+    "at_z, h",
+    [
+        (1, 1e-160),  # the weight K(0)^2 / h^2 of the observation at z overflows
+        (4, 1e-154),  # each weight is finite, their sum is not
+    ],
+)
+def test_overflowing_kernel_weights_raise(at_z, h):
+    sample = Sample(
+        [1.0 + k for k in range(at_z + 2)], [1] * (at_z + 2), [[-1.0, -1.0]] + [[0.0, 0.0]] * at_z + [[1.0, 1.0]]
+    )
+    with pytest.raises(ValueError, match="kernel weights overflow"):
+        estimate_surface_grid(sample, KernelSpec((h, h)), [0.5], [0.0, 0.0])
 
 
 # ----------------------------------------------------------------------
