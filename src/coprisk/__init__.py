@@ -48,6 +48,7 @@ from .estimator import (
     default_trim_from_series,
     monte_carlo,
     oracle_surface_estimates,
+    solve_surface,
     summarize_replicates,
     theta_series,
     trim_series,
@@ -91,6 +92,7 @@ __all__ = [
     "read_dataset_csv",
     "simulate",
     "simulate_latent",
+    "solve_surface",
     "summarize_replicates",
     "theta_for_tau",
     "theta_from_ratio",

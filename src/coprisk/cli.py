@@ -41,6 +41,7 @@ from .estimator import (
     GridSpec,
     monte_carlo,
     oracle_surface_estimates,
+    solve_surface,
     summarize_replicates,
     theta_series,
 )
@@ -319,7 +320,6 @@ def _cmd_simulate(settings, out_dir, threads):
 
 
 def _cmd_estimate(settings, out_dir, threads):
-    dgp = _dgp_config(settings)
     spec = KernelSpec(bandwidths=settings["bandwidth"])
     if settings["data"]:
         try:
@@ -327,7 +327,7 @@ def _cmd_estimate(settings, out_dir, threads):
         except (OSError, ValueError) as exc:
             raise ConfigError(f"data: {exc}") from None
     else:
-        sample = simulate(dgp)
+        sample = simulate(_dgp_config(settings))
         _atomic_write(out_dir, "dataset.csv", lambda p: write_dataset_csv(sample, p))
     try:
         series = theta_series(sample, spec, _grid_spec(settings), settings["family"])
@@ -344,9 +344,12 @@ def _cmd_montecarlo(settings, out_dir, threads):
     dgp = _dgp_config(settings)
     spec = KernelSpec(bandwidths=settings["bandwidth"])
     grid = _grid_spec(settings)
-    trimmed = monte_carlo(
-        dgp, spec, grid, settings["family"], settings["replicates"], workers=threads
-    )
+    try:
+        trimmed = monte_carlo(
+            dgp, spec, grid, settings["family"], settings["replicates"], workers=threads
+        )
+    except ValueError as exc:  # e.g. a degenerate duration range in a replicate
+        raise EstimationFailure(str(exc)) from None
     untrimmed = summarize_replicates(trimmed.series, -INF, INF)
     _atomic_write(out_dir, "mc_replicates.csv", lambda p: write_mc_replicates_csv(trimmed, p))
     _atomic_write(
@@ -373,8 +376,9 @@ def _cmd_oracle_check(settings, out_dir, threads):
     """Invert the curvature ratio back to the parameter it came from.
 
     Sweeps a (survival level, parameter) grid for the configured family;
-    for Clayton, additionally runs the closed-form surface through the
-    full grid-averaging pipeline.  Prints the worst absolute error.
+    for Clayton, additionally solves the closed-form surface along a
+    duration grid with solve_surface, the solve step every estimate takes.
+    Prints the worst absolute error.
     """
     family = settings["family"]
     worst = 0.0
@@ -394,14 +398,8 @@ def _cmd_oracle_check(settings, out_dir, threads):
         dgp = _dgp_config(settings)
         t_grid = np.linspace(0.4, 3.0, 60)
         for z in ((0.0, 0.0), (0.4, -0.3), (-0.5, 0.25)):
-            surfaces = oracle_surface_estimates(dgp, t_grid, np.asarray(z))
-            series = theta_series(
-                None,
-                None,
-                GridSpec(t_grid=tuple(t_grid), z_eval=z),
-                family,
-                surfaces=surfaces,
-            )
+            surface = oracle_surface_estimates(dgp, t_grid, np.asarray(z))
+            series = solve_surface(t_grid, surface, family)
             worst = max(worst, float(np.max(np.abs(series.theta_pointwise - dgp.copula.theta))))
     _write_manifest(out_dir, "oracle-check", settings)
     print(f"max_abs_theta_error={_fmt(worst)}")

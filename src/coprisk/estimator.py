@@ -1,20 +1,21 @@
 """Dependence-parameter estimation over a duration grid, with trimming and
 a seeded Monte Carlo replication harness.
 
-At each duration grid point the kernel surface estimate yields a level
-pi_hat and the curvature ratio R = d2pi_hat / (dpi_hat_1 * dpi_hat_2); the
-copula parameter solving the generator curvature identity at (pi_hat, R)
-is the pointwise estimate theta_hat(t).  The reported estimator averages
-the pointwise values over grid points inside a trimming window, skipping
-points where the surface estimate is unusable (empty kernel neighborhood,
-level outside (0, 1), nonfinite ratio, out-of-domain parameter, or no root).
+The estimator works in two steps.  A surface comes first: one (pi, dpi1,
+dpi2, d2pi) row per duration grid point, a NaN row where there is no
+estimate.  The copula parameter solving the generator curvature identity at
+(pi, R), R = d2pi / (dpi1 * dpi2), is then the pointwise estimate
+theta_hat(t); the reported estimator averages it over grid points inside a
+trimming window, skipping unusable points (no estimate, level outside
+(0, 1), nonfinite ratio, out-of-domain parameter, or no root).
 
-theta_series is the one route from a sample to a series: it builds the
-kernel surface along the grid, solves it pointwise and averages, and the
-returned series carries the surface it solved.  monte_carlo is the one
-replicate driver.  Replicates are independent jobs with derived seeds;
-aggregation is keyed by replicate index, so summaries are bitwise
-independent of worker count and scheduling.
+solve_surface is the one solve step and takes a given surface as that
+(G, 4) float array, the layout of ThetaSeries.surface and surface.csv.
+theta_series is the route from a sample: it builds the kernel surface along
+the grid and hands it to solve_surface.  monte_carlo is the one replicate
+driver.  Replicates are independent jobs with derived seeds; aggregation is
+keyed by replicate index, so summaries are bitwise independent of worker
+count and scheduling.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 from .copula import CopulaFamily, NoRootError, theta_from_ratio
 from .data import Sample
 from .dgp import DgpConfig, oracle_surface, simulate
-from .kernel import EmptyNeighborhoodError, KernelSpec, SurfaceEstimate, estimate_surface_grid
+from .kernel import EmptyNeighborhoodError, KernelSpec, estimate_surface_grid
 
 __all__ = [
     "AllPointsExcludedError",
@@ -40,6 +41,7 @@ __all__ = [
     "default_trim_from_series",
     "monte_carlo",
     "oracle_surface_estimates",
+    "solve_surface",
     "summarize_replicates",
     "theta_series",
     "trim_series",
@@ -50,6 +52,24 @@ _SOLVABLE_FAMILIES = (CopulaFamily.CLAYTON, CopulaFamily.GUMBEL, CopulaFamily.FR
 
 class AllPointsExcludedError(RuntimeError):
     """No usable grid point survived definedness and trimming."""
+
+
+def _check_t_grid(t_grid) -> tuple[float, ...]:
+    tg = tuple(float(t) for t in t_grid)
+    if len(tg) == 0:
+        raise ValueError("t_grid must be nonempty")
+    if not all(math.isfinite(t) for t in tg):
+        raise ValueError("t_grid must be finite")
+    if not all(a < b for a, b in zip(tg, tg[1:])):
+        raise ValueError("t_grid must be strictly increasing")
+    return tg
+
+
+def _check_trim(trim_lo: float, trim_hi: float) -> None:
+    if math.isnan(trim_lo) or math.isnan(trim_hi):
+        raise ValueError("trim bounds must not be NaN")
+    if not trim_lo < trim_hi:
+        raise ValueError(f"trim_lo must be below trim_hi, got {trim_lo!r} >= {trim_hi!r}")
 
 
 @dataclass(frozen=True)
@@ -71,36 +91,24 @@ class GridSpec:
 
     def __post_init__(self) -> None:
         if self.t_grid is not None:
-            tg = tuple(float(t) for t in self.t_grid)
-            if len(tg) == 0:
-                raise ValueError("t_grid must be nonempty")
-            if not all(math.isfinite(t) for t in tg):
-                raise ValueError("t_grid must be finite")
-            if not all(a < b for a, b in zip(tg, tg[1:])):
-                raise ValueError("t_grid must be strictly increasing")
-            object.__setattr__(self, "t_grid", tg)
+            object.__setattr__(self, "t_grid", _check_t_grid(self.t_grid))
         if self.z_eval is not None:
             ze = tuple(float(v) for v in self.z_eval)
             if not all(math.isfinite(v) for v in ze):
                 raise ValueError("z_eval must be finite")
             object.__setattr__(self, "z_eval", ze)
-        if math.isnan(self.trim_lo) or math.isnan(self.trim_hi):
-            raise ValueError("trim bounds must not be NaN")
-        if not self.trim_lo < self.trim_hi:
-            raise ValueError(
-                f"trim_lo must be below trim_hi, got {self.trim_lo!r} >= {self.trim_hi!r}"
-            )
+        _check_trim(self.trim_lo, self.trim_hi)
         if not isinstance(self.n_points, int) or self.n_points < 2:
             raise ValueError(f"n_points must be an integer >= 2, got {self.n_points!r}")
 
-    def resolve(self, sample: Sample | None) -> tuple[np.ndarray, np.ndarray]:
-        """Concrete (t_grid, z_eval) for a sample; sample may be None only
-        when both are explicit."""
+    def resolve(self, sample: Sample) -> tuple[np.ndarray, np.ndarray]:
+        """Concrete (t_grid, z_eval) for a sample: the explicit values where
+        given, else the sample's percentile grid and mean covariate vector.
+        A surface given without a sample needs no GridSpec: solve_surface
+        takes its grid and trim window directly."""
         if self.t_grid is not None:
             t = np.asarray(self.t_grid, dtype=float)
         else:
-            if sample is None:
-                raise ValueError("default t_grid needs a sample to take percentiles of")
             lo, hi = np.percentile(sample.t, (0.5, 99.5))
             if not lo < hi:
                 raise ValueError("degenerate duration range; supply t_grid explicitly")
@@ -108,8 +116,6 @@ class GridSpec:
         if self.z_eval is not None:
             z = np.asarray(self.z_eval, dtype=float)
         else:
-            if sample is None:
-                raise ValueError("default z_eval needs a sample to average")
             z = sample.mean_covariates()
         return t, z
 
@@ -153,27 +159,17 @@ class ThetaSeries:
             arr.setflags(write=False)
 
 
-def oracle_surface_estimates(config: DgpConfig, t_grid, z) -> list[SurfaceEstimate]:
-    """Exact Clayton surfaces packaged like kernel output (bypass for tests
-    and the oracle-check command); the kernel-mass diagnostic is set to 1."""
-    return [
-        SurfaceEstimate(
-            pi_hat=o.pi,
-            dpi_hat=(o.dpi_dz1, o.dpi_dz2),
-            d2pi_hat=o.d2pi_dz1dz2,
-            b_at_z=1.0,
-        )
-        for o in (oracle_surface(config, float(t), z) for t in np.asarray(t_grid, dtype=float))
-    ]
+def oracle_surface_estimates(config: DgpConfig, t_grid, z) -> np.ndarray:
+    """Exact Clayton surface along ``t_grid`` at ``z`` as the (G, 4) array
+    solve_surface takes (for tests and the oracle-check command)."""
+    oracle = [oracle_surface(config, float(t), z) for t in np.asarray(t_grid, dtype=float)]
+    return np.array([(o.pi, o.dpi_dz1, o.dpi_dz2, o.d2pi_dz1dz2) for o in oracle], dtype=float)
 
 
 def _surface_array(estimates) -> np.ndarray:
-    no_estimate = (math.nan,) * 4
-    rows = [
-        no_estimate if e is None else (e.pi_hat, e.dpi_hat[0], e.dpi_hat[1], e.d2pi_hat)
-        for e in estimates
-    ]
-    return np.array(rows, dtype=float)
+    return np.array(
+        [(e.pi_hat, e.dpi_hat[0], e.dpi_hat[1], e.d2pi_hat) for e in estimates], dtype=float
+    )
 
 
 def _solve_pointwise(surface, family):
@@ -203,6 +199,7 @@ def _solve_pointwise(surface, family):
 
 
 def _assemble(t, surface, theta, defined, iterations, near0, trim_lo, trim_hi) -> ThetaSeries:
+    _check_trim(trim_lo, trim_hi)
     included = defined & (t >= trim_lo) & (t <= trim_hi)
     n_included = int(np.count_nonzero(included))
     if n_included == 0:
@@ -226,39 +223,45 @@ def _assemble(t, surface, theta, defined, iterations, near0, trim_lo, trim_hi) -
     )
 
 
-def theta_series(
-    sample: Sample | None,
-    spec: KernelSpec | None,
-    grid: GridSpec,
-    family: CopulaFamily,
-    *,
-    surfaces: list[SurfaceEstimate | None] | None = None,
+def solve_surface(
+    t_grid, surface, family: CopulaFamily, trim_lo: float = -math.inf, trim_hi: float = math.inf
 ) -> ThetaSeries:
-    """Pointwise theta estimates along the duration grid, plus their
-    trimmed average.
+    """Solve a given surface point by point and average it under the trim
+    window.
 
-    Estimates the kernel surface of ``sample`` along the resolved grid and
-    solves it point by point.  With ``surfaces`` given (one SurfaceEstimate
-    or None per grid point, e.g. from oracle_surface_estimates), the kernel
-    step is bypassed and neither sample nor spec is touched beyond grid
-    resolution.  Raises AllPointsExcludedError when the kernel window at the
-    evaluation point is empty or nothing survives definedness and trimming.
+    ``surface`` is a (G, 4) float array, one (pi, dpi1, dpi2, d2pi) row per
+    point of ``t_grid``, a NaN row where there is no estimate: the layout of
+    ThetaSeries.surface and surface.csv.  ``t_grid`` is checked as GridSpec
+    checks it (nonempty, finite, strictly increasing).  Raises
+    AllPointsExcludedError when nothing survives definedness and trimming.
     """
     if family not in _SOLVABLE_FAMILIES:
         raise ValueError(f"family {family!r} has no dependence parameter to estimate")
+    t = np.asarray(_check_t_grid(t_grid), dtype=float)
+    surface = np.array(surface, dtype=float)  # a copy: the series freezes its arrays
+    if surface.shape != (t.size, 4):
+        raise ValueError(f"surface must have shape ({t.size}, 4), got {surface.shape}")
+    return _assemble(t, surface, *_solve_pointwise(surface, family), trim_lo, trim_hi)
+
+
+def theta_series(
+    sample: Sample, spec: KernelSpec, grid: GridSpec, family: CopulaFamily
+) -> ThetaSeries:
+    """Pointwise theta estimates along the duration grid of a sample, plus
+    their trimmed average.
+
+    Resolves the grid against ``sample``, estimates the kernel surface along
+    it and hands that surface to solve_surface under the grid's trim window;
+    the returned series carries the surface it solved.  Raises
+    AllPointsExcludedError when the kernel window at the evaluation point is
+    empty or nothing survives definedness and trimming.
+    """
     t, z = grid.resolve(sample)
-    if surfaces is None:
-        if sample is None or spec is None:
-            raise ValueError("kernel estimation needs both a sample and a kernel spec")
-        try:
-            surfaces = estimate_surface_grid(sample, spec, t, z)
-        except EmptyNeighborhoodError as exc:  # no kernel mass at z: whole curve undefined
-            raise AllPointsExcludedError(str(exc)) from None
-    elif len(surfaces) != len(t):
-        raise ValueError(f"got {len(surfaces)} surfaces for {len(t)} grid points")
-    surface = _surface_array(surfaces)
-    theta, defined, iterations, near0 = _solve_pointwise(surface, family)
-    return _assemble(t, surface, theta, defined, iterations, near0, grid.trim_lo, grid.trim_hi)
+    try:
+        estimates = estimate_surface_grid(sample, spec, t, z)
+    except EmptyNeighborhoodError as exc:  # no kernel mass at z: whole curve undefined
+        raise AllPointsExcludedError(str(exc)) from None
+    return solve_surface(t, _surface_array(estimates), family, grid.trim_lo, grid.trim_hi)
 
 
 def trim_series(series: ThetaSeries, trim_lo: float, trim_hi: float) -> ThetaSeries:
@@ -267,8 +270,6 @@ def trim_series(series: ThetaSeries, trim_lo: float, trim_hi: float) -> ThetaSer
     Pointwise values, definedness and diagnostics are reused unchanged;
     only the inclusion mask and the average move.
     """
-    if not trim_lo < trim_hi:
-        raise ValueError(f"trim_lo must be below trim_hi, got {trim_lo!r} >= {trim_hi!r}")
     return _assemble(
         series.t,
         series.surface,
@@ -429,28 +430,26 @@ def monte_carlo(
     grid: GridSpec,
     family: CopulaFamily,
     replicates: int,
-    base_seed: int | None = None,
     *,
     workers: int = 1,
 ) -> McSummary:
     """Simulate-and-estimate ``replicates`` times and summarize under the
     grid's trim window.
 
-    Replicate r uses seed (base_seed + r) mod 2**64 (default base: the DGP
-    seed), so the summary is a pure function of the arguments.  Each
-    replicate series is computed untrimmed and kept in ``series``, so the
-    study can be re-summarized under other windows without re-running it.
-    ``workers`` > 1 spreads replicates over at most that many processes
-    (also capped at the replicate and CPU counts) without changing any value.
+    Replicate r uses seed (dgp.seed + r) mod 2**64, so the summary is a pure
+    function of the arguments.  Each replicate series is computed untrimmed
+    and kept in ``series``, so the study can be re-summarized under other
+    windows without re-running it.  ``workers`` > 1 spreads replicates over
+    at most that many processes (also capped at the replicate and CPU
+    counts) without changing any value.
     """
     if not isinstance(replicates, int) or replicates < 1:
         raise ValueError(f"replicates must be a positive integer, got {replicates!r}")
     if not isinstance(workers, int) or workers < 1:
         raise ValueError(f"workers must be a positive integer, got {workers!r}")
-    base = dgp.seed if base_seed is None else int(base_seed)
     untrimmed = _untrimmed(grid)
     jobs = [
-        (replace(dgp, seed=(base + r) % 2**64), spec, untrimmed, family)
+        (replace(dgp, seed=(dgp.seed + r) % 2**64), spec, untrimmed, family)
         for r in range(replicates)
     ]
     n_workers = _worker_count(workers, replicates)

@@ -38,8 +38,8 @@ from coprisk.estimator import (
     GridSpec,
     monte_carlo,
     oracle_surface_estimates,
+    solve_surface,
     summarize_replicates,
-    theta_series,
 )
 from coprisk.kernel import KernelSpec, estimate_surface_grid
 
@@ -63,14 +63,8 @@ def test_acceptance_1_closed_form_parameter_recovery():
     t_grid = np.linspace(0.4, 3.0, 20)
     worst = 0.0
     for z1, z2 in zip(np.linspace(-0.8, 0.8, 20), np.linspace(0.6, -0.6, 20)):
-        surfaces = oracle_surface_estimates(cfg, t_grid, np.array([z1, z2]))
-        series = theta_series(
-            None,
-            None,
-            GridSpec(t_grid=tuple(t_grid), z_eval=(float(z1), float(z2))),
-            CopulaFamily.CLAYTON,
-            surfaces=surfaces,
-        )
+        surface = oracle_surface_estimates(cfg, t_grid, np.array([z1, z2]))
+        series = solve_surface(t_grid, surface, CopulaFamily.CLAYTON)
         worst = max(
             worst, float(np.max(np.abs(series.theta_pointwise - cfg.copula.theta)))
         )

@@ -17,7 +17,9 @@ import pytest
 
 import coprisk.cli
 from coprisk.cli import main
-from coprisk.data import Sample, write_dataset_csv
+from coprisk.copula import CopulaFamily
+from coprisk.data import Sample, write_dataset_csv, write_theta_series_csv
+from coprisk.estimator import solve_surface
 
 
 def run_cli(args, capsys):
@@ -102,6 +104,42 @@ def test_estimate_from_written_dataset_matches_in_memory_run(tmp_path, capsys):
     assert code == 0
     assert sha(a / "theta_series.csv") == sha(b / "theta_series.csv")
     assert sha(a / "surface.csv") == sha(b / "surface.csv")
+
+
+@pytest.mark.parametrize("family, from_data", [("clayton", False), ("frank", True)])
+def test_surface_csv_solves_to_the_written_theta_series(tmp_path, capsys, family, from_data):
+    run = ["estimate", *SMALL, "--family", family]
+    if from_data:
+        data = tmp_path / "data"
+        assert run_cli(["simulate", *SMALL, "--family", family, "--out", str(data)], capsys)[0] == 0
+        run += ["--data", str(data / "dataset.csv")]
+    out = tmp_path / "run"
+    code, stdout, _ = run_cli([*run, "--out", str(out)], capsys)
+    assert code == 0
+    rows = [[float(v) for v in line.split(",")] for line in (out / "surface.csv").read_text().splitlines()[1:]]
+    t, *surface = zip(*rows)
+    manifest = dict(line.split("=", 1) for line in (out / "manifest.txt").read_text().splitlines())
+    trim = (-np.inf, np.inf) if manifest["trim"] == "none" else map(float, manifest["trim"].split(":"))
+    series = solve_surface(t, np.array(surface).T, CopulaFamily(family), *trim)
+    write_theta_series_csv(series, tmp_path / "resolved.csv")
+    assert (tmp_path / "resolved.csv").read_bytes() == (out / "theta_series.csv").read_bytes()
+    assert stdout.strip() == f"theta_hat={series.theta_hat!r} n_included={series.n_included}"
+
+
+def test_estimate_data_does_not_build_the_simulation_design(tmp_path, capsys):
+    # the dataset's design (Gumbel, tau 0.2) is not the default theta 0.5,
+    # which no Gumbel copula admits; estimating from the file must not care
+    data = tmp_path / "data"
+    code, _, _ = run_cli(
+        ["simulate", "--n", "2000", "--family", "gumbel", "--tau", "0.2", "--out", str(data)], capsys
+    )
+    assert code == 0
+    code, out, err = run_cli(
+        ["estimate", "--data", str(data / "dataset.csv"), "--family", "gumbel", "--out", str(tmp_path / "run")],
+        capsys,
+    )
+    assert (code, err) == (0, "")
+    assert out.startswith("theta_hat=")
 
 
 def test_manifest_replay_reproduces_every_artifact(tmp_path, capsys):
@@ -313,6 +351,18 @@ def test_montecarlo_artifacts_do_not_depend_on_threads(tmp_path, capsys):
         assert out.startswith("mean_no_trimming=")
     for name in ("mc_replicates.csv", "mc_summary.csv", "manifest.txt"):
         assert sha(tmp_path / "t1" / name) == sha(tmp_path / "t2" / name), name
+
+
+def test_montecarlo_estimation_value_error_exits_3(tmp_path, capsys):
+    # one observation: its duration range is degenerate, so no grid exists
+    out = tmp_path / "run"
+    code, _, err = run_cli(
+        ["montecarlo", "--n", "1", "--replicates", "1", "--threads", "1", "--out", str(out)], capsys
+    )
+    assert code == 3
+    assert err.startswith("error: estimation:") and "degenerate duration range" in err
+    assert err.count("\n") == 1
+    assert [p.name for p in out.iterdir() if ".tmp" in p.name] == []
 
 
 def test_montecarlo_summary_schema(tmp_path, capsys):

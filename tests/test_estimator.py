@@ -40,17 +40,20 @@ from coprisk.estimator import (
     default_trim_from_series,
     monte_carlo,
     oracle_surface_estimates,
+    solve_surface,
     summarize_replicates,
     theta_series,
     trim_series,
 )
-from coprisk.kernel import KernelSpec, SurfaceEstimate, estimate_surface_grid
+from coprisk.kernel import KernelSpec, estimate_surface_grid
 
 INF = float("inf")
+NO_ESTIMATE = (math.nan,) * 4  # a surface row with no estimate
 
 
 def _surface(pi, dpi, d2):
-    return SurfaceEstimate(pi_hat=pi, dpi_hat=dpi, d2pi_hat=d2, b_at_z=1.0)
+    """One (pi, dpi1, dpi2, d2pi) surface row."""
+    return (pi, dpi[0], dpi[1], d2)
 
 
 def _clayton_surface(theta, pi=0.3, dpi=(-0.1, -0.2)):
@@ -59,10 +62,9 @@ def _clayton_surface(theta, pi=0.3, dpi=(-0.1, -0.2)):
     return _surface(pi, dpi, ratio * (dpi[0] * dpi[1]))
 
 
-def _series_from(surfaces, family=CopulaFamily.CLAYTON, trim=(-INF, INF)):
-    t = tuple(float(i + 1) for i in range(len(surfaces)))
-    grid = GridSpec(t_grid=t, z_eval=(0.0, 0.0), trim_lo=trim[0], trim_hi=trim[1])
-    return theta_series(None, None, grid, family, surfaces=surfaces)
+def _series_from(rows, family=CopulaFamily.CLAYTON, trim=(-INF, INF)):
+    t = [float(i + 1) for i in range(len(rows))]
+    return solve_surface(t, rows, family, *trim)
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +97,7 @@ def test_grid_spec_rejects_bad_input(kwargs):
 
 def test_grid_spec_explicit_passthrough():
     grid = GridSpec(t_grid=(0.5, 1.0, 2.0), z_eval=(0.25, -0.5))
-    t, z = grid.resolve(None)
+    t, z = grid.resolve(simulate(default_config(50, seed=3)))  # explicit values win
     assert np.array_equal(t, [0.5, 1.0, 2.0])
     assert np.array_equal(z, [0.25, -0.5])
 
@@ -114,13 +116,6 @@ def test_grid_spec_default_grid_uses_duration_percentiles():
     assert t[0] == lo and t[-1] == hi
     assert np.array_equal(t, np.linspace(lo, hi, 41))
     assert np.array_equal(z, sample.z.mean(axis=0))
-
-
-def test_grid_spec_default_grid_requires_sample():
-    with pytest.raises(ValueError, match="sample"):
-        GridSpec().resolve(None)
-    with pytest.raises(ValueError, match="sample"):
-        GridSpec(t_grid=(1.0, 2.0)).resolve(None)  # z_eval still defaulted
 
 
 def test_grid_spec_degenerate_durations_rejected():
@@ -142,9 +137,8 @@ def test_oracle_surfaces_recover_parameter_exactly():
     config = default_config(10, seed=1)  # carries theta = 0.5
     t_grid = np.linspace(0.5, 3.0, 30)
     z = np.array([0.2, -0.4])
-    surfaces = oracle_surface_estimates(config, t_grid, z)
-    grid = GridSpec(t_grid=tuple(t_grid), z_eval=tuple(z))
-    series = theta_series(None, None, grid, CopulaFamily.CLAYTON, surfaces=surfaces)
+    surface = oracle_surface_estimates(config, t_grid, z)
+    series = solve_surface(t_grid, surface, CopulaFamily.CLAYTON)
     assert series.defined.all() and series.included.all()
     assert np.max(np.abs(series.theta_pointwise - 0.5)) < 1e-10
     assert abs(series.theta_hat - 0.5) < 1e-10
@@ -158,9 +152,8 @@ def test_oracle_series_average_is_trim_invariant():
     config = default_config(10, seed=1)
     t_grid = np.linspace(0.5, 3.0, 30)
     z = np.array([0.2, -0.4])
-    surfaces = oracle_surface_estimates(config, t_grid, z)
-    grid = GridSpec(t_grid=tuple(t_grid), z_eval=tuple(z))
-    series = theta_series(None, None, grid, CopulaFamily.CLAYTON, surfaces=surfaces)
+    surface = oracle_surface_estimates(config, t_grid, z)
+    series = solve_surface(t_grid, surface, CopulaFamily.CLAYTON)
     for lo, hi in [(0.6, 2.9), (1.0, 1.5), (-INF, INF)]:
         trimmed = trim_series(series, lo, hi)
         assert trimmed.theta_hat == pytest.approx(series.theta_hat, abs=1e-12)
@@ -210,7 +203,7 @@ def test_exclusion_rules_partition_the_grid():
     good = _clayton_surface(0.5)
     surfaces = [
         good,
-        None,  # no estimate at this duration
+        NO_ESTIMATE,  # no estimate at this duration
         _surface(1.0, (-0.1, -0.2), 0.1),  # survivor estimate at the boundary
         _surface(0.0, (-0.1, -0.2), 0.1),  # survivor estimate at the boundary
         _surface(0.5, (0.0, -0.2), 0.1),  # zero first-derivative product
@@ -308,7 +301,7 @@ def test_all_points_excluded_by_trim_window():
 
 def test_all_points_excluded_when_no_surface_estimates():
     with pytest.raises(AllPointsExcludedError):
-        _series_from([None, None, None])
+        _series_from([NO_ESTIMATE] * 3)
 
 
 def test_empty_covariate_neighborhood_excludes_everything():
@@ -324,15 +317,43 @@ def test_family_without_dependence_parameter_rejected():
 
 
 def test_surface_count_must_match_grid():
-    grid = GridSpec(t_grid=(1.0, 2.0, 3.0), z_eval=(0.0, 0.0))
-    with pytest.raises(ValueError, match="surfaces"):
-        theta_series(None, None, grid, CopulaFamily.CLAYTON, surfaces=[_clayton_surface(0.5)] * 2)
+    with pytest.raises(ValueError, match=r"shape \(3, 4\)"):
+        solve_surface([1.0, 2.0, 3.0], [_clayton_surface(0.5)] * 2, CopulaFamily.CLAYTON)
+    with pytest.raises(ValueError, match=r"shape \(2, 4\)"):
+        solve_surface([1.0, 2.0], [_clayton_surface(0.5)[:3]] * 2, CopulaFamily.CLAYTON)
+    with pytest.raises(ValueError, match=r"shape \(2, 4\)"):
+        solve_surface([1.0, 2.0], list(_clayton_surface(0.5)) * 2, CopulaFamily.CLAYTON)
 
 
-def test_theta_series_without_surfaces_needs_sample_and_kernel():
-    grid = GridSpec(t_grid=(1.0, 2.0), z_eval=(0.0, 0.0))
-    with pytest.raises(ValueError, match="sample"):
-        theta_series(None, None, grid, CopulaFamily.CLAYTON)
+@pytest.mark.parametrize(
+    "t_grid, trim",
+    [
+        ([], (-INF, INF)),
+        ([1.0, 1.0], (-INF, INF)),
+        ([2.0, 1.0], (-INF, INF)),
+        ([1.0, float("nan")], (-INF, INF)),
+        ([1.0, float("inf")], (-INF, INF)),
+        ([1.0, 2.0], (2.0, 1.0)),
+        ([1.0, 2.0], (1.0, 1.0)),
+        ([1.0, 2.0], (float("nan"), 2.0)),
+    ],
+)
+def test_solve_surface_checks_grid_and_trim_as_grid_spec_does(t_grid, trim):
+    rows = [_clayton_surface(0.5)] * len(t_grid)
+    with pytest.raises(ValueError) as from_solve:
+        solve_surface(t_grid, rows, CopulaFamily.CLAYTON, *trim)
+    with pytest.raises(ValueError) as from_grid:
+        GridSpec(t_grid=tuple(t_grid), trim_lo=trim[0], trim_hi=trim[1])
+    assert str(from_solve.value) == str(from_grid.value)
+
+
+def test_solve_surface_copies_the_given_array():
+    rows = np.array([_clayton_surface(0.5), _clayton_surface(1.0)])
+    series = solve_surface([1.0, 2.0], rows, CopulaFamily.CLAYTON)
+    rows[0, 0] = 0.9  # the caller's array stays writable and apart from the series
+    assert series.surface[0, 0] == 0.3
+    with pytest.raises(ValueError):
+        series.surface[0, 0] = 0.5
 
 
 def test_trim_series_revalidates_window():
@@ -362,10 +383,8 @@ def test_trim_series_reaverages_within_window():
 def test_trim_suggestion_keeps_full_range_for_constant_series():
     config = default_config(10, seed=1)
     t_grid = (1.0, 1.5, 2.0, 2.5)
-    surfaces = oracle_surface_estimates(config, np.asarray(t_grid), np.array([0.1, -0.2]))
-    series = theta_series(
-        None, None, GridSpec(t_grid=t_grid, z_eval=(0.1, -0.2)), CopulaFamily.CLAYTON, surfaces=surfaces
-    )
+    surface = oracle_surface_estimates(config, np.asarray(t_grid), np.array([0.1, -0.2]))
+    series = solve_surface(t_grid, surface, CopulaFamily.CLAYTON)
     assert default_trim_from_series(series, stability_window=3) == (1.0, 2.5)
 
 
@@ -376,10 +395,7 @@ def test_trim_suggestion_cuts_noisy_head():
         for i in range(100)
     ]
     t = np.linspace(1.0, 100.0, 100)
-    grid = GridSpec(t_grid=tuple(t), z_eval=(0.0, 0.0))
-    series = theta_series(
-        None, None, grid, CopulaFamily.CLAYTON, surfaces=[_clayton_surface(th) for th in thetas]
-    )
+    series = solve_surface(t, [_clayton_surface(th) for th in thetas], CopulaFamily.CLAYTON)
     lo, hi = default_trim_from_series(series, stability_window=11)
     assert t[10] < lo < t[25]  # cut lands just past the noisy head
     assert hi == t[-1]
@@ -475,9 +491,8 @@ def _oracle_series_for_theta(theta):
     config = default_config(10, seed=1, theta=theta)
     t_grid = (1.0, 1.5, 2.0)
     z = np.array([0.1, -0.2])
-    surfaces = oracle_surface_estimates(config, np.asarray(t_grid), z)
-    grid = GridSpec(t_grid=t_grid, z_eval=tuple(z))
-    return theta_series(None, None, grid, CopulaFamily.CLAYTON, surfaces=surfaces)
+    surface = oracle_surface_estimates(config, np.asarray(t_grid), z)
+    return solve_surface(t_grid, surface, CopulaFamily.CLAYTON)
 
 
 def test_nearest_rank_percentiles_on_ten_known_values():
@@ -507,13 +522,10 @@ def test_summary_trim_failure_is_recorded_not_raised():
     # the window excludes every defined point of one replicate: that replicate
     # fails inside the summary instead of aborting the whole study
     ok = _oracle_series_for_theta(0.5)  # defined at t = 1.0, 1.5, 2.0
-    sparse_grid = GridSpec(t_grid=(1.0, 1.5, 2.0), z_eval=(0.0, 0.0))
-    sparse = theta_series(
-        None,
-        None,
-        sparse_grid,
+    sparse = solve_surface(
+        (1.0, 1.5, 2.0),
+        [_clayton_surface(0.5), NO_ESTIMATE, NO_ESTIMATE],  # defined only at t = 1.0
         CopulaFamily.CLAYTON,
-        surfaces=[_clayton_surface(0.5), None, None],  # defined only at t = 1.0
     )
     summary = summarize_replicates([ok, sparse], 1.9, 2.1)  # window keeps t = 2.0
     assert summary.n_failed == 1
@@ -595,10 +607,15 @@ def test_theta_series_carries_its_surface():
     assert series.surface.tolist() == expected
     with pytest.raises(ValueError):
         series.surface[0, 0] = 0.5
-    # the surfaces seam keeps the same layout, NaN where no estimate was given
-    seam = _series_from([_clayton_surface(0.5), None])
-    assert seam.surface[0].tolist() == [0.3, -0.1, -0.2, _clayton_surface(0.5).d2pi_hat]
-    assert np.isnan(seam.surface[1]).all()
+    # solving the carried surface again under the same window gives the same series
+    again = solve_surface(series.t, series.surface, CopulaFamily.CLAYTON, series.trim_lo, series.trim_hi)
+    for name in ("t", "theta_pointwise", "defined", "included", "iterations", "near_independence", "surface"):
+        assert np.array_equal(getattr(again, name), getattr(series, name), equal_nan=True), name
+    assert again.theta_hat == series.theta_hat and again.n_included == series.n_included
+    # a given surface keeps its layout, NaN rows where there is no estimate
+    given = _series_from([_clayton_surface(0.5), NO_ESTIMATE])
+    assert given.surface[0].tolist() == list(_clayton_surface(0.5))
+    assert np.isnan(given.surface[1]).all()
 
 
 # ---------------------------------------------------------------------------
@@ -607,7 +624,7 @@ def test_theta_series_carries_its_surface():
 
 
 def test_theta_series_csv_round_trips(tmp_path):
-    series = _series_from([_clayton_surface(th) for th in (0.25, 0.5, 0.75)] + [None])
+    series = _series_from([_clayton_surface(th) for th in (0.25, 0.5, 0.75)] + [NO_ESTIMATE])
     path = tmp_path / "series.csv"
     write_theta_series_csv(series, path)
     raw = path.read_bytes()
