@@ -14,6 +14,9 @@ bracketed monotone root search.
 
 All generators are evaluated in cancellation-safe forms (expm1/log1p) so
 that near-independence parameters remain usable.
+
+scipy is imported only inside the Frank code paths (the Brent root search
+and the Debye quadrature), so Clayton and Gumbel work never loads it.
 """
 
 from __future__ import annotations
@@ -23,8 +26,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 __all__ = [
     "CopulaFamily",
@@ -332,6 +333,8 @@ def theta_from_ratio(family: CopulaFamily, pi: float, ratio: float) -> ThetaSolu
                 f"no Frank theta in [{lo}, {hi}] matches ratio {ratio!r} at pi {pi!r}"
             )
         else:
+            from scipy.optimize import brentq
+
             root, res = brentq(g, lo, hi, xtol=_FRANK_ROOT_XTOL, full_output=True)
             iterations = res.iterations
         root = float(root)
@@ -346,6 +349,7 @@ def theta_from_ratio(family: CopulaFamily, pi: float, ratio: float) -> ThetaSolu
 
 def _debye1(x: float) -> float:
     """First Debye function (1/x) * integral_0^x t/(e^t - 1) dt."""
+    from scipy.integrate import quad
 
     def integrand(t: float) -> float:
         if t == 0.0:
@@ -398,6 +402,8 @@ def theta_for_tau(family: CopulaFamily, tau: float) -> float:
         flo, fhi = f(lo), f(hi)
         if (flo > 0.0) == (fhi > 0.0):
             raise ValueError(f"tau {tau!r} is out of the invertible Frank range")
+        from scipy.optimize import brentq
+
         th = float(brentq(f, lo, hi, xtol=1e-12))
     else:
         raise ValueError(f"family {family!r} has no parameter to match tau")

@@ -10,6 +10,15 @@ estimates can be checked.
 Draws are counter-based (Philox): unit i consumes counters 4i..4i+3 in the
 fixed order (z1, z2, s1, v2), so datasets are reproducible per unit and
 replicates can be generated independently from derived seeds.
+
+The normal covariates come from the inverse normal cdf ``_ndtri``, a numpy
+port of Cephes ``ndtri`` (S. L. Moshier, *Methods and Programs for
+Mathematical Functions*, 1989), the routine behind ``scipy.special.ndtri``:
+the same coefficients, branch points and Horner order, so it returns the
+same bits without importing scipy.  Its logarithms go through ``math.log``,
+the C library's ``log`` that the compiled routine calls, because numpy's
+vectorised ``np.log`` differs from it in the last bit on a small fraction
+of inputs on some CPUs.
 """
 
 from __future__ import annotations
@@ -19,7 +28,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.special import ndtri
 
 from .copula import CopulaFamily, CopulaModel, _dphi, _phi, _phi_inv
 from .data import Sample
@@ -41,6 +49,92 @@ _U_FLOOR = 2.0 ** -53
 _U_CEIL = 1.0 - 2.0 ** -53
 
 ArrayLike = Union[float, np.ndarray]
+
+# Cephes ndtri: sqrt(2 pi), the exp(-2) split between the central and tail
+# branches, and the rational approximations in descending powers.  The
+# leading 1.0 of each Q is implicit (p1evl).
+_S2PI = 2.50662827463100050242e0
+_EXP_M2 = 0.13533528323661269189
+# central branch, |y - 0.5| <= 0.5 - exp(-2)
+_P0 = (
+    -5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+    1.39312609387279679503e1, -1.23916583867381258016e0,
+)
+_Q0 = (
+    1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+    -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+    1.59056225126211695515e1, -1.18331621121330003142e0,
+)
+# tail, x = sqrt(-2 log y) in [2, 8)
+_P1 = (
+    4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+    4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+    -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4,
+)
+_Q1 = (
+    1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+    1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+    -3.80806407691578277194e-2, -9.33259480895457427372e-4,
+)
+# far tail, x >= 8 (y <= exp(-32))
+_P2 = (
+    3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+    1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+    3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9,
+)
+_Q2 = (
+    6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+    2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+    2.89247864745380683936e-6, 6.79019408009981274425e-9,
+)
+
+
+def _polevl(x: np.ndarray, coef: tuple[float, ...]) -> np.ndarray:
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _p1evl(x: np.ndarray, coef: tuple[float, ...]) -> np.ndarray:
+    ans = x + coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _libm_log(x: np.ndarray) -> np.ndarray:
+    return np.array(list(map(math.log, x.tolist())), dtype=float)
+
+
+def _ndtri(y0) -> np.ndarray:
+    """Inverse standard normal cdf, elementwise, bit for bit Cephes ndtri.
+
+    0 maps to -inf, 1 to +inf, and anything outside [0, 1] (or NaN) to NaN.
+    """
+    y0 = np.asarray(y0, dtype=float)
+    flat = y0.ravel()
+    out = np.full(flat.shape, np.nan)
+    upper = flat > 1.0 - _EXP_M2
+    y = np.where(upper, 1.0 - flat, flat)
+    central = y > _EXP_M2
+    yc = y[central] - 0.5
+    y2 = yc * yc
+    out[central] = (yc + yc * (y2 * _polevl(y2, _P0) / _p1evl(y2, _Q0))) * _S2PI
+    tail = (y > 0.0) & ~central
+    x = np.sqrt(-2.0 * _libm_log(y[tail]))
+    x0 = x - _libm_log(x) / x
+    z = 1.0 / x
+    x1 = np.where(
+        x < 8.0,
+        z * _polevl(z, _P1) / _p1evl(z, _Q1),
+        z * _polevl(z, _P2) / _p1evl(z, _Q2),
+    )
+    x = x0 - x1
+    out[tail] = np.where(upper[tail], x, -x)
+    out[flat == 0.0] = -np.inf
+    out[flat == 1.0] = np.inf
+    return out.reshape(y0.shape)
 
 
 @dataclass(frozen=True)
@@ -201,7 +295,7 @@ def _draw_latent(config: DgpConfig) -> LatentDraws:
     rng = np.random.Generator(np.random.Philox(key=config.seed))
     u = rng.random((config.n, 4))
     np.maximum(u, _U_FLOOR, out=u)
-    z = config.covariate_sd * ndtri(u[:, :2])
+    z = config.covariate_sd * _ndtri(u[:, :2])
     s1 = u[:, 2]
     v2 = u[:, 3]
     s2 = np.asarray(conditional_copula_inverse(config.copula, s1, v2))

@@ -78,7 +78,8 @@ class GridSpec:
 
     ``t_grid=None`` resolves per sample to ``n_points`` equally spaced
     durations between the 0.5th and 99.5th empirical percentiles of the
-    observed durations (extreme quantiles carry no kernel mass).
+    observed durations (extreme quantiles carry no kernel mass); a range
+    too narrow to hold ``n_points`` distinct values raises ValueError.
     ``z_eval=None`` resolves to the sample mean covariate vector.  The trim
     window defaults to no trimming.
     """
@@ -110,9 +111,10 @@ class GridSpec:
             t = np.asarray(self.t_grid, dtype=float)
         else:
             lo, hi = np.percentile(sample.t, (0.5, 99.5))
-            if not lo < hi:
-                raise ValueError("degenerate duration range; supply t_grid explicitly")
             t = np.linspace(lo, hi, self.n_points)
+            # percentiles a few ulps apart give repeated points, not just lo == hi
+            if not np.all(np.diff(t) > 0.0):
+                raise ValueError("degenerate duration range; supply t_grid explicitly")
         if self.z_eval is not None:
             z = np.asarray(self.z_eval, dtype=float)
         else:

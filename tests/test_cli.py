@@ -8,9 +8,12 @@ reproducibility (same settings, same bytes) is part of the contract.
 from __future__ import annotations
 
 import hashlib
+import json
+import os
 import subprocess
 import sys
 from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -326,6 +329,23 @@ def test_dataset_wider_than_the_bandwidths_exits_3(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_ulp_wide_duration_range_exits_3_as_degenerate(tmp_path, capsys):
+    # half the durations 1.0 and half 2 ulps above: the percentile grid
+    # would repeat points, and the error names the range, not t_grid
+    n = 1000
+    one_plus = np.nextafter(np.nextafter(1.0, 2.0), 2.0)
+    rng = np.random.default_rng(5)
+    sample = Sample(
+        np.where(np.arange(n) % 2 == 0, 1.0, one_plus), rng.integers(1, 3, n), rng.normal(0.0, 0.5, (n, 2))
+    )
+    data = tmp_path / "ties.csv"
+    write_dataset_csv(sample, data)
+    code, _, err = run_cli(["estimate", "--data", str(data), "--out", str(tmp_path / "run")], capsys)
+    assert code == 3
+    assert err.startswith("error: estimation:") and "degenerate duration range" in err
+    assert err.count("\n") == 1
+
+
 def test_impossible_trim_window_exits_3(tmp_path, capsys):
     code, _, err = run_cli(
         ["estimate", *SMALL, "--trim", "100:200", "--out", str(tmp_path)], capsys
@@ -431,6 +451,52 @@ def test_module_entry_point_runs(tmp_path):
     )
     assert result.returncode == 0
     assert result.stdout.startswith("max_abs_theta_error=")
+
+
+# Run in a fresh interpreter: every test module here already imports scipy,
+# so only a new process can see which modules coprisk itself loads.
+_COLD_IMPORT_PROBE = """
+import json, sys
+
+def scipy_modules():
+    return sorted(name for name in sys.modules if name.startswith("scipy"))
+
+report = {}
+import coprisk.cli
+report["import"] = scipy_modules()
+for family in ("clayton", "gumbel"):
+    code = coprisk.cli.main([
+        "estimate", "--family", family, "--tau", "0.2", "--n", "600", "--seed", "9",
+        "--bandwidth", "0.8", "--grid-points", "50", "--out", sys.argv[1] + "/" + family,
+    ])
+    assert code == 0, (family, code)
+report["clayton_gumbel"] = scipy_modules()
+from coprisk.copula import CopulaFamily, theta_for_tau, theta_from_ratio
+report["frank_tau"] = theta_for_tau(CopulaFamily.FRANK, 0.2)
+report["frank_ratio"] = theta_from_ratio(CopulaFamily.FRANK, 0.4, 2.9).theta
+report["frank"] = scipy_modules()
+print(json.dumps(report))
+"""
+
+
+def test_cold_import_loads_scipy_only_for_frank(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run(
+        [sys.executable, "-c", _COLD_IMPORT_PROBE, str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    report = json.loads(result.stdout.splitlines()[-1])
+    assert report["import"] == []
+    assert report["clayton_gumbel"] == []
+    # the Frank solves import scipy on first use and give the values they
+    # gave with scipy imported at start-up
+    assert report["frank_tau"] == 1.8608837808585967
+    assert report["frank_ratio"] == 0.7614099464601876
+    assert {"scipy.integrate", "scipy.optimize"} <= set(report["frank"])
 
 
 def test_nested_output_directory_is_created(tmp_path, capsys):

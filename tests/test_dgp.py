@@ -1,9 +1,14 @@
 """Simulator tests: margins, conditional sampling, reproducibility, oracle surface."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.special import ndtri as scipy_ndtri
 from scipy.stats import kendalltau
 
 from coprisk.copula import (
@@ -19,6 +24,7 @@ from coprisk.dgp import (
     DEFAULT_MARGINALS,
     DgpConfig,
     WeibullMarginal,
+    _ndtri,
     conditional_copula_inverse,
     default_config,
     oracle_surface,
@@ -268,6 +274,70 @@ def test_same_seed_reproduces_bitwise():
     assert np.array_equal(a.t, b.t)
     assert np.array_equal(a.delta, b.delta)
     assert np.array_equal(a.z, b.z)
+
+
+# sha256 over the bytes of t (<f8), delta (<i8) and z (<f8) of
+# simulate(default_config(2000, seed=11, theta=..., family=...)), computed
+# while the simulator still drew its normal covariates with
+# scipy.special.ndtri; the numpy port must leave every bit unchanged.
+DGP_DIGESTS = [
+    (CopulaFamily.CLAYTON, 0.5, "089dc85c62528e7ca71991fdf5ab1c14395cca0c4eb1b912bd51aafc2565f597"),
+    (CopulaFamily.GUMBEL, 1.25, "dab2be00fe746ba1a5589c381ae67f2d97eda880d6c0d81b5cf279ffdc0c2960"),
+    (CopulaFamily.FRANK, 1.86, "25c18dff46a5c828304f703b5004f38553c04e11b60e4a43dbe9f6c85fb371aa"),
+]
+
+
+@pytest.mark.parametrize("family, theta, digest", DGP_DIGESTS, ids=lambda v: getattr(v, "value", None))
+def test_simulate_matches_golden_digest(family, theta, digest):
+    sample = simulate(default_config(2000, seed=11, theta=theta, family=family))
+    h = hashlib.sha256()
+    h.update(np.ascontiguousarray(sample.t, dtype="<f8").tobytes())
+    h.update(np.ascontiguousarray(sample.delta, dtype="<i8").tobytes())
+    h.update(np.ascontiguousarray(sample.z, dtype="<f8").tobytes())
+    assert h.hexdigest() == digest
+
+
+def _around(x: float, ulps: int) -> list[float]:
+    """x and its `ulps` floating-point neighbours on either side."""
+    down, up = [x], [x]
+    for _ in range(ulps):
+        down.append(float(np.nextafter(down[-1], -math.inf)))
+        up.append(float(np.nextafter(up[-1], math.inf)))
+    return sorted(set(down + up))
+
+
+def _covariate_uniforms(seed: int, n: int = 100_000) -> np.ndarray:
+    # the strided view _draw_latent hands to the normal quantile
+    u = np.random.Generator(np.random.Philox(key=seed)).random((n, 4))
+    np.maximum(u, 2.0 ** -53, out=u)
+    return u[:, :2]
+
+
+EXP_M2 = math.exp(-2.0)
+EXP_M32 = math.exp(-32.0)  # sqrt(-2 log y) = 8 switches the tail approximation
+
+
+@given(arrays(np.float64, st.integers(1, 32), elements=st.floats(min_value=0.0, max_value=1.0)))
+@example(np.array([2.0 ** -53, 1.0 - 2.0 ** -53, 2.0 ** -1074, 0.5]))
+@example(np.array(_around(EXP_M2, 1) + _around(1.0 - EXP_M2, 1)))
+@example(np.array(_around(EXP_M32, 64) + _around(1.0 - EXP_M32, 2)))
+@example(_covariate_uniforms(1))
+@example(_covariate_uniforms(2))
+@example(_covariate_uniforms(3))
+@settings(max_examples=300, deadline=None)
+def test_ndtri_port_equals_scipy_bitwise(u):
+    got = _ndtri(u)
+    want = scipy_ndtri(u)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_ndtri_port_edges():
+    got = _ndtri(np.array([0.0, 1.0, -0.5, 1.5, math.nan]))
+    assert got[0] == -math.inf and got[1] == math.inf
+    assert np.isnan(got[2:]).all()
+    assert _ndtri(0.5).shape == ()
 
 
 def test_different_seeds_differ():

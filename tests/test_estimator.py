@@ -128,6 +128,23 @@ def test_grid_spec_degenerate_durations_rejected():
         GridSpec().resolve(sample)
 
 
+def test_grid_spec_ulp_wide_duration_range_rejected():
+    # percentiles 2 ulps apart: np.linspace over them repeats grid points,
+    # which resolve reports as a degenerate range, not as a bad t_grid
+    one_plus = np.nextafter(np.nextafter(1.0, 2.0), 2.0)
+    sample = Sample(
+        t=np.where(np.arange(1000) % 2 == 0, 1.0, one_plus),
+        delta=np.ones(1000, dtype=np.int8),
+        z=np.zeros((1000, 2)),
+    )
+    lo, hi = np.percentile(sample.t, (0.5, 99.5))
+    assert lo < hi
+    with pytest.raises(ValueError, match="degenerate duration range"):
+        GridSpec().resolve(sample)
+    t, _ = GridSpec(n_points=2).resolve(sample)  # two points still fit
+    assert t.tolist() == [lo, hi]
+
+
 # ---------------------------------------------------------------------------
 # Exactness on closed-form oracle surfaces
 # ---------------------------------------------------------------------------
