@@ -39,6 +39,7 @@ from .dgp import default_config, simulate
 from .estimator import (
     AllPointsExcludedError,
     GridSpec,
+    _DegenerateRangeError,
     monte_carlo,
     oracle_surface_estimates,
     solve_surface,
@@ -75,6 +76,9 @@ _DEFAULTS = {
 }
 
 _CONFIG_KEYS = frozenset(_DEFAULTS) | {"command", "version"}
+
+# settings that only a simulation reads; an ``estimate --data`` manifest omits them
+_SIMULATION_KEYS = frozenset({"theta", "n", "seed", "covariate_scale_is_sd"})
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +253,19 @@ def _dgp_config(settings):
         raise ConfigError(str(exc)) from None
 
 
+def _degenerate_range_failure(settings):
+    """The grid error in the terms a command-line user controls."""
+    if settings["data"]:
+        durations, remedy = f"the durations in {settings['data']}", "lower --grid-points"
+    else:
+        durations, remedy = "the simulated durations", "raise --n or lower --grid-points"
+    return EstimationFailure(
+        f"degenerate duration range: {durations} between their 0.5th and 99.5th "
+        f"percentiles are too close together for {settings['grid_points']} distinct "
+        f"grid points; {remedy}"
+    )
+
+
 def _grid_spec(settings):
     return GridSpec(
         trim_lo=settings["trim"][0],
@@ -294,7 +311,8 @@ def _write_manifest(out_dir, command, settings):
         f"replicates={settings['replicates']}",
         f"covariate_scale_is_sd={'true' if settings['covariate_scale_is_sd'] else 'false'}",
     ]
-    if command == "estimate" and settings["data"]:
+    if command == "estimate" and settings["data"]:  # the file replaces the simulation design
+        lines = [line for line in lines if line.split("=")[0] not in _SIMULATION_KEYS]
         lines.append(f"data={os.path.abspath(settings['data'])}")
     text = "\n".join(lines) + "\n"
 
@@ -331,7 +349,9 @@ def _cmd_estimate(settings, out_dir, threads):
         _atomic_write(out_dir, "dataset.csv", lambda p: write_dataset_csv(sample, p))
     try:
         series = theta_series(sample, spec, _grid_spec(settings), settings["family"])
-    except ValueError as exc:  # e.g. a degenerate duration range in the data
+    except _DegenerateRangeError:
+        raise _degenerate_range_failure(settings) from None
+    except ValueError as exc:  # a grid or surface the library rejects for this sample
         raise EstimationFailure(str(exc)) from None
     _atomic_write(out_dir, "surface.csv", lambda p: _write_surface_csv(series, p))
     _atomic_write(out_dir, "theta_series.csv", lambda p: write_theta_series_csv(series, p))
@@ -348,7 +368,9 @@ def _cmd_montecarlo(settings, out_dir, threads):
         trimmed = monte_carlo(
             dgp, spec, grid, settings["family"], settings["replicates"], workers=threads
         )
-    except ValueError as exc:  # e.g. a degenerate duration range in a replicate
+    except _DegenerateRangeError:
+        raise _degenerate_range_failure(settings) from None
+    except ValueError as exc:  # a grid or surface the library rejects for a replicate
         raise EstimationFailure(str(exc)) from None
     untrimmed = summarize_replicates(trimmed.series, -INF, INF)
     _atomic_write(out_dir, "mc_replicates.csv", lambda p: write_mc_replicates_csv(trimmed, p))

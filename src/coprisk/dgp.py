@@ -19,6 +19,17 @@ same bits without importing scipy.  Its logarithms go through ``math.log``,
 the C library's ``log`` that the compiled routine calls, because numpy's
 vectorised ``np.log`` differs from it in the last bit on a small fraction
 of inputs on some CPUs.
+
+Gumbel and Frank draw the second survival value by bisecting the float
+conditional cdf: 40 halvings of (0, 1).  Frank runs all 40, because its
+float ``phi_inv`` subtracts two terms that move in opposite directions, so
+its float cdf is not monotone and no cell can be certified from a few
+points.  Gumbel's float cdf is monotone except where the joint survival
+rounds to 0 or 1, at the ends of (0, 1); so a Newton root of Gumbel's
+conditional equation names the level-36 cell the halvings would reach,
+four cdf values certify every decision on the way there, and the last four
+halvings finish it: 8 cdf evaluations instead of 40, with the same bits.
+An element the certificate rejects runs the 40 halvings.
 """
 
 from __future__ import annotations
@@ -232,8 +243,13 @@ def conditional_copula_inverse(model: CopulaModel, s1, v2):
     Solves dC/ds1(s1, s2) = v2 for s2, where C is the joint survival
     function of the copula.  Clayton inverts in closed form (theta = -1 is
     the counter-monotone edge with the point-mass conditional s2 = 1 - s1);
-    independence returns v2; Gumbel and Frank use bisection on the
-    monotone conditional to within 1e-12.  Accepts scalars or arrays.
+    independence returns v2.  Gumbel and Frank return the midpoint of the
+    cell that 40 halvings of (0, 1) on the float conditional cdf end in, a
+    root bracket narrower than 1e-12.  Frank runs those halvings.  Gumbel
+    starts from a certified level-36 cell located by Newton's method (see
+    ``_gumbel_inverse``) and runs only the last four; an element whose cell
+    fails the certificate runs all 40.  Either way the result has the same
+    bits.  Accepts scalars or arrays.
     """
     s1 = np.asarray(s1, dtype=float)
     v2 = np.asarray(v2, dtype=float)
@@ -251,24 +267,148 @@ def conditional_copula_inverse(model: CopulaModel, s1, v2):
             e2 = np.expm1(-theta * log_s1)
             out = np.exp(-np.log1p(e1 - e2) / theta)
     else:
-        # conditional cdf v = dphi(s1)/dphi(C(s1, s2)) increases in s2;
-        # 40 halvings of (0, 1) bound the root to below 1e-12
-        lo = np.zeros(np.broadcast(s1, v2).shape)
-        hi = np.ones_like(lo)
+        # computed on s1 as given, then shared: a 0-d s1 takes numpy's scalar
+        # math, an array its vectorised loops, and the halvings see the same
+        # values either way
         dphi_s1 = _dphi(fam, theta, s1)
         phi_s1 = _phi(fam, theta, s1)
-        for _ in range(40):
-            mid = 0.5 * (lo + hi)
-            c = _phi_inv(fam, theta, phi_s1 + _phi(fam, theta, mid))
-            cdf = dphi_s1 / _dphi(fam, theta, c)
-            below = cdf < v2
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        out = 0.5 * (lo + hi)
+        if fam is CopulaFamily.GUMBEL:
+            out = _gumbel_inverse(theta, s1, v2, phi_s1, dphi_s1)
+        else:
+            lo = np.zeros(np.broadcast(s1, v2).shape)
+            out = _halve(fam, theta, phi_s1, dphi_s1, v2, lo, np.ones_like(lo), _HALVINGS)
     out = np.clip(out, _U_FLOOR, _U_CEIL)  # keep downstream log(s2) finite and negative
     if out.ndim == 0:
         return float(out)
     return out
+
+
+# The bisection families' inverse is the midpoint of the dyadic cell that
+# _HALVINGS halvings of (0, 1) end in (2**-40 < 1e-12).  The Gumbel start
+# places each element in a level-_CELL_LEVEL cell directly; arrays go through
+# it in chunks of _CHUNK elements so its temporaries stay small.
+_HALVINGS = 40
+_CELL_LEVEL = 36
+_CHUNK = 8192
+_NEWTON_STEPS = 6
+
+
+def _conditional_cdf(fam: CopulaFamily, theta: float, phi_s1, dphi_s1, x):
+    """The float conditional cdf dphi(s1)/dphi(C(s1, x)) the halvings test."""
+    c = _phi_inv(fam, theta, phi_s1 + _phi(fam, theta, x))
+    return dphi_s1 / _dphi(fam, theta, c)
+
+
+def _halve(fam: CopulaFamily, theta: float, phi_s1, dphi_s1, v2, lo, hi, steps: int):
+    """Halve [lo, hi] ``steps`` times toward the root; return the midpoint.
+
+    The conditional cdf increases in s2; every midpoint is a dyadic
+    rational, exact in floating point.
+    """
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        below = _conditional_cdf(fam, theta, phi_s1, dphi_s1, mid) < v2
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def _gumbel_root(theta: float, s1, v2):
+    """Newton approximation to the Gumbel conditional inverse.
+
+    With l1 = -log s1 and w = -log C(s1, s2) = l1 * e**t, the conditional
+    cdf equation is l1 * expm1(t) + (theta - 1) t = -log v2 (Nelsen 2006,
+    An Introduction to Copulas, sec. 2.9).  Its left side is increasing
+    and convex in t, and the start, the smaller root of either term alone,
+    lies right of the root, so the iterates fall monotonically onto it.
+    Then -log s2 = l1 * expm1(theta t) ** (1 / theta).
+    """
+    ell = -np.log(s1)
+    rhs = -np.log(v2)
+    t = np.minimum(np.log1p(rhs / ell), rhs / (theta - 1.0))
+    for _ in range(_NEWTON_STEPS):
+        e = np.expm1(t)
+        t = t - (ell * e + (theta - 1.0) * t - rhs) / (ell * (e + 1.0) + (theta - 1.0))
+    return np.exp(-ell * np.expm1(theta * t) ** (1.0 / theta))
+
+
+def _gumbel_cells(theta: float, s1, v2, phi_s1, dphi_s1):
+    """Certified level-_CELL_LEVEL start and its finished midpoint.
+
+    Returns (out, certified); ``out`` is meaningful where ``certified``.
+
+    The halvings decide at each midpoint m whether cdf(m) < v2.  Those
+    that end in the cell [lo, hi] decided "below" at points of
+    [left ancestor, lo] and "not below" at points of [hi, right ancestor],
+    where the left ancestor is the largest power of two <= lo (their first
+    step right) and the right ancestor is 1 - the largest power of two
+    <= 1 - hi (their first step left).  The float cdf is a chain of
+    monotone rounded operations (log, power, exp, +, *, /) and so is
+    non-decreasing in s2 except where C(s1, s2) rounds to 0 or 1; those
+    sets sit at the two ends of (0, 1), where the ancestors see them.
+    Testing the four end points therefore certifies every decision on the
+    path.  This assumes numpy's log, exp and power are monotone.  A cell
+    end at 0 or 1 was never a midpoint: the halvings made no decision on
+    that side, so it needs no test.
+    """
+    scale = 2.0 ** _CELL_LEVEL
+    r = _gumbel_root(theta, s1, v2)
+    k = np.minimum(np.floor(r * scale), scale - 1.0)
+    lo = k / scale
+    hi = (k + 1.0) / scale
+    left = np.ldexp(0.5, np.frexp(lo)[1])
+    right = 1.0 - np.ldexp(0.5, np.frexp(1.0 - hi)[1])
+    fam = CopulaFamily.GUMBEL
+
+    def below(x):
+        return _conditional_cdf(fam, theta, phi_s1, dphi_s1, x) < v2
+
+    certified = (
+        np.isfinite(r)
+        & np.isfinite(phi_s1)
+        & np.isfinite(dphi_s1)
+        & (dphi_s1 != 0.0)
+        & ((lo == 0.0) | (below(lo) & below(left)))
+        & ((hi == 1.0) | ~(below(hi) | below(right)))
+    )
+    out = _halve(fam, theta, phi_s1, dphi_s1, v2, lo, hi, _HALVINGS - _CELL_LEVEL)
+    return out, certified
+
+
+def _gumbel_inverse(theta: float, s1, v2, phi_s1, dphi_s1):
+    """Gumbel conditional inverse, bit for bit the 40 halvings of (0, 1).
+
+    The certified start runs under np.errstate because it evaluates points
+    the halvings never visit; uncertified elements run the 40 halvings
+    with their usual floating-point warnings.
+    """
+    fam = CopulaFamily.GUMBEL
+    shape = np.broadcast(s1, v2).shape
+    if shape == ():
+        with np.errstate(all="ignore"):
+            out, certified = _gumbel_cells(theta, s1, v2, phi_s1, dphi_s1)
+        if certified:
+            return out
+        return _halve(fam, theta, phi_s1, dphi_s1, v2, np.zeros(()), np.ones(()), _HALVINGS)
+    # flat views where the layout allows (a strided column stays a view)
+    s1, v2, phi_s1, dphi_s1 = (
+        np.broadcast_to(a, shape).reshape(-1) for a in (s1, v2, phi_s1, dphi_s1)
+    )
+    out = np.empty(s1.size)
+    certified = np.empty(s1.size, dtype=bool)
+    with np.errstate(all="ignore"):
+        for a in range(0, s1.size, _CHUNK):
+            b = a + _CHUNK
+            out[a:b], certified[a:b] = _gumbel_cells(
+                theta, s1[a:b], v2[a:b], phi_s1[a:b], dphi_s1[a:b]
+            )
+    rest = np.flatnonzero(~certified)
+    if rest.size:
+        lo = np.zeros(rest.size)
+        out[rest] = _halve(
+            fam, theta, phi_s1[rest], dphi_s1[rest], v2[rest], lo, np.ones_like(lo), _HALVINGS
+        )
+    return out.reshape(shape)
 
 
 @dataclass(frozen=True)

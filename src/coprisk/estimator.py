@@ -54,6 +54,10 @@ class AllPointsExcludedError(RuntimeError):
     """No usable grid point survived definedness and trimming."""
 
 
+class _DegenerateRangeError(ValueError):
+    """A sample's percentile duration range cannot hold the grid's points."""
+
+
 def _check_t_grid(t_grid) -> tuple[float, ...]:
     tg = tuple(float(t) for t in t_grid)
     if len(tg) == 0:
@@ -114,7 +118,7 @@ class GridSpec:
             t = np.linspace(lo, hi, self.n_points)
             # percentiles a few ulps apart give repeated points, not just lo == hi
             if not np.all(np.diff(t) > 0.0):
-                raise ValueError("degenerate duration range; supply t_grid explicitly")
+                raise _DegenerateRangeError("degenerate duration range; supply t_grid explicitly")
         if self.z_eval is not None:
             z = np.asarray(self.z_eval, dtype=float)
         else:

@@ -145,6 +145,54 @@ def test_estimate_data_does_not_build_the_simulation_design(tmp_path, capsys):
     assert out.startswith("theta_hat=")
 
 
+def _simulate_gumbel_dataset(tmp_path, capsys):
+    data = tmp_path / "data"
+    code, _, _ = run_cli(
+        ["simulate", "--n", "2000", "--family", "gumbel", "--tau", "0.2", "--out", str(data)], capsys
+    )
+    assert code == 0
+    return data / "dataset.csv"
+
+
+def test_data_manifest_omits_the_simulation_design(tmp_path, capsys):
+    # a Gumbel run from a file once recorded theta=0.5, which no Gumbel
+    # copula admits, and an n and seed that drew nothing
+    data = _simulate_gumbel_dataset(tmp_path, capsys)
+    out = tmp_path / "run"
+    code, _, _ = run_cli(
+        ["estimate", "--data", str(data), "--family", "gumbel", "--grid-points", "50", "--out", str(out)],
+        capsys,
+    )
+    assert code == 0
+    lines = (out / "manifest.txt").read_text().splitlines()
+    assert not any(line.startswith("theta=") for line in lines)
+    assert [line.split("=")[0] for line in lines] == [
+        "command",
+        "version",
+        "family",
+        "bandwidth",
+        "grid_points",
+        "trim",
+        "replicates",
+        "data",
+    ]
+    assert f"data={data}" in lines
+
+
+def test_data_manifest_replay_reproduces_every_artifact(tmp_path, capsys):
+    data = _simulate_gumbel_dataset(tmp_path, capsys)
+    a, b = tmp_path / "a", tmp_path / "b"
+    run = ["estimate", "--data", str(data), "--family", "gumbel", "--bandwidth", "0.8", "--grid-points", "50"]
+    assert run_cli([*run, "--out", str(a)], capsys)[0] == 0
+    code, _, _ = run_cli(["estimate", "--config", str(a / "manifest.txt"), "--out", str(b)], capsys)
+    assert code == 0
+    names = sorted(p.name for p in a.iterdir())
+    assert names == ["manifest.txt", "surface.csv", "theta_series.csv"]
+    assert sorted(p.name for p in b.iterdir()) == names
+    for name in names:
+        assert sha(a / name) == sha(b / name), name
+
+
 def test_manifest_replay_reproduces_every_artifact(tmp_path, capsys):
     a, b = tmp_path / "a", tmp_path / "b"
     assert run_cli(["estimate", *SMALL, "--out", str(a)], capsys)[0] == 0
@@ -344,6 +392,7 @@ def test_ulp_wide_duration_range_exits_3_as_degenerate(tmp_path, capsys):
     assert code == 3
     assert err.startswith("error: estimation:") and "degenerate duration range" in err
     assert err.count("\n") == 1
+    assert "t_grid" not in err  # the command line has no option that sets it
 
 
 def test_impossible_trim_window_exits_3(tmp_path, capsys):
@@ -382,6 +431,7 @@ def test_montecarlo_estimation_value_error_exits_3(tmp_path, capsys):
     assert code == 3
     assert err.startswith("error: estimation:") and "degenerate duration range" in err
     assert err.count("\n") == 1
+    assert "t_grid" not in err  # the command line has no option that sets it
     assert [p.name for p in out.iterdir() if ".tmp" in p.name] == []
 
 

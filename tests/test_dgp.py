@@ -11,9 +11,13 @@ from hypothesis.extra.numpy import arrays
 from scipy.special import ndtri as scipy_ndtri
 from scipy.stats import kendalltau
 
+from coprisk import dgp
 from coprisk.copula import (
     CopulaFamily,
     CopulaModel,
+    _dphi,
+    _phi,
+    _phi_inv,
     generator,
     joint_survival,
     kendalls_tau,
@@ -220,6 +224,147 @@ def test_conditional_inverse_rejects_boundary_inputs(s1, v2):
 
 
 # ----------------------------------------------------------------------
+# Gumbel certified start: the same bits as 40 halvings of (0, 1)
+# ----------------------------------------------------------------------
+
+
+def _forty_halvings(model: CopulaModel, s1, v2):
+    """Reference: the 40-step bisection every bisection family once ran."""
+    s1 = np.asarray(s1, dtype=float)
+    v2 = np.asarray(v2, dtype=float)
+    fam, theta = model.family, model.theta
+    lo = np.zeros(np.broadcast(s1, v2).shape)
+    hi = np.ones_like(lo)
+    dphi_s1 = _dphi(fam, theta, s1)
+    phi_s1 = _phi(fam, theta, s1)
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        c = _phi_inv(fam, theta, phi_s1 + _phi(fam, theta, mid))
+        cdf = dphi_s1 / _dphi(fam, theta, c)
+        below = cdf < v2
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    out = np.clip(0.5 * (lo + hi), 2.0 ** -53, 1.0 - 2.0 ** -53)
+    if out.ndim == 0:
+        return float(out)
+    return out
+
+
+def _assert_gumbel_bits(theta, s1, v2):
+    model = CopulaModel(CopulaFamily.GUMBEL, theta)
+    # extreme theta and unit draws overflow or divide by zero in both routes;
+    # only the returned bits are compared here
+    with np.errstate(all="ignore"):
+        got = conditional_copula_inverse(model, s1, v2)
+        want = _forty_halvings(model, s1, v2)
+    assert type(got) is type(want)
+    assert np.array_equal(got, want)
+
+
+# Gumbel 50: phi(s1) underflows to 0, C rounds to 1 near s2 = 1 and the
+# float cdf turns to -inf there, so the halvings walk right to
+# 0.9999999999995453 although the root is 0.99999956; only the outer right
+# ancestor of the root's cell sees it.  Mirrored: s1 near 0, v2 near 1.
+SATURATED = (50.0, 0.9999996838467762, 1.3885405830054312e-07)
+SATURATED_MIRROR = (50.0, 1.0 - 0.9999996838467762, 1.0 - 1.3885405830054312e-07)
+UNIT_EDGES = (2.0 ** -53, 1.0 - 2.0 ** -53)
+gumbel_thetas = st.floats(min_value=1.0 + 1e-4, max_value=100.0)
+units = st.one_of(
+    st.sampled_from(UNIT_EDGES),
+    st.floats(min_value=2.0 ** -53, max_value=1.0 - 2.0 ** -53),
+    st.floats(min_value=2.0 ** -53, max_value=0.5).map(lambda e: 1.0 - e),
+)
+
+
+@given(gumbel_thetas, units, units)
+@example(*SATURATED)
+@example(*SATURATED_MIRROR)
+@example(50.0, UNIT_EDGES[0], UNIT_EDGES[1])
+@example(50.0, UNIT_EDGES[1], UNIT_EDGES[0])
+@example(100.0, UNIT_EDGES[1], UNIT_EDGES[1])
+@example(1.0 + 1e-4, UNIT_EDGES[0], UNIT_EDGES[0])
+@settings(max_examples=300, deadline=None)
+def test_gumbel_inverse_scalar_equals_forty_halvings(theta, s1, v2):
+    _assert_gumbel_bits(theta, s1, v2)
+
+
+@given(gumbel_thetas, st.lists(st.tuples(units, units), min_size=1, max_size=40))
+@example(SATURATED[0], [SATURATED[1:], SATURATED_MIRROR[1:], UNIT_EDGES, UNIT_EDGES[::-1]])
+@settings(max_examples=100, deadline=None)
+def test_gumbel_inverse_array_equals_forty_halvings(theta, pairs):
+    s1, v2 = np.array(pairs).T
+    _assert_gumbel_bits(theta, s1, v2)
+
+
+def test_gumbel_inverse_broadcasts_like_forty_halvings():
+    rng = np.random.default_rng(4)
+    s1, v2 = rng.random(3), rng.random(5)
+    _assert_gumbel_bits(1.25, 0.3, v2)
+    _assert_gumbel_bits(1.25, s1, 0.7)
+    _assert_gumbel_bits(1.25, s1[:, None], v2)
+
+
+@pytest.mark.parametrize("theta", [1.0001, 1.25, 5.0, 50.0])
+def test_gumbel_inverse_log_spaced_sweep_equals_forty_halvings(theta):
+    # 200k draws per theta, each coordinate uniform, or log-spaced to 1e-16
+    # from either end of (0, 1); more than 8192 rows, so several chunks
+    rng = np.random.default_rng(600_613)
+    n = 200_000
+
+    def draw():
+        side = rng.integers(0, 3, n)
+        e = 10.0 ** rng.uniform(-16.0, 0.0, n)
+        u = np.where(side == 0, rng.random(n), np.where(side == 1, e, 1.0 - e))
+        return np.clip(u, *UNIT_EDGES)
+
+    _assert_gumbel_bits(theta, draw(), draw())
+
+
+def _count_full_bisections(monkeypatch):
+    """Record the sizes of the 40-halving runs the Gumbel inverse falls back to."""
+    sizes = []
+    halve = dgp._halve
+
+    def spy(fam, theta, phi_s1, dphi_s1, v2, lo, hi, steps):
+        if steps == 40:
+            sizes.append(np.size(lo))
+        return halve(fam, theta, phi_s1, dphi_s1, v2, lo, hi, steps)
+
+    monkeypatch.setattr(dgp, "_halve", spy)
+    return sizes
+
+
+def test_gumbel_wrong_root_falls_back_to_the_same_bits(monkeypatch):
+    root = dgp._gumbel_root
+    monkeypatch.setattr(dgp, "_gumbel_root", lambda theta, s1, v2: 1.0 - root(theta, s1, v2))
+    sizes = _count_full_bisections(monkeypatch)
+    u = np.random.Generator(np.random.Philox(key=5)).random((20_000, 2))
+    _assert_gumbel_bits(1.25, u[:, 0], u[:, 1])
+    assert sum(sizes) > 19_000  # nearly every mirrored root misses its cell
+    _assert_gumbel_bits(1.25, 0.3, 0.9)
+    _assert_gumbel_bits(*SATURATED_MIRROR)
+
+
+def test_gumbel_simulation_rarely_falls_back(monkeypatch):
+    sizes = _count_full_bisections(monkeypatch)
+    n = 100_000
+    simulate_latent(default_config(n, seed=11, theta=1.25, family=CopulaFamily.GUMBEL))
+    assert sum(sizes) / n < 1e-3
+
+
+def test_frank_counterexample_to_a_cell_certificate_is_pinned():
+    # Frank's float phi_inv subtracts two terms moving in opposite
+    # directions, so its float cdf is not monotone: a level-36 cell
+    # certificate accepts the cell of 0.8767657630874055 here, while the
+    # 40 halvings return the value pinned below
+    model = CopulaModel(CopulaFamily.FRANK, 1.86)
+    s1, v2 = 2.7779375739722667e-06, 0.9525023924802107
+    assert conditional_copula_inverse(model, s1, v2) == 0.8767657630455687
+    assert conditional_copula_inverse(model, np.array([s1]), np.array([v2]))[0] == 0.8767657630455687
+    assert _forty_halvings(model, s1, v2) == 0.8767657630455687
+
+
+# ----------------------------------------------------------------------
 # sampled dependence strength
 # ----------------------------------------------------------------------
 
@@ -289,12 +434,29 @@ DGP_DIGESTS = [
 
 @pytest.mark.parametrize("family, theta, digest", DGP_DIGESTS, ids=lambda v: getattr(v, "value", None))
 def test_simulate_matches_golden_digest(family, theta, digest):
-    sample = simulate(default_config(2000, seed=11, theta=theta, family=family))
+    assert _sample_digest(simulate(default_config(2000, seed=11, theta=theta, family=family))) == digest
+
+
+def _sample_digest(sample: Sample) -> str:
     h = hashlib.sha256()
     h.update(np.ascontiguousarray(sample.t, dtype="<f8").tobytes())
     h.update(np.ascontiguousarray(sample.delta, dtype="<i8").tobytes())
     h.update(np.ascontiguousarray(sample.z, dtype="<f8").tobytes())
-    assert h.hexdigest() == digest
+    return h.hexdigest()
+
+
+# The same digest at n = 100,000 (13 chunks of the Gumbel certified start),
+# computed on the commit before that start, when every Gumbel and Frank
+# draw ran the 40 halvings of (0, 1).
+DGP_DIGESTS_100K = [
+    (CopulaFamily.GUMBEL, 1.25, "d37b939f6064afb81db6c40fe59cb0624b9b049a542ef35ded553d8d45031a1a"),
+    (CopulaFamily.FRANK, 1.86, "4f20315cef275c9ebc1bd26aa25aacd3e037569264c8085750c956e522044ab0"),
+]
+
+
+@pytest.mark.parametrize("family, theta, digest", DGP_DIGESTS_100K, ids=lambda v: getattr(v, "value", None))
+def test_simulate_matches_golden_digest_at_benchmark_size(family, theta, digest):
+    assert _sample_digest(simulate(default_config(100_000, seed=11, theta=theta, family=family))) == digest
 
 
 def _around(x: float, ulps: int) -> list[float]:
