@@ -231,7 +231,8 @@ def _resolve_settings(ns):
         elif "tau" in layer:
             settings["theta"] = None
     family = CopulaFamily(settings["family"])
-    if settings["tau"] is not None:
+    # an ``estimate --data`` run reads no theta, so its tau is not converted
+    if settings["tau"] is not None and not (ns.command == "estimate" and settings["data"]):
         try:
             settings["theta"] = theta_for_tau(family, settings["tau"])
         except ValueError as exc:
@@ -298,23 +299,26 @@ def _atomic_write(out_dir, name, write_fn):
 def _write_manifest(out_dir, command, settings):
     trim_lo, trim_hi = settings["trim"]
     trim = "none" if math.isinf(trim_lo) and math.isinf(trim_hi) else f"{_fmt(trim_lo)}:{_fmt(trim_hi)}"
-    lines = [
-        f"command={command}",
-        f"version={__version__}",
-        f"family={settings['family'].value}",
-        f"theta={_fmt(settings['theta'])}",
-        f"n={settings['n']}",
-        f"seed={settings['seed']}",
-        f"bandwidth={_fmt(settings['bandwidth'][0])},{_fmt(settings['bandwidth'][1])}",
-        f"grid_points={settings['grid_points']}",
-        f"trim={trim}",
-        f"replicates={settings['replicates']}",
-        f"covariate_scale_is_sd={'true' if settings['covariate_scale_is_sd'] else 'false'}",
-    ]
+    fields = {
+        "command": command,
+        "version": __version__,
+        "family": settings["family"].value,
+        "theta": settings["theta"],
+        "n": settings["n"],
+        "seed": settings["seed"],
+        "bandwidth": f"{_fmt(settings['bandwidth'][0])},{_fmt(settings['bandwidth'][1])}",
+        "grid_points": settings["grid_points"],
+        "trim": trim,
+        "replicates": settings["replicates"],
+        "covariate_scale_is_sd": "true" if settings["covariate_scale_is_sd"] else "false",
+    }
     if command == "estimate" and settings["data"]:  # the file replaces the simulation design
-        lines = [line for line in lines if line.split("=")[0] not in _SIMULATION_KEYS]
-        lines.append(f"data={os.path.abspath(settings['data'])}")
-    text = "\n".join(lines) + "\n"
+        fields = {key: value for key, value in fields.items() if key not in _SIMULATION_KEYS}
+        fields["data"] = os.path.abspath(settings["data"])
+    text = "".join(
+        f"{key}={_fmt(value) if isinstance(value, float) else value}\n"
+        for key, value in fields.items()
+    )
 
     def write(path):
         with open(path, "w", encoding="utf-8", newline="\n") as fh:

@@ -15,13 +15,16 @@ bracketed monotone root search.
 All generators are evaluated in cancellation-safe forms (expm1/log1p) so
 that near-independence parameters remain usable.
 
-scipy is imported only inside the Frank code paths (the Brent root search
-and the Debye quadrature), so Clayton and Gumbel work never loads it.
+Frank's root searches use ``_brentq``, a port of scipy's Brent routine
+that returns the same root bits and iteration count.  scipy is imported only
+inside ``_debye1``, the quadrature behind Frank's Kendall tau, so only a
+Frank tau conversion (``kendalls_tau``, ``theta_for_tau``) loads it.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -51,6 +54,10 @@ FRANK_BRACKET = (-50.0, 50.0)
 FRANK_DEAD_ZONE = 1e-6
 
 _FRANK_ROOT_XTOL = 1e-10
+
+# scipy.optimize.brentq defaults: relative tolerance 4 eps, 100 iterations
+_BRENTQ_RTOL = 4.0 * sys.float_info.epsilon
+_BRENTQ_MAXITER = 100
 
 
 class NoRootError(RuntimeError):
@@ -198,6 +205,78 @@ def _frank_curvature(theta: float, pi: float) -> float:
     return theta / math.expm1(-theta * pi)
 
 
+def _brentq(f, xa: float, xb: float, xtol: float) -> tuple[float, int]:
+    """Root of f between xa and xb by Brent's method, with its iteration count.
+
+    A line-for-line port of scipy's ``Zeros/brentq.c`` (Brent 1973,
+    *Algorithms for Minimization without Derivatives*, ch. 4) and of the
+    checks of its Python wrapper, with rtol = 4 eps and at most 100
+    iterations: the same float operations in the same order, so root and
+    count equal ``scipy.optimize.brentq(f, xa, xb, xtol=xtol,
+    full_output=True)``.  An exact zero at an end returns that end after 0
+    iterations (scipy returns the same end but leaves its count unset).
+    Raises ValueError on a NaN value of f or on ends of the same sign, and
+    RuntimeError when 100 iterations do not converge.
+    """
+
+    def fval(x: float) -> float:
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x={x} is NaN; solver cannot continue")
+        return fx
+
+    def signbit(x: float) -> bool:
+        return math.copysign(1.0, x) < 0.0
+
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre = fval(xpre)
+    fcur = fval(xcur)
+    if fpre == 0.0:
+        return xpre, 0
+    if fcur == 0.0:
+        return xcur, 0
+    if signbit(fpre) == signbit(fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for iterations in range(1, _BRENTQ_MAXITER + 1):
+        if fpre != 0.0 and fcur != 0.0 and signbit(fpre) != signbit(fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + _BRENTQ_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur, iterations
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                den = dblk * dpre * (fblk - fpre)
+                # C divides by 0 into inf or NaN, and either one bisects below
+                stry = -fcur * (fblk * dblk - fpre * dpre) / den if den != 0.0 else math.inf
+            bound = 3 * abs(sbis) - delta
+            if 2 * abs(stry) < (abs(spre) if abs(spre) < bound else bound):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis  # bisect
+        else:
+            spre = scur = sbis  # bisect
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = fval(xcur)
+    raise RuntimeError(f"Failed to converge after {_BRENTQ_MAXITER} iterations.")
+
+
 # ----------------------------------------------------------------------
 # public scalar operations
 # ----------------------------------------------------------------------
@@ -323,21 +402,12 @@ def theta_from_ratio(family: CopulaFamily, pi: float, ratio: float) -> ThetaSolu
         def g(th: float) -> float:
             return _frank_curvature(th, pi) + ratio
 
-        glo, ghi = g(lo), g(hi)
-        if glo == 0.0:
-            root, iterations = lo, 0
-        elif ghi == 0.0:
-            root, iterations = hi, 0
-        elif (glo > 0.0) == (ghi > 0.0):
+        try:
+            root, iterations = _brentq(g, lo, hi, _FRANK_ROOT_XTOL)
+        except ValueError:  # g is finite on the bracket, so its ends share a sign
             raise NoRootError(
                 f"no Frank theta in [{lo}, {hi}] matches ratio {ratio!r} at pi {pi!r}"
-            )
-        else:
-            from scipy.optimize import brentq
-
-            root, res = brentq(g, lo, hi, xtol=_FRANK_ROOT_XTOL, full_output=True)
-            iterations = res.iterations
-        root = float(root)
+            ) from None
         return ThetaSolution(
             root,
             root != 0.0,
@@ -399,12 +469,10 @@ def theta_for_tau(family: CopulaFamily, tau: float) -> float:
         def f(th: float) -> float:
             return kendalls_tau(CopulaModel(CopulaFamily.FRANK, th)) - tau
 
-        flo, fhi = f(lo), f(hi)
-        if (flo > 0.0) == (fhi > 0.0):
-            raise ValueError(f"tau {tau!r} is out of the invertible Frank range")
-        from scipy.optimize import brentq
-
-        th = float(brentq(f, lo, hi, xtol=1e-12))
+        try:
+            th, _ = _brentq(f, lo, hi, 1e-12)
+        except ValueError:  # f is finite on the bracket, so its ends share a sign
+            raise ValueError(f"tau {tau!r} is out of the invertible Frank range") from None
     else:
         raise ValueError(f"family {family!r} has no parameter to match tau")
     CopulaModel(family, th)  # domain check; raises ValueError if unreachable

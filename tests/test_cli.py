@@ -154,6 +154,32 @@ def _simulate_gumbel_dataset(tmp_path, capsys):
     return data / "dataset.csv"
 
 
+def test_estimate_data_ignores_tau_and_theta(tmp_path, capsys):
+    # a run from a file reads no theta, so --tau is not converted (for Frank
+    # that would run the Debye quadrature) and neither value is recorded
+    data = tmp_path / "data"
+    code, _, _ = run_cli(
+        ["simulate", "--n", "2000", "--family", "frank", "--theta", "1.86", "--out", str(data)], capsys
+    )
+    assert code == 0
+    outputs = []
+    for flag, value in (("--tau", "0.2"), ("--theta", "2.0")):
+        out = tmp_path / flag.lstrip("-")
+        code, stdout, err = run_cli(
+            ["estimate", "--data", str(data / "dataset.csv"), "--family", "frank", flag, value,
+             "--bandwidth", "0.8", "--grid-points", "50", "--out", str(out)],
+            capsys,
+        )
+        assert (code, err) == (0, "")
+        outputs.append((out, stdout))
+    (tau_out, tau_stdout), (theta_out, theta_stdout) = outputs
+    assert tau_stdout == theta_stdout
+    for name in ("surface.csv", "theta_series.csv", "manifest.txt"):
+        assert (tau_out / name).read_bytes() == (theta_out / name).read_bytes(), name
+    lines = (tau_out / "manifest.txt").read_text().splitlines()
+    assert not any(line.startswith(("theta=", "tau=")) for line in lines)
+
+
 def test_data_manifest_omits_the_simulation_design(tmp_path, capsys):
     # a Gumbel run from a file once recorded theta=0.5, which no Gumbel
     # copula admits, and an n and seed that drew nothing
@@ -521,9 +547,19 @@ for family in ("clayton", "gumbel"):
     ])
     assert code == 0, (family, code)
 report["clayton_gumbel"] = scipy_modules()
+data = sys.argv[1] + "/frank_data"
+assert coprisk.cli.main([
+    "simulate", "--family", "frank", "--theta", "1.86", "--n", "600", "--seed", "9", "--out", data,
+]) == 0
+assert coprisk.cli.main([
+    "estimate", "--data", data + "/dataset.csv", "--family", "frank", "--tau", "0.2",
+    "--bandwidth", "0.8", "--grid-points", "50", "--out", sys.argv[1] + "/frank",
+]) == 0
+report["frank_data"] = scipy_modules()
 from coprisk.copula import CopulaFamily, theta_for_tau, theta_from_ratio
-report["frank_tau"] = theta_for_tau(CopulaFamily.FRANK, 0.2)
 report["frank_ratio"] = theta_from_ratio(CopulaFamily.FRANK, 0.4, 2.9).theta
+report["frank_ratio_modules"] = scipy_modules()
+report["frank_tau"] = theta_for_tau(CopulaFamily.FRANK, 0.2)
 report["frank"] = scipy_modules()
 print(json.dumps(report))
 """
@@ -542,8 +578,11 @@ def test_cold_import_loads_scipy_only_for_frank(tmp_path):
     report = json.loads(result.stdout.splitlines()[-1])
     assert report["import"] == []
     assert report["clayton_gumbel"] == []
-    # the Frank solves import scipy on first use and give the values they
-    # gave with scipy imported at start-up
+    # a Frank estimate from a file and a Frank ratio solve run the Brent port
+    assert report["frank_data"] == []
+    assert report["frank_ratio_modules"] == []
+    # only the Debye quadrature of a tau conversion imports scipy, and both
+    # solves give the values they gave with scipy imported at start-up
     assert report["frank_tau"] == 1.8608837808585967
     assert report["frank_ratio"] == 0.7614099464601876
     assert {"scipy.integrate", "scipy.optimize"} <= set(report["frank"])

@@ -5,7 +5,8 @@ digits: generator values and derivatives from the raw generator
 expressions, curvature ratios from high-precision central differences at
 step 1e-6, Frank taus from high-precision quadrature of the Debye
 integrand.  Runtime oracles (bisection, quotient identities) only use the
-public generator values, never the code paths they are checking.
+public generator values, never the code paths they are checking.  The Brent
+port is checked bit for bit against scipy.optimize.brentq, which it ports.
 """
 
 from __future__ import annotations
@@ -14,8 +15,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq as scipy_brentq
 
 from coprisk import (
     CopulaFamily,
@@ -30,6 +32,7 @@ from coprisk import (
     theta_for_tau,
     theta_from_ratio,
 )
+from coprisk.copula import FRANK_BRACKET, _brentq, _frank_curvature
 
 CLAYTON = CopulaFamily.CLAYTON
 GUMBEL = CopulaFamily.GUMBEL
@@ -310,6 +313,99 @@ def test_frank_curvature_monotone_in_theta():
     for pi in pis:
         vals = [phi_log_deriv_ratio(CopulaModel(FRANK, t), pi) if t != 0 else -1.0 / pi for t in grid]
         assert np.all(np.diff(vals) < 0.0)
+
+
+# ----------------------------------------------------------------------
+# Brent port: scipy.optimize.brentq is the bitwise oracle
+# ----------------------------------------------------------------------
+
+
+def _same_float(a: float, b: float) -> bool:
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+_PI = st.one_of(
+    st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+    st.floats(min_value=-12.0, max_value=0.0).map(lambda e: 10.0**e).filter(lambda p: p < 1.0),
+)
+_THETA = st.one_of(
+    st.floats(min_value=-50.0, max_value=50.0),
+    st.floats(min_value=-1e-6, max_value=1e-6),
+)
+
+
+@given(pi=_PI, theta=_THETA)
+@example(pi=2.0**-53, theta=3.0)
+@example(pi=1.0 - 2.0**-53, theta=-3.0)
+@example(pi=1e-12, theta=49.0)
+@example(pi=0.5, theta=1e-6)
+@example(pi=0.5, theta=-1e-6)
+@example(pi=0.5, theta=0.0)
+@example(pi=1.0 - 2.0**-53, theta=-50.0)
+@settings(max_examples=400, deadline=None)
+def test_brentq_port_equals_scipy_bitwise(pi, theta):
+    # the Frank curvature equation exactly as theta_from_ratio sets it up
+    ratio = -_frank_curvature(theta, pi)
+    lo, hi = FRANK_BRACKET
+
+    def g(th):
+        return _frank_curvature(th, pi) + ratio
+
+    glo, ghi = g(lo), g(hi)
+    assume(glo != 0.0 and ghi != 0.0 and (glo > 0.0) != (ghi > 0.0))
+    want, res = scipy_brentq(g, lo, hi, xtol=1e-10, full_output=True)
+    root, iterations = _brentq(g, lo, hi, 1e-10)
+    assert _same_float(root, want)
+    assert iterations == res.iterations
+    sol = theta_from_ratio(FRANK, pi, ratio)
+    assert _same_float(sol.theta, want)
+    assert sol.iterations == res.iterations
+
+
+@pytest.mark.parametrize("tau", [-0.9, -0.45, -0.1, 0.001, 0.2, 0.3, 0.75, 0.98])
+def test_theta_for_tau_brent_equals_scipy_bitwise(tau):
+    lo, hi = (1e-6, 500.0) if tau > 0 else (-500.0, -1e-6)
+
+    def f(th):
+        return kendalls_tau(CopulaModel(FRANK, th)) - tau
+
+    assert _same_float(theta_for_tau(FRANK, tau), scipy_brentq(f, lo, hi, xtol=1e-12))
+
+
+def test_brentq_port_exact_zero_at_an_end():
+    # scipy returns the same end but leaves its iteration count unset there
+    # (it reports whatever its stack held), so only the root is compared
+    for f, a, b in ((lambda x: x - 0.5, 0.5, 1.0), (lambda x: 1.0 - x, 0.5, 1.0)):
+        root, iterations = _brentq(f, a, b, 1e-10)
+        assert _same_float(root, scipy_brentq(f, a, b, xtol=1e-10))
+        assert iterations == 0
+    pi = 0.3
+    sol = theta_from_ratio(FRANK, pi, -_frank_curvature(50.0, pi))
+    assert (sol.theta, sol.iterations) == (50.0, 0)
+
+
+def _step(x):
+    return 1.0 if x > 0.1 else -1.0
+
+
+def _nan_inside(x):
+    return x - 0.7 if x in (0.0, 1.0) else math.nan
+
+
+@pytest.mark.parametrize(
+    "f, a, b, xtol, error",
+    [
+        (lambda x: x * x + 1.0, -1.0, 1.0, 1e-10, ValueError),  # no sign change
+        (_step, -1e300, 1e300, 1e-300, RuntimeError),  # 100 halvings of 1e300 fall short
+        (lambda x: math.nan, 0.0, 1.0, 1e-10, ValueError),  # NaN at an end
+        (_nan_inside, 0.0, 1.0, 1e-10, ValueError),  # NaN at the first step
+    ],
+)
+def test_brentq_port_raises_as_scipy(f, a, b, xtol, error):
+    with pytest.raises(error):
+        scipy_brentq(f, a, b, xtol=xtol)
+    with pytest.raises(error):
+        _brentq(f, a, b, xtol)
 
 
 # ----------------------------------------------------------------------
