@@ -332,7 +332,7 @@ def _write_manifest(out_dir, command, settings):
 # ---------------------------------------------------------------------------
 
 
-def _cmd_simulate(settings, out_dir, threads):
+def _cmd_simulate(settings, out_dir):
     dgp = _dgp_config(settings)
     sample = simulate(dgp)
     path = _atomic_write(out_dir, "dataset.csv", lambda p: write_dataset_csv(sample, p))
@@ -341,7 +341,7 @@ def _cmd_simulate(settings, out_dir, threads):
     return 0
 
 
-def _cmd_estimate(settings, out_dir, threads):
+def _cmd_estimate(settings, out_dir):
     spec = KernelSpec(bandwidths=settings["bandwidth"])
     if settings["data"]:
         try:
@@ -398,7 +398,7 @@ _CHECK_THETAS = {
 }
 
 
-def _cmd_oracle_check(settings, out_dir, threads):
+def _cmd_oracle_check(settings, out_dir):
     """Invert the curvature ratio back to the parameter it came from.
 
     Sweeps a (survival level, parameter) grid for the configured family;
@@ -432,10 +432,11 @@ def _cmd_oracle_check(settings, out_dir, threads):
     return 0
 
 
+# montecarlo, the only command that starts processes, is called with the
+# worker count in main
 _COMMANDS = {
     "simulate": _cmd_simulate,
     "estimate": _cmd_estimate,
-    "montecarlo": _cmd_montecarlo,
     "oracle-check": _cmd_oracle_check,
 }
 
@@ -473,7 +474,9 @@ def _build_parser():
     )
     common.add_argument("--replicates", help="number of Monte Carlo replicates")
     common.add_argument(
-        "--threads", help="worker processes, at most one per CPU and replicate (outputs do not depend on it)"
+        "--threads",
+        help="montecarlo worker processes, at most one per CPU and replicate; other commands "
+        "start none (outputs do not depend on it)",
     )
     common.add_argument(
         "--covariate-scale-is-sd",
@@ -509,7 +512,9 @@ def main(argv=None):
             os.makedirs(out_dir, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"out: {exc}") from None
-        return _COMMANDS[ns.command](settings, out_dir, threads)
+        if ns.command == "montecarlo":
+            return _cmd_montecarlo(settings, out_dir, threads)
+        return _COMMANDS[ns.command](settings, out_dir)
     except ConfigError as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return 2

@@ -15,10 +15,12 @@ The normal covariates come from the inverse normal cdf ``_ndtri``, a numpy
 port of Cephes ``ndtri`` (S. L. Moshier, *Methods and Programs for
 Mathematical Functions*, 1989), the routine behind ``scipy.special.ndtri``:
 the same coefficients, branch points and Horner order, so it returns the
-same bits without importing scipy.  Its logarithms go through ``math.log``,
-the C library's ``log`` that the compiled routine calls, because numpy's
-vectorised ``np.log`` differs from it in the last bit on a small fraction
-of inputs on some CPUs.
+same bits without importing scipy.  Its logarithms must be the C library's
+``log``, the one the compiled routine calls, because numpy's vectorised
+``np.log`` differs from it in the last bit on a small fraction of inputs on
+some CPUs.  ``_libm_log`` takes them in long double and rounds to double,
+which is libm's answer wherever the long-double value lies clear of a
+rounding midpoint; elements near one go through ``math.log``.
 
 Gumbel and Frank draw the second survival value by bisecting the float
 conditional cdf: 40 halvings of (0, 1).  Frank runs all 40, because its
@@ -26,10 +28,10 @@ float ``phi_inv`` subtracts two terms that move in opposite directions, so
 its float cdf is not monotone and no cell can be certified from a few
 points.  Gumbel's float cdf is monotone except where the joint survival
 rounds to 0 or 1, at the ends of (0, 1); so a Newton root of Gumbel's
-conditional equation names the level-36 cell the halvings would reach,
-four cdf values certify every decision on the way there, and the last four
-halvings finish it: 8 cdf evaluations instead of 40, with the same bits.
-An element the certificate rejects runs the 40 halvings.
+conditional equation names the level-40 cell the halvings end in, and four
+cdf values certify every decision on the way there: 4 cdf evaluations
+instead of 40, with the same bits.  An element the certificate rejects
+runs the 40 halvings.
 """
 
 from __future__ import annotations
@@ -114,8 +116,40 @@ def _p1evl(x: np.ndarray, coef: tuple[float, ...]) -> np.ndarray:
     return ans
 
 
+# glibc's log (musl shares its code) is documented to be within 0.519 ulp of
+# the exact logarithm, so it returns the correctly rounded value wherever
+# the exact value lies more than 0.019 ulp from a rounding midpoint.  The
+# long-double log is allowed 32 of its own ulps of error on top (1/64 of a
+# double ulp on x86's 80-bit format, so the band is about 1/29 ulp).  Where
+# long double is no wider than double the band exceeds half an ulp, and
+# every element falls back to math.log.
+_LOG_BAND = (0.519 - 0.5) + 32.0 * float(np.finfo(np.longdouble).eps / np.finfo(float).eps)
+
+
 def _libm_log(x: np.ndarray) -> np.ndarray:
-    return np.array(list(map(math.log, x.tolist())), dtype=float)
+    """``math.log`` elementwise, bit for bit, mostly without calling it.
+
+    The long-double log rounded to double is kept where the long-double
+    value lies at least ``_LOG_BAND`` ulp from a rounding midpoint: the
+    exact log is then on the same side of that midpoint, and a libm ``log``
+    within 0.519 ulp rounds it the same way.  This assumes the platform's
+    ``log`` meets glibc's documented 0.519 ulp bound and its ``logl`` is
+    within 32 long-double ulps.  Elements inside the band, results that are
+    a power of two (whose ulp differs on the two sides) and non-finite
+    results go through ``math.log``.
+    """
+    with np.errstate(all="ignore"):  # non-finite results fall back; math.log raises as before
+        wide = np.log(x.astype(np.longdouble))
+        out = wide.astype(float)
+        # the bits of wide below out's last place: exact in double
+        residual = (wide - out).astype(float)
+    kept = (np.abs(residual) <= (0.5 - _LOG_BAND) * np.spacing(np.abs(out))) & (
+        np.abs(np.frexp(out)[0]) != 0.5
+    )
+    rest = np.flatnonzero(~kept)
+    if rest.size:
+        out[rest] = list(map(math.log, x[rest].tolist()))
+    return out
 
 
 def _ndtri(y0) -> np.ndarray:
@@ -136,11 +170,11 @@ def _ndtri(y0) -> np.ndarray:
     x = np.sqrt(-2.0 * _libm_log(y[tail]))
     x0 = x - _libm_log(x) / x
     z = 1.0 / x
-    x1 = np.where(
-        x < 8.0,
-        z * _polevl(z, _P1) / _p1evl(z, _Q1),
-        z * _polevl(z, _P2) / _p1evl(z, _Q2),
-    )
+    x1 = z * _polevl(z, _P1) / _p1evl(z, _Q1)
+    far = x >= 8.0
+    if far.any():
+        zf = z[far]
+        x1[far] = zf * _polevl(zf, _P2) / _p1evl(zf, _Q2)
     x = x0 - x1
     out[tail] = np.where(upper[tail], x, -x)
     out[flat == 0.0] = -np.inf
@@ -246,10 +280,10 @@ def conditional_copula_inverse(model: CopulaModel, s1, v2):
     independence returns v2.  Gumbel and Frank return the midpoint of the
     cell that 40 halvings of (0, 1) on the float conditional cdf end in, a
     root bracket narrower than 1e-12.  Frank runs those halvings.  Gumbel
-    starts from a certified level-36 cell located by Newton's method (see
-    ``_gumbel_inverse``) and runs only the last four; an element whose cell
-    fails the certificate runs all 40.  Either way the result has the same
-    bits.  Accepts scalars or arrays.
+    locates that level-40 cell by Newton's method and certifies it (see
+    ``_gumbel_cells``), so it runs none; an element whose cell fails the
+    certificate runs all 40.  Either way the result has the same bits.
+    Accepts scalars or arrays.
     """
     s1 = np.asarray(s1, dtype=float)
     v2 = np.asarray(v2, dtype=float)
@@ -275,8 +309,7 @@ def conditional_copula_inverse(model: CopulaModel, s1, v2):
         if fam is CopulaFamily.GUMBEL:
             out = _gumbel_inverse(theta, s1, v2, phi_s1, dphi_s1)
         else:
-            lo = np.zeros(np.broadcast(s1, v2).shape)
-            out = _halve(fam, theta, phi_s1, dphi_s1, v2, lo, np.ones_like(lo), _HALVINGS)
+            out = _halve(fam, theta, phi_s1, dphi_s1, v2)
     out = np.clip(out, _U_FLOOR, _U_CEIL)  # keep downstream log(s2) finite and negative
     if out.ndim == 0:
         return float(out)
@@ -285,10 +318,9 @@ def conditional_copula_inverse(model: CopulaModel, s1, v2):
 
 # The bisection families' inverse is the midpoint of the dyadic cell that
 # _HALVINGS halvings of (0, 1) end in (2**-40 < 1e-12).  The Gumbel start
-# places each element in a level-_CELL_LEVEL cell directly; arrays go through
-# it in chunks of _CHUNK elements so its temporaries stay small.
+# places each element in that cell directly; arrays go through it in chunks
+# of _CHUNK elements so its temporaries stay small.
 _HALVINGS = 40
-_CELL_LEVEL = 36
 _CHUNK = 8192
 _NEWTON_STEPS = 6
 
@@ -299,13 +331,15 @@ def _conditional_cdf(fam: CopulaFamily, theta: float, phi_s1, dphi_s1, x):
     return dphi_s1 / _dphi(fam, theta, c)
 
 
-def _halve(fam: CopulaFamily, theta: float, phi_s1, dphi_s1, v2, lo, hi, steps: int):
-    """Halve [lo, hi] ``steps`` times toward the root; return the midpoint.
+def _halve(fam: CopulaFamily, theta: float, phi_s1, dphi_s1, v2):
+    """Halve (0, 1) _HALVINGS times toward the root; return the midpoint.
 
     The conditional cdf increases in s2; every midpoint is a dyadic
     rational, exact in floating point.
     """
-    for _ in range(steps):
+    lo = np.zeros(np.broadcast(phi_s1, v2).shape)
+    hi = np.ones_like(lo)
+    for _ in range(_HALVINGS):
         mid = 0.5 * (lo + hi)
         below = _conditional_cdf(fam, theta, phi_s1, dphi_s1, mid) < v2
         lo = np.where(below, mid, lo)
@@ -333,9 +367,11 @@ def _gumbel_root(theta: float, s1, v2):
 
 
 def _gumbel_cells(theta: float, s1, v2, phi_s1, dphi_s1):
-    """Certified level-_CELL_LEVEL start and its finished midpoint.
+    """The level-_HALVINGS cell of the Newton root, certified, and its midpoint.
 
-    Returns (out, certified); ``out`` is meaningful where ``certified``.
+    Returns (out, certified); ``out`` is meaningful where ``certified``,
+    and there it is what the halvings return: both ends of the cell are
+    midpoints they tested (or 0 or 1), so none is left to run.
 
     The halvings decide at each midpoint m whether cdf(m) < v2.  Those
     that end in the cell [lo, hi] decided "below" at points of
@@ -351,7 +387,7 @@ def _gumbel_cells(theta: float, s1, v2, phi_s1, dphi_s1):
     end at 0 or 1 was never a midpoint: the halvings made no decision on
     that side, so it needs no test.
     """
-    scale = 2.0 ** _CELL_LEVEL
+    scale = 2.0 ** _HALVINGS
     r = _gumbel_root(theta, s1, v2)
     k = np.minimum(np.floor(r * scale), scale - 1.0)
     lo = k / scale
@@ -371,8 +407,7 @@ def _gumbel_cells(theta: float, s1, v2, phi_s1, dphi_s1):
         & ((lo == 0.0) | (below(lo) & below(left)))
         & ((hi == 1.0) | ~(below(hi) | below(right)))
     )
-    out = _halve(fam, theta, phi_s1, dphi_s1, v2, lo, hi, _HALVINGS - _CELL_LEVEL)
-    return out, certified
+    return 0.5 * (lo + hi), certified
 
 
 def _gumbel_inverse(theta: float, s1, v2, phi_s1, dphi_s1):
@@ -389,7 +424,7 @@ def _gumbel_inverse(theta: float, s1, v2, phi_s1, dphi_s1):
             out, certified = _gumbel_cells(theta, s1, v2, phi_s1, dphi_s1)
         if certified:
             return out
-        return _halve(fam, theta, phi_s1, dphi_s1, v2, np.zeros(()), np.ones(()), _HALVINGS)
+        return _halve(fam, theta, phi_s1, dphi_s1, v2)
     # flat views where the layout allows (a strided column stays a view)
     s1, v2, phi_s1, dphi_s1 = (
         np.broadcast_to(a, shape).reshape(-1) for a in (s1, v2, phi_s1, dphi_s1)
@@ -404,10 +439,7 @@ def _gumbel_inverse(theta: float, s1, v2, phi_s1, dphi_s1):
             )
     rest = np.flatnonzero(~certified)
     if rest.size:
-        lo = np.zeros(rest.size)
-        out[rest] = _halve(
-            fam, theta, phi_s1[rest], dphi_s1[rest], v2[rest], lo, np.ones_like(lo), _HALVINGS
-        )
+        out[rest] = _halve(fam, theta, phi_s1[rest], dphi_s1[rest], v2[rest])
     return out.reshape(shape)
 
 

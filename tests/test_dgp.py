@@ -28,6 +28,7 @@ from coprisk.dgp import (
     DEFAULT_MARGINALS,
     DgpConfig,
     WeibullMarginal,
+    _libm_log,
     _ndtri,
     conditional_copula_inverse,
     default_config,
@@ -325,10 +326,9 @@ def _count_full_bisections(monkeypatch):
     sizes = []
     halve = dgp._halve
 
-    def spy(fam, theta, phi_s1, dphi_s1, v2, lo, hi, steps):
-        if steps == 40:
-            sizes.append(np.size(lo))
-        return halve(fam, theta, phi_s1, dphi_s1, v2, lo, hi, steps)
+    def spy(fam, theta, phi_s1, dphi_s1, v2):
+        sizes.append(np.broadcast(phi_s1, v2).size)
+        return halve(fam, theta, phi_s1, dphi_s1, v2)
 
     monkeypatch.setattr(dgp, "_halve", spy)
     return sizes
@@ -445,11 +445,15 @@ def _sample_digest(sample: Sample) -> str:
     return h.hexdigest()
 
 
-# The same digest at n = 100,000 (13 chunks of the Gumbel certified start),
-# computed on the commit before that start, when every Gumbel and Frank
-# draw ran the 40 halvings of (0, 1).
+# The same digest at n = 100,000 (13 chunks of the Gumbel certified start).
+# Gumbel 1.25 and Frank 1.86 were computed on the commit before that start,
+# when every Gumbel and Frank draw ran the 40 halvings of (0, 1); Gumbel 5
+# and 50, where the start falls back most often, before the start certified
+# the final cell and the normal quantile took its logs in long double.
 DGP_DIGESTS_100K = [
     (CopulaFamily.GUMBEL, 1.25, "d37b939f6064afb81db6c40fe59cb0624b9b049a542ef35ded553d8d45031a1a"),
+    (CopulaFamily.GUMBEL, 5.0, "08aead66e5b624e2636344fdbd9377471c67ef5972c8dfa7483765c691ef4223"),
+    (CopulaFamily.GUMBEL, 50.0, "b2dbf385eda8378231442226f2e7a6b1eb12b8fbd49027dcd19d343117e7b669"),
     (CopulaFamily.FRANK, 1.86, "4f20315cef275c9ebc1bd26aa25aacd3e037569264c8085750c956e522044ab0"),
 ]
 
@@ -500,6 +504,69 @@ def test_ndtri_port_edges():
     assert got[0] == -math.inf and got[1] == math.inf
     assert np.isnan(got[2:]).all()
     assert _ndtri(0.5).shape == ()
+
+
+def _assert_math_log_bits(x: np.ndarray) -> None:
+    got = _libm_log(x)
+    want = np.array([math.log(v) for v in x.tolist()])
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+# Inputs whose long-double log rounds to the other neighbour of libm's:
+# the first three sit on a rounding midpoint in 80-bit long double, the
+# last two 0.0005 ulp inside it.
+LOG_TIES = [0.103585119275355, 0.03804501922627016, 0.07490847772571527,
+            2.8748247306961168, 5.068765757392663]
+# where the two logs of _ndtri land on a power of two (the ulp halves below it)
+LOG_POWERS_OF_TWO = (
+    _around(EXP_M2, 2) + _around(math.exp(-4.0), 2) + _around(math.exp(-8.0), 2)
+    + _around(math.exp(-16.0), 2) + _around(EXP_M32, 2) + _around(math.e, 2)
+    + _around(math.exp(2.0), 2)
+)
+tail_ys = st.floats(min_value=2.0 ** -53, max_value=EXP_M2, exclude_min=True)
+tail_xs = st.floats(min_value=2.0, max_value=9.0)
+
+
+@given(arrays(np.float64, st.integers(1, 64), elements=st.one_of(tail_ys, tail_xs)))
+@example(np.array(LOG_TIES))
+@example(np.array(LOG_POWERS_OF_TWO))
+@example(np.array([2.0 ** -53 * (1.0 + 2.0 ** -52), EXP_M2, 2.0, 9.0]))
+@settings(max_examples=300, deadline=None)
+def test_libm_log_equals_math_log_bitwise(x):
+    # the two arguments _ndtri takes logs of: y in (2**-53, e**-2] and
+    # x = sqrt(-2 log y) in [2, 9)
+    _assert_math_log_bits(x)
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).nmant != 63, reason="ties pinned for the 80-bit long double"
+)
+def test_libm_log_band_is_needed_at_ties(monkeypatch):
+    ties = np.array(LOG_TIES)
+    _assert_math_log_bits(ties)
+    monkeypatch.setattr(dgp, "_LOG_BAND", 0.0)
+    got = _libm_log(ties)
+    assert all(g != math.log(v) for g, v in zip(got.tolist(), LOG_TIES))
+
+
+def test_libm_log_all_fallback_gives_the_same_bits(monkeypatch):
+    # a band over half an ulp keeps no long-double value, as on a platform
+    # whose long double is no wider than double
+    calls = []
+    log = math.log
+
+    def spy(v):
+        calls.append(v)
+        return log(v)
+
+    x = np.concatenate([_covariate_uniforms(4, 2_000).ravel(), np.linspace(2.0, 9.0, 1_001)])
+    want = _libm_log(x)
+    monkeypatch.setattr(dgp, "_LOG_BAND", 1.0)
+    monkeypatch.setattr(math, "log", spy)
+    got = _libm_log(x)
+    assert len(calls) == x.size
+    assert np.array_equal(got, want)
 
 
 def test_different_seeds_differ():
