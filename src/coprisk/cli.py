@@ -20,7 +20,6 @@ import argparse
 import math
 import os
 import sys
-from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 
@@ -368,10 +367,14 @@ def _cmd_montecarlo(settings, out_dir, threads):
     dgp = _dgp_config(settings)
     spec = KernelSpec(bandwidths=settings["bandwidth"])
     grid = _grid_spec(settings)
+    from concurrent.futures.process import BrokenProcessPool  # loads multiprocessing: only a study needs it
+
     try:
         trimmed = monte_carlo(
             dgp, spec, grid, settings["family"], settings["replicates"], workers=threads
         )
+    except BrokenProcessPool as exc:  # a worker process died
+        raise EstimationFailure(str(exc)) from None
     except _DegenerateRangeError:
         raise _degenerate_range_failure(settings) from None
     except ValueError as exc:  # a grid or surface the library rejects for a replicate
@@ -518,7 +521,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return 2
-    except (AllPointsExcludedError, BrokenProcessPool, EstimationFailure) as exc:
+    except (AllPointsExcludedError, EstimationFailure) as exc:
         print(f"error: estimation: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

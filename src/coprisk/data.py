@@ -6,10 +6,15 @@ shortest round-trip decimals so that write -> read reproduces the in-memory
 arrays bit for bit, integers and flags as integers.  Datasets use the header
 ``t,delta,z1,...``.  All five writers (dataset, surface, theta series, Monte
 Carlo replicates and summary) go through one column-wise writer.
+
+A float's text is ``repr``'s, byte for byte, but found for a whole block of
+values at once: a vectorised shortest round-trip formatter in long double,
+with ``repr`` itself for each value it cannot decide within its error bound.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
@@ -113,31 +118,243 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _column_text(column) -> list[str]:
-    if isinstance(column, np.ndarray):
-        if column.dtype.kind == "f":
-            return list(map(repr, column.tolist()))
-        return list(map(str, column.astype(np.int64, copy=False).tolist()))  # bools as 0/1
-    return [v if isinstance(v, str) else _fmt(v) if isinstance(v, float) else str(int(v)) for v in column]
+# Shortest round-trip text in bulk.  ``repr`` runs David Gay's correctly
+# rounded shortest conversion (Gay 1990) once per value.  The same digits
+# can be found for a whole array with fixed-width arithmetic and an error
+# bound, as Ryu does (Adams 2018): scale |x| by a power of ten into
+# [1e16, 1e17) in long double, so that the 17-digit candidate is the nearest
+# integer, the 16-digit one the nearest multiple of 10 and every shorter one
+# the nearest multiple of 100, and keep the shortest that lies within half an
+# ulp of x.  Each value becomes a fixed-width cell of ASCII with NUL padding,
+# built from 8-byte words, and the NULs are dropped once per block of rows.
+
+_POW10_LO, _POW10_HI = -292, 324  # 10**s scales every normal double into [1e16, 1e17)
+_EXP_LO, _EXP_HI = -308, 308  # decimal exponents of normal doubles
+_FLOAT_CELL = 48  # six words; byte 0 is left for the separator
+
+# The scaled value y = |x| * 10**s carries two roundings to long double,
+# the table entry's and the product's, each within half a long-double eps,
+# so |y - exact| <= 1e17 * eps (to first order) in units of the 17th digit:
+# about 0.011 on x86's 80-bit format.  The decisions compare doubles below
+# 100 that are exact or within a few double eps, which the second term
+# covers.  Where long double is no wider than double the band is about 22
+# units, wider than any decision's distance from its tie (at most 5), so
+# every value falls back to repr.
+_DIGIT_BAND = 1e17 * float(np.finfo(np.longdouble).eps) + 1e3 * float(np.finfo(float).eps)
 
 
-_BLOCK_ROWS = 1024
+@dataclass(frozen=True)
+class _Tables:
+    pow10: np.ndarray  # long double 10**s, s in [_POW10_LO, _POW10_HI], each rounded once
+    pow10_double: np.ndarray  # about 10**k in double, k in [_EXP_LO, _EXP_HI]: picks the decade
+    ascii4: np.ndarray  # ASCII of 0000..9999 as uint32 words
+    zeros4: np.ndarray  # trailing decimal zeros of 0..9999 (four for 0)
+    keep: np.ndarray  # words keeping their first j bytes, j in 0..8
+    head: np.ndarray  # first word of a float cell, see _float_cells
+    tail: np.ndarray  # fourth word of a float cell
+
+
+def _words(texts) -> np.ndarray:
+    """Byte strings of at most 8 bytes as NUL-padded uint64 words."""
+    return np.frombuffer(b"".join(t.ljust(8, b"\0") for t in texts), dtype=np.uint64)
+
+
+def _longdouble_powers_of_ten() -> np.ndarray:
+    bits = np.finfo(np.longdouble).nmant + 1
+    mants, exps = [], []
+    for s in range(_POW10_LO, _POW10_HI + 1):
+        num, den = (10**s, 1) if s >= 0 else (1, 10**-s)
+        e = num.bit_length() - den.bit_length() - bits
+        q, r = divmod(num << -e if e < 0 else num, den << e if e > 0 else den)
+        if q >> bits:  # the quotient came out one bit too long
+            e += 1
+            q, r = divmod(num << -e if e < 0 else num, den << e if e > 0 else den)
+        if 2 * r > den or (2 * r == den and q & 1):
+            q += 1
+        mants.append(q)
+        exps.append(e)
+    # each 32-bit chunk is exact in double, and so is their sum in long double
+    pow10 = np.zeros(len(mants), dtype=np.longdouble)
+    for shift in range(32 * ((bits - 1) // 32), -1, -32):
+        chunk = np.array([(m >> shift) & 0xFFFFFFFF for m in mants], dtype=float)
+        pow10 += np.ldexp(chunk.astype(np.longdouble), shift)
+    return np.ldexp(pow10, np.array(exps))
+
+
+@functools.cache
+def _tables() -> _Tables:
+    """The formatter's tables, built on first use."""
+    quads = np.arange(10_000)
+    ascii4 = np.stack([quads // 1000, quads // 100 % 10, quads // 10 % 10, quads % 10], axis=1) + ord("0")
+    # sign, "0" before the point, lead digit (written later), point after it
+    heads = [
+        b"\0\0\0\0" + (b"\0", b"-")[neg] + (b"\0", b"0")[small] + b"\0" + (b"\0", b".")[point]
+        for neg, small, point in np.ndindex(2, 2, 2)
+    ]
+    # "e+308" by exponent (a hundreds digit only when there is one), then
+    # the point by decimal point position: zeros after it, or ".0"
+    tails = [
+        b"\0e%+04d" % e if abs(e) >= 100 else b"\0e%c\0%02d" % (b"+-"[e < 0], abs(e))
+        for e in range(_EXP_LO, _EXP_HI + 1)
+    ]
+    tails += [b"." + b"0" * (-p if p < 0 else trailing) for p in range(-3, 17) for trailing in (0, 1)]
+    tables = _Tables(
+        pow10=_longdouble_powers_of_ten(),
+        pow10_double=10.0 ** np.arange(_EXP_LO, _EXP_HI + 1),
+        ascii4=np.ascontiguousarray(ascii4, dtype=np.uint8).view(np.uint32).ravel(),
+        zeros4=sum((quads % 10**k == 0).astype(np.uint8) for k in range(1, 5)),
+        keep=_words(b"\xff" * j for j in range(9)),
+        head=_words(heads),
+        tail=_words(tails),
+    )
+    for table in vars(tables).values():
+        table.setflags(write=False)
+    return tables
+
+
+def _digits17(c: np.ndarray):
+    """The 17 decimal digits of integers below 1e17: the leading digit in
+    ASCII, the four 4-digit groups after it, and those 16 digits in ASCII as
+    two words."""
+    hi = c // 10**8
+    lo = c - hi * 10**8
+    lead = hi // 10**8
+    hi -= lead * 10**8
+    quads = np.empty((c.size, 4), dtype=np.int64)
+    quads[:, 0] = hi // 10**4
+    quads[:, 1] = hi - quads[:, 0] * 10**4
+    quads[:, 2] = lo // 10**4
+    quads[:, 3] = lo - quads[:, 2] * 10**4
+    words = _tables().ascii4[quads].view(np.uint64)
+    return lead.astype(np.uint8) + ord("0"), quads, words
+
+
+def _keep16(count: np.ndarray, tables: _Tables) -> tuple[np.ndarray, np.ndarray]:
+    """Masks keeping the first `count` (0..16) bytes of two words."""
+    return tables.keep[np.clip(count, 0, 8)], tables.keep[np.clip(count - 8, 0, 8)]
+
+
+def _fallback(cells: np.ndarray, x: np.ndarray, keep: np.ndarray) -> None:
+    """Write ``repr`` of the values not kept over their cells, after byte 0."""
+    rest = np.flatnonzero(~keep)
+    if rest.size:
+        width = cells.shape[1] - 1
+        text = np.array(list(map(repr, x[rest].tolist())), dtype=f"S{width}")
+        cells[rest, 1:] = text.view(np.uint8).reshape(rest.size, width)
+
+
+def _float_cells(x) -> np.ndarray:
+    """``repr(float(v))`` of each value as a NUL-padded cell of ASCII.
+
+    A cell is six 8-byte words, read left to right with the NULs dropped:
+    the sign, "0" for a value below 1, the lead digit, and the point after
+    it in exponent form; two words of the next 16 digits where they come
+    before the point, or all of them in exponent form; the point, the zeros
+    after it and the lead digit for a value below 1, ".0" for an integral
+    value, or the exponent; two words of the digits after the point.
+    Zeros, subnormals, non-finite values, exact powers of two (whose
+    rounding interval is lopsided) and values with a rounding decision
+    within ``_DIGIT_BAND`` of a tie or an interval end go through repr.
+    This assumes that long-double arithmetic rounds to nearest at its own
+    precision; where long double is no wider than double, every value goes
+    through repr.
+    """
+    x = np.ascontiguousarray(x, dtype=float)
+    t = _tables()
+    bits = x.view(np.uint64)
+    biased = (bits >> 52) & 0x7FF
+    mantissa = bits & (2**52 - 1)
+    fast = (biased - 1 < 0x7FE) & (mantissa != 0)  # normal, finite, not a power of two
+    e2 = np.where(fast, biased.astype(np.int64) - 1023, 0)  # |x| in [2**e2, 2**(e2 + 1))
+    ax = np.where(fast, np.abs(x), 1.5)
+    k = (e2 * 78913) >> 18  # floor(e2 * log10(2)) for |e2| < 1100, so 10**k <= |x| < 2 * 10**(k+1)
+    k += ax >= t.pow10_double[k + 1 - _EXP_LO]  # next to a power of ten the table may misjudge
+    y = ax.astype(np.longdouble) * t.pow10[16 - k - _POW10_LO]
+    whole = y.astype(np.uint64)
+    frac = (y - whole).astype(float)
+    half_ulp = y.astype(float) / (mantissa | (1023 << 52)).view(float) * 2.0**-53
+
+    mod10 = whole - whole // 10 * 10
+    mod100 = whole - whole // 100 * 100
+    d10 = mod10 + frac  # distance down to the multiple of 10 below
+    d100 = mod100 + frac
+    up1, up10, up100 = frac > 0.5, d10 > 5.0, d100 > 50.0
+    dist10 = np.where(up10, 10.0 - d10, d10)
+    dist100 = np.where(up100, 100.0 - d100, d100)
+    at16 = dist10 < half_ulp
+    at15 = dist100 < half_ulp
+    digits = np.where(
+        at15,
+        whole - mod100 + up100 * np.uint64(100),
+        np.where(at16, whole - mod10 + up10 * np.uint64(10), whole + up1),
+    )
+    near = (np.abs(dist100 - half_ulp) < _DIGIT_BAND) | (np.abs(dist10 - half_ulp) < _DIGIT_BAND)
+    near |= np.abs(np.where(at16, d10 - 5.0, frac - 0.5)) < _DIGIT_BAND
+    keep = fast & ~near & (digits - 10**16 < 9 * 10**16)  # a misjudged decade leaves [1e16, 1e17)
+
+    lead, quads, words = _digits17(np.where(keep, digits, 10**16))
+    zeros = t.zeros4[quads]
+    trailing = zeros[:, 2] + (quads[:, 2] == 0) * (zeros[:, 1] + (quads[:, 1] == 0) * zeros[:, 0])
+    n = 17 - (zeros[:, 3] + (quads[:, 3] == 0) * trailing).astype(np.int64)  # significant digits
+    point = k + 1  # |x| = 0.d1d2... * 10**point
+    sci = (point < -3) | (point > 16)
+    small = ~sci & (point <= 0)
+    # of the 16 digits after the lead one: those shown, and those before the point
+    shown1, shown2 = _keep16(n - 1, t)
+    ahead1, ahead2 = _keep16(np.where(sci, n - 1, np.clip(point - 1, 0, 16)), t)
+
+    cells = np.empty((x.size, _FLOAT_CELL), dtype=np.uint8)
+    cell_words = cells.view(np.uint64)
+    cell_words[:, 0] = t.head[(x < 0) * 4 + small * 2 + (sci & (n > 1))]
+    cell_words[:, 1] = words[:, 0] & ahead1
+    cell_words[:, 2] = words[:, 1] & ahead2
+    positional = _EXP_HI - _EXP_LO + 1 + 2 * (point + 3) + (point >= n)
+    cell_words[:, 3] = t.tail[np.where(sci, point - 1 - _EXP_LO, positional)]
+    cell_words[:, 4] = words[:, 0] & shown1 & ~ahead1
+    cell_words[:, 5] = words[:, 1] & shown2 & ~ahead2
+    cells[:, 6] = np.where(small, 0, lead)
+    cells[:, 31] = np.where(small, lead, 0)
+    _fallback(cells, x, keep)
+    return cells
+
+
+def _column_cells(column) -> np.ndarray:
+    """Each value's text as a NUL-padded row of ASCII after a byte for the separator."""
+    if isinstance(column, np.ndarray) and column.dtype.kind == "f":
+        return _float_cells(column)
+    if isinstance(column, np.ndarray):  # numpy writes an integer as str does; bools as 0/1
+        text = column.astype(np.int64, copy=False).astype(bytes)
+    else:
+        text = [v if isinstance(v, str) else _fmt(v) if isinstance(v, float) else str(int(v)) for v in column]
+        text = np.array(text, dtype=bytes)
+    cells = np.zeros((text.size, text.itemsize + 1), dtype=np.uint8)
+    cells[:, 1:] = text.view(np.uint8).reshape(text.size, text.itemsize)
+    return cells
+
+
+_BLOCK_ROWS = 8192
 
 
 def _write_csv(path, header, columns) -> None:
     """Write a header row and equal-length columns with LF endings.
 
-    A float array becomes shortest round-trip decimals, an integer or bool
-    array integers (bools as 0/1); a plain sequence is formatted value by
-    value the same way, with strings passed through.  Rows are joined in
-    blocks so that a large sample never exists as text all at once.
+    A float array becomes ``repr`` of each value, byte for byte: shortest
+    round-trip decimals, found in bulk with a ``repr`` fallback (see
+    ``_float_cells``).  An integer or bool array becomes integers (bools as
+    0/1); a plain sequence is formatted value by value the same way, with
+    strings passed through.  Each block of rows is laid out as one byte
+    matrix of NUL-padded cells, so that a large sample never exists as text
+    all at once.
     """
     n = len(columns[0])
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
         for lo in range(0, n, _BLOCK_ROWS):
-            cells = [_column_text(col[lo : lo + _BLOCK_ROWS]) for col in columns]
-            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+            cells = [_column_cells(col[lo : lo + _BLOCK_ROWS]) for col in columns]
+            for c in cells[1:]:
+                c[:, 0] = ord(",")
+            newline = np.full((cells[0].shape[0], 1), ord("\n"), dtype=np.uint8)
+            fh.write(np.concatenate([*cells, newline], axis=1).tobytes().translate(None, b"\0"))
 
 
 def write_dataset_csv(sample: Sample, path) -> None:

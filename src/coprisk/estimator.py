@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -462,6 +461,8 @@ def monte_carlo(
     if n_workers == 1:
         series = [_replicate_job(job) for job in jobs]
     else:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing: only a pool needs it
+
         pool = ProcessPoolExecutor(max_workers=n_workers)
         try:
             series = list(pool.map(_replicate_job, jobs))

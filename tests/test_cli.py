@@ -98,6 +98,22 @@ def test_estimate_writes_surface_series_and_success_line(tmp_path, capsys):
     assert [r.split(",")[0] for r in surface[1:]] == [r.split(",")[0] for r in series[1:]]
 
 
+# sha256 of the text artifacts of `estimate --n 20000 --seed 1 --bandwidth 0.3`,
+# computed while every float was written by repr one value at a time.
+ESTIMATE_TEXT_DIGESTS = {
+    "dataset.csv": "b8593daee409b3b57d44b66196bdf45455404d7a9c06db4056d3578a1a45170f",
+    "surface.csv": "d5802c3c9de810fbdedcbe4a18cac05f11aa14ef2c30e952f994bec8ac89b0e4",
+    "theta_series.csv": "0dfdd94dd7b01bac28b075bf620a83c28db9ecf9d0b3413ca6c739e4beacfc4c",
+}
+
+
+def test_estimate_text_artifacts_match_golden_digests(tmp_path, capsys):
+    out = tmp_path / "run"
+    code, _, _ = run_cli(["estimate", "--n", "20000", "--seed", "1", "--bandwidth", "0.3", "--out", str(out)], capsys)
+    assert code == 0
+    assert {name: sha(out / name) for name in ESTIMATE_TEXT_DIGESTS} == ESTIMATE_TEXT_DIGESTS
+
+
 def test_estimate_from_written_dataset_matches_in_memory_run(tmp_path, capsys):
     a, b = tmp_path / "a", tmp_path / "b"
     assert run_cli(["estimate", *SMALL, "--out", str(a)], capsys)[0] == 0
@@ -537,9 +553,13 @@ import json, sys
 def scipy_modules():
     return sorted(name for name in sys.modules if name.startswith("scipy"))
 
+def pool_modules():
+    return sorted(name for name in sys.modules if name.startswith("multiprocessing"))
+
 report = {}
 import coprisk.cli
 report["import"] = scipy_modules()
+report["import_pool"] = pool_modules()
 for family in ("clayton", "gumbel"):
     code = coprisk.cli.main([
         "estimate", "--family", family, "--tau", "0.2", "--n", "600", "--seed", "9",
@@ -547,6 +567,7 @@ for family in ("clayton", "gumbel"):
     ])
     assert code == 0, (family, code)
 report["clayton_gumbel"] = scipy_modules()
+report["clayton_gumbel_pool"] = pool_modules()
 data = sys.argv[1] + "/frank_data"
 assert coprisk.cli.main([
     "simulate", "--family", "frank", "--theta", "1.86", "--n", "600", "--seed", "9", "--out", data,
@@ -578,6 +599,9 @@ def test_cold_import_loads_scipy_only_for_frank(tmp_path):
     report = json.loads(result.stdout.splitlines()[-1])
     assert report["import"] == []
     assert report["clayton_gumbel"] == []
+    # only a Monte Carlo study with more than one worker starts a process pool
+    assert report["import_pool"] == []
+    assert report["clayton_gumbel_pool"] == []
     # a Frank estimate from a file and a Frank ratio solve run the Brent port
     assert report["frank_data"] == []
     assert report["frank_ratio_modules"] == []

@@ -1,11 +1,25 @@
 """Sample container, dataset CSV round-trip, and CSV writer tests."""
 
 import csv
+import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from coprisk.data import _BLOCK_ROWS, Observation, Sample, _write_csv, read_dataset_csv, write_dataset_csv
+import coprisk.data
+from coprisk.copula import CopulaFamily
+from coprisk.data import (
+    _BLOCK_ROWS,
+    Observation,
+    Sample,
+    _float_cells,
+    _write_csv,
+    read_dataset_csv,
+    write_dataset_csv,
+)
+from coprisk.dgp import default_config, simulate
 
 
 def _toy_sample() -> Sample:
@@ -139,9 +153,31 @@ def test_csv_read_rejects_malformed(tmp_path, content):
         read_dataset_csv(path)
 
 
+def _reference_csv(path, header, columns) -> None:
+    """The writer's contract, one value at a time through the csv module."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in zip(*columns):
+            writer.writerow([repr(float(v)) if isinstance(v, np.floating) else str(int(v)) for v in row])
+
+
+def _around(x: float, ulps: int) -> list[float]:
+    """x and its `ulps` floating-point neighbours on either side."""
+    return [float(v) for v in x + np.arange(-ulps, ulps + 1) * np.spacing(x)] if x > 0 else [x]
+
+
 def test_csv_writer_matches_a_csv_writer_reference(tmp_path):
     specials = [-0.0, float("nan"), float("inf"), -float("inf"), 5e-324, 1e16, 0.1, -2.5]
-    n = 2 * _BLOCK_ROWS + 3  # rows span three write blocks
+    # the smallest normal and its neighbours, the largest double, negative subnormals
+    specials += _around(2.0**-1022, 2) + [-5e-324, -(2.0**-1023), -2.225073858507201e-308, 1.7976931348623157e308]
+    # where repr switches between positional and exponent form
+    specials += [1e16 - 2, 9.999999999999999e15, 1e-4, 9.9999e-5, 1e-5, 0.001, 0.00012345, 1234567890123456.8]
+    specials += [sign * 2.0**k for k in range(-1074, 1024) for sign in (1, -1)]  # every power of two
+    specials += [v for e in range(-307, 309) for v in _around(float(f"1e{e}"), 1)]  # both sides of each decade
+    specials += [1e16 + 2, 2.0**53 + 2, 12345678901234567.0, 1.2345678901234568e20, 1e22, 1e23]
+    n = 3 * _BLOCK_ROWS + 5  # rows span four write blocks
+    assert len(specials) < n
     floats = np.resize(np.array(specials), n)
     ints = np.resize(np.array([0, -7, 2**40, 12], dtype=np.int64), n)
     flags = np.resize(np.array([True, False, False]), n)
@@ -149,11 +185,7 @@ def test_csv_writer_matches_a_csv_writer_reference(tmp_path):
     _write_csv(path, ["x", "k", "flag"], [floats, ints, flags])
 
     reference = tmp_path / "reference.csv"
-    with open(reference, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["x", "k", "flag"])
-        for x, k, f in zip(floats, ints, flags):
-            writer.writerow([repr(float(x)), str(int(k)), str(int(f))])
+    _reference_csv(reference, ["x", "k", "flag"], [floats, ints, flags])
     assert path.read_bytes() == reference.read_bytes()
     assert path.read_text().splitlines()[1:9] == [
         f"{v},{k},{f}"
@@ -163,6 +195,72 @@ def test_csv_writer_matches_a_csv_writer_reference(tmp_path):
             ["1", "0", "0"] * 3,
         )
     ]
+
+    # a float32 column, strided views with random magnitudes, and int64's extremes
+    rng = np.random.default_rng(2718)
+    wide = rng.standard_normal((n, 2)) * 10.0 ** rng.uniform(-8, 20, (n, 2))
+    single = (rng.standard_normal(n) * 10.0 ** rng.integers(-40, 38, n)).astype(np.float32)
+    big = np.resize(np.array([-(2**63), 2**63 - 1, 10**17, 10**17 - 1, -(10**17) + 1, 10**16], dtype=np.int64), n)
+    columns = [wide[:, 1], single, big, wide[:, 0]]
+    assert not wide[:, 1].flags.contiguous
+    path = tmp_path / "more.csv"
+    _write_csv(path, ["a", "b", "c", "d"], columns)
+    _reference_csv(reference, ["a", "b", "c", "d"], columns)
+    assert path.read_bytes() == reference.read_bytes()
+
+
+def _cell_text(values) -> list[str]:
+    return [bytes(row[1:]).replace(b"\0", b"").decode() for row in _float_cells(np.asarray(values, dtype=float))]
+
+
+_BIT_PATTERNS = st.integers(0, 2**64 - 1).map(lambda b: float(np.array(b, dtype=np.uint64).view(float)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.floats(), _BIT_PATTERNS), min_size=1, max_size=64))
+@example([2.0**-1022, 5e-324, 1e16, 9.999999999999999e15, 1e-4, 9.9999e-5, 1e-5, 2.0**60, 1.7976931348623157e308])
+@example([0.3, 1.0 / 3.0, 123456.789e-300, 4.35, 2.675, 1e23, 8.41e21, 5e-310])
+def test_float_cells_give_repr_of_every_bit_pattern(values):
+    assert _cell_text(values) == [repr(v) for v in values]
+
+
+def test_forced_fallback_gives_the_same_bytes(tmp_path, monkeypatch):
+    sample = simulate(default_config(3000, seed=5, theta=2.0, family=CopulaFamily.GUMBEL))
+    fast = tmp_path / "fast.csv"
+    write_dataset_csv(sample, fast)
+
+    calls = []
+    fallback = coprisk.data._fallback
+
+    def spy(cells, x, keep):
+        calls.append((int(np.count_nonzero(keep)), keep.size))
+        fallback(cells, x, keep)
+
+    monkeypatch.setattr(coprisk.data, "_fallback", spy)
+    # the band a long double no wider than double gets: every value falls back
+    monkeypatch.setattr(coprisk.data, "_DIGIT_BAND", 1e17 * float(np.finfo(float).eps))
+    slow = tmp_path / "slow.csv"
+    write_dataset_csv(sample, slow)
+    assert calls and all(kept == 0 for kept, _ in calls)
+    assert sum(size for _, size in calls) == 3 * len(sample)
+    assert slow.read_bytes() == fast.read_bytes()
+
+
+# sha256 of write_dataset_csv(simulate(default_config(100_000, seed=11,
+# theta=..., family=...))), computed while every float was written by repr
+# one value at a time.
+DATASET_TEXT_DIGESTS = [
+    (CopulaFamily.CLAYTON, 0.5, "78d58f0ed9a4962d2e7ca789efea2afe8551868f8325d1152ce5bfeac94a0fc7"),
+    (CopulaFamily.GUMBEL, 1.25, "84d03ecdf13983012643a298f5aa50250f17af2e03410ff4a87329af9dab7940"),
+    (CopulaFamily.FRANK, 1.86, "74e0d2736e567ec2228e6aa7acf14c6ae5da6581d1201e9b9d2c6d145e89a2d2"),
+]
+
+
+@pytest.mark.parametrize("family, theta, digest", DATASET_TEXT_DIGESTS, ids=lambda v: getattr(v, "value", None))
+def test_dataset_text_matches_golden_digest(tmp_path, family, theta, digest):
+    path = tmp_path / "dataset.csv"
+    write_dataset_csv(simulate(default_config(100_000, seed=11, theta=theta, family=family)), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def test_csv_writer_formats_plain_sequences_value_by_value(tmp_path):
