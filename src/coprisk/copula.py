@@ -16,9 +16,11 @@ All generators are evaluated in cancellation-safe forms (expm1/log1p) so
 that near-independence parameters remain usable.
 
 Frank's root searches use ``_brentq``, a port of scipy's Brent routine
-that returns the same root bits and iteration count.  scipy is imported only
-inside ``_debye1``, the quadrature behind Frank's Kendall tau, so only a
-Frank tau conversion (``kendalls_tau``, ``theta_for_tau``) loads it.
+that returns the same root bits and iteration count.  Frank's Kendall tau
+integrates the Debye function with ``coprisk._quadpack``, a port of the
+QUADPACK routine behind ``scipy.integrate.quad`` with the same value bits,
+imported only by a Frank tau conversion (``kendalls_tau``,
+``theta_for_tau``).  No code path here imports scipy.
 """
 
 from __future__ import annotations
@@ -78,9 +80,10 @@ class CopulaModel:
     """A copula family paired with its dependence parameter.
 
     Parameter domains: Clayton theta in [-1, inf) excluding 0, Gumbel theta
-    in (1, inf), Frank any finite nonzero theta.  The independence family
-    carries no parameter, so theta must be None there (it is the Clayton
-    limit theta -> 0).
+    in (1, inf), Frank any finite theta with |theta| >= FRANK_DEAD_ZONE
+    (closer to 0 its generator loses precision, and is NaN once exp(-theta)
+    rounds to 1).  The independence family carries no parameter, so theta
+    must be None there (it is the Clayton limit theta -> 0).
     """
 
     family: CopulaFamily
@@ -99,8 +102,8 @@ class CopulaModel:
             raise ValueError(f"Clayton theta must lie in [-1, inf) and be nonzero, got {theta}")
         if fam is CopulaFamily.GUMBEL and theta <= 1.0:
             raise ValueError(f"Gumbel theta must exceed 1, got {theta}")
-        if fam is CopulaFamily.FRANK and theta == 0.0:
-            raise ValueError("Frank theta must be nonzero")
+        if fam is CopulaFamily.FRANK and abs(theta) < FRANK_DEAD_ZONE:
+            raise ValueError(f"Frank |theta| must be at least {FRANK_DEAD_ZONE}, got {theta!r}")
 
 
 @dataclass(frozen=True)
@@ -417,16 +420,26 @@ def theta_from_ratio(family: CopulaFamily, pi: float, ratio: float) -> ThetaSolu
     raise ValueError(f"cannot solve for theta in family {family!r}")
 
 
-def _debye1(x: float) -> float:
-    """First Debye function (1/x) * integral_0^x t/(e^t - 1) dt."""
-    from scipy.integrate import quad
-
-    def integrand(t: float) -> float:
-        if t == 0.0:
-            return 1.0
+def _debye_integrand(t: float) -> float:
+    """t/(e^t - 1), continued by its limit 1 at t = 0."""
+    if t == 0.0:
+        return 1.0
+    try:
         return t / math.expm1(t)
+    except OverflowError:  # t > 709.78, where e^t - 1 rounds to e^t anyway
+        return t * math.exp(-t)
 
-    val, _ = quad(integrand, 0.0, x, epsabs=1e-12, epsrel=1e-12, limit=200)
+
+def _debye1(x: float) -> float:
+    """First Debye function (1/x) * integral_0^x t/(e^t - 1) dt.
+
+    Integrated by ``coprisk._quadpack.quad``, which returns the bits of
+    ``scipy.integrate.quad`` with the same settings.  It is imported here,
+    so that only a Frank tau conversion loads it.
+    """
+    from ._quadpack import quad
+
+    val, _, _ = quad(_debye_integrand, 0.0, x, 1e-12, 1e-12, 200)
     return val / x
 
 

@@ -6,17 +6,21 @@ expressions, curvature ratios from high-precision central differences at
 step 1e-6, Frank taus from high-precision quadrature of the Debye
 integrand.  Runtime oracles (bisection, quotient identities) only use the
 public generator values, never the code paths they are checking.  The Brent
-port is checked bit for bit against scipy.optimize.brentq, which it ports.
+and QUADPACK ports are checked bit for bit against scipy.optimize.brentq and
+scipy.integrate.quad, which they port.
 """
 
 from __future__ import annotations
 
 import math
+import struct
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad as scipy_quad
 from scipy.optimize import brentq as scipy_brentq
 
 from coprisk import (
@@ -32,7 +36,14 @@ from coprisk import (
     theta_for_tau,
     theta_from_ratio,
 )
-from coprisk.copula import FRANK_BRACKET, _brentq, _frank_curvature
+from coprisk._quadpack import quad
+from coprisk.copula import (
+    FRANK_BRACKET,
+    FRANK_DEAD_ZONE,
+    _brentq,
+    _debye_integrand,
+    _frank_curvature,
+)
 
 CLAYTON = CopulaFamily.CLAYTON
 GUMBEL = CopulaFamily.GUMBEL
@@ -321,7 +332,7 @@ def test_frank_curvature_monotone_in_theta():
 
 
 def _same_float(a: float, b: float) -> bool:
-    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+    return struct.pack("<d", a) == struct.pack("<d", b)  # signed zeros and NaNs too
 
 
 _PI = st.one_of(
@@ -362,12 +373,26 @@ def test_brentq_port_equals_scipy_bitwise(pi, theta):
     assert sol.iterations == res.iterations
 
 
+def _scipy_debye1(x):
+    """D1 as computed before the QUADPACK port: scipy's quad on t/(e^t - 1)."""
+
+    def integrand(t):
+        if t == 0.0:
+            return 1.0
+        return t / math.expm1(t)
+
+    val, _ = scipy_quad(integrand, 0.0, x, epsabs=1e-12, epsrel=1e-12, limit=200)
+    return val / x
+
+
 @pytest.mark.parametrize("tau", [-0.9, -0.45, -0.1, 0.001, 0.2, 0.3, 0.75, 0.98])
 def test_theta_for_tau_brent_equals_scipy_bitwise(tau):
+    # scipy on both sides of the reference: its Brent on a tau curve built
+    # from its quad, so neither port appears in it
     lo, hi = (1e-6, 500.0) if tau > 0 else (-500.0, -1e-6)
 
     def f(th):
-        return kendalls_tau(CopulaModel(FRANK, th)) - tau
+        return 1.0 - 4.0 / th * (1.0 - _scipy_debye1(th)) - tau
 
     assert _same_float(theta_for_tau(FRANK, tau), scipy_brentq(f, lo, hi, xtol=1e-12))
 
@@ -409,6 +434,95 @@ def test_brentq_port_raises_as_scipy(f, a, b, xtol, error):
 
 
 # ----------------------------------------------------------------------
+# QUADPACK port: scipy.integrate.quad is the bitwise oracle
+# ----------------------------------------------------------------------
+
+
+def _assert_quad_equals_scipy(f, a, b, epsabs, epsrel, limit):
+    want = scipy_quad(f, a, b, epsabs=epsabs, epsrel=epsrel, limit=limit, full_output=1)
+    got = quad(f, a, b, epsabs, epsrel, limit)
+    assert _same_float(got[0], want[0]), (got, want[:2])
+    assert _same_float(got[1], want[1]), (got, want[:2])
+    assert got[2] == want[2]["neval"]
+    return got
+
+
+_DEBYE_X = st.one_of(
+    st.floats(min_value=-500.0, max_value=709.0),
+    st.floats(min_value=-8.0, max_value=2.85).map(lambda e: 10.0**e),
+    st.floats(min_value=-8.0, max_value=2.69).map(lambda e: -(10.0**e)),
+)
+
+
+@given(x=_DEBYE_X)
+@example(x=FRANK_DEAD_ZONE)
+@example(x=-FRANK_DEAD_ZONE)
+@example(x=500.0)
+@example(x=-500.0)
+@example(x=709.0)
+@example(x=5e-324)
+@example(x=-5e-324)
+# where the integral overflows, quad returns NaN after up to 200 subintervals
+@example(x=-(10.0**154.5))
+@example(x=-1e155)
+@example(x=-1e200)
+@example(x=-sys.float_info.max)
+@settings(max_examples=300, deadline=None)
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+def test_quad_port_equals_scipy_bitwise_on_the_debye_integrand(x):
+    _assert_quad_equals_scipy(_debye_integrand, 0.0, x, 1e-12, 1e-12, 200)
+
+
+@pytest.mark.parametrize("x, subintervals", [(1.86, 1), (-500.0, 6), (500.0, 7), (709.0, 8)])
+def test_quad_port_subdivides_as_scipy(x, subintervals):
+    _, _, neval = _assert_quad_equals_scipy(_debye_integrand, 0.0, x, 1e-12, 1e-12, 200)
+    assert neval == 42 * subintervals - 21  # 21 points per subinterval, counted as QUADPACK does
+
+
+def test_quad_port_rejects_tolerances_as_scipy():
+    # with no absolute tolerance, epsrel below 50 eps cannot be met
+    with pytest.raises(ValueError):
+        scipy_quad(_debye_integrand, 0.0, 1.0, epsabs=0.0, epsrel=1e-15)
+    with pytest.raises(ValueError):
+        quad(_debye_integrand, 0.0, 1.0, 0.0, 1e-15, 50)
+
+
+def _singular(kind, c):
+    if kind == 0:
+        return lambda t: 1.0 / math.sqrt(abs(t - c)) if t != c else 0.0
+    if kind == 1:
+        return lambda t: math.log(abs(t - c)) if t != c else 0.0
+    return lambda t: 1.0 if t > c else -2.0
+
+
+@given(
+    kind=st.integers(0, 2),
+    a=st.floats(-3.0, 3.0),
+    b=st.floats(-3.0, 3.0),
+    c=st.floats(-3.0, 3.0),
+    eps=st.sampled_from(
+        [(0.0, 1e-12), (1e-14, 1e-14), (1e-12, 1e-12), (1.49e-8, 1.49e-8), (1e-4, 0.0)]
+    ),
+    limit=st.sampled_from([1, 2, 3, 10, 50]),
+)
+# an error estimate set by the epsilon algorithm's floor of 5 eps |result|
+@example(
+    kind=1,
+    a=1.4314273793644903,
+    b=-0.7882329777540997,
+    c=2.0645056000821533,
+    eps=(1e-14, 1e-14),
+    limit=10,
+)
+@settings(max_examples=150, deadline=None)
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+def test_quad_port_equals_scipy_bitwise_on_singular_integrands(kind, a, b, c, eps, limit):
+    # the epsilon algorithm, the error-list ordering and the exits of a short
+    # subdivision limit, which the smooth Debye integrand reaches less often
+    _assert_quad_equals_scipy(_singular(kind, c), a, b, *eps, limit)
+
+
+# ----------------------------------------------------------------------
 # Kendall's tau
 # ----------------------------------------------------------------------
 
@@ -431,6 +545,14 @@ def test_frank_tau_antisymmetry_and_small_theta():
         )
     # tau ~ theta/9 near zero
     assert abs(kendalls_tau(CopulaModel(FRANK, 0.001))) < 1e-3
+
+
+@pytest.mark.parametrize("theta", [712.0, 1000.0])
+def test_frank_tau_past_the_expm1_overflow(theta):
+    # e^t overflows for t > 709.78 inside the Debye integral; there
+    # D1(theta) = pi^2/(6 theta) up to terms below e^-709
+    asymptote = 1.0 - 4.0 / theta * (1.0 - math.pi**2 / (6.0 * theta))
+    assert kendalls_tau(CopulaModel(FRANK, theta)) == pytest.approx(asymptote, abs=1e-15)
 
 
 @pytest.mark.parametrize(
@@ -499,6 +621,13 @@ def test_model_domain_rejections():
         CopulaModel(GUMBEL, 1.0)
     with pytest.raises(ValueError):
         CopulaModel(FRANK, 0.0)
+    # the dead zone around 0, where the generator loses precision and is NaN
+    # once exp(-theta) rounds to 1
+    for tiny in (1e-17, -1e-17, 5e-7, -math.nextafter(FRANK_DEAD_ZONE, 0.0)):
+        with pytest.raises(ValueError, match="Frank"):
+            CopulaModel(FRANK, tiny)
+    CopulaModel(FRANK, FRANK_DEAD_ZONE)  # the dead zone's edges are legal
+    CopulaModel(FRANK, -FRANK_DEAD_ZONE)
     with pytest.raises(ValueError):
         CopulaModel(CLAYTON, math.nan)
     with pytest.raises(ValueError):
