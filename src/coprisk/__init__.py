@@ -55,7 +55,7 @@ from .estimator import (
 )
 from .kernel import EmptyNeighborhoodError, KernelSpec, SurfaceEstimate, estimate_surface_grid
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "AllPointsExcludedError",

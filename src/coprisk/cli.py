@@ -195,7 +195,12 @@ def _load_config_file(path, command):
         if key in layer:
             raise ConfigError(f"config file line {lineno}: duplicate key {key!r}")
         if key == "version":
-            continue  # informational only; replays assume the same library
+            if value != __version__:  # another library version may simulate other bits
+                raise ConfigError(
+                    f"config file was written by coprisk {value}, this is {__version__}; "
+                    "its run would not replay byte for byte"
+                )
+            continue
         if key == "command":
             if value != command:
                 raise ConfigError(

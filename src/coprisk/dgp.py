@@ -22,16 +22,11 @@ some CPUs.  ``_libm_log`` takes them in long double and rounds to double,
 which is libm's answer wherever the long-double value lies clear of a
 rounding midpoint; elements near one go through ``math.log``.
 
-Gumbel and Frank draw the second survival value by bisecting the float
-conditional cdf: 40 halvings of (0, 1).  Frank runs all 40, because its
-float ``phi_inv`` subtracts two terms that move in opposite directions, so
-its float cdf is not monotone and no cell can be certified from a few
-points.  Gumbel's float cdf is monotone except where the joint survival
-rounds to 0 or 1, at the ends of (0, 1); so a Newton root of Gumbel's
-conditional equation names the level-40 cell the halvings end in, and four
-cdf values certify every decision on the way there: 4 cdf evaluations
-instead of 40, with the same bits.  An element the certificate rejects
-runs the 40 halvings.
+The second survival value is drawn from the exact inverse of its
+conditional law given the first (the conditional distribution method,
+Nelsen 2006, An Introduction to Copulas, secs. 2.9 and 4.3): in closed form
+for Clayton and Frank, by Newton's method for Gumbel.  Each element is
+computed on its own, so its bits do not depend on the array it comes in.
 """
 
 from __future__ import annotations
@@ -42,7 +37,7 @@ from typing import Union
 
 import numpy as np
 
-from .copula import CopulaFamily, CopulaModel, _dphi, _phi, _phi_inv
+from .copula import CopulaFamily, CopulaModel
 from .data import Sample
 
 __all__ = [
@@ -275,23 +270,27 @@ def conditional_copula_inverse(model: CopulaModel, s1, v2):
     """Invert the conditional law of the second survival draw given the first.
 
     Solves dC/ds1(s1, s2) = v2 for s2, where C is the joint survival
-    function of the copula.  Clayton inverts in closed form (theta = -1 is
-    the counter-monotone edge with the point-mass conditional s2 = 1 - s1);
-    independence returns v2.  Gumbel and Frank return the midpoint of the
-    cell that 40 halvings of (0, 1) on the float conditional cdf end in, a
-    root bracket narrower than 1e-12.  Frank runs those halvings.  Gumbel
-    locates that level-40 cell by Newton's method and certifies it (see
-    ``_gumbel_cells``), so it runs none; an element whose cell fails the
-    certificate runs all 40.  Either way the result has the same bits.
-    Accepts scalars or arrays.
+    function of the copula: the conditional distribution method (Nelsen
+    2006, An Introduction to Copulas, secs. 2.9 and 4.3).  Clayton and Frank
+    invert in closed form (Clayton theta = -1 is the counter-monotone edge
+    with the point-mass conditional s2 = 1 - s1); Gumbel takes a few Newton
+    steps on its conditional equation; independence returns v2.  Every
+    input must lie strictly inside (0, 1).  Accepts scalars or arrays; a
+    scalar runs as a 1-element array, so it gets the bits of the same
+    element in an array call.
     """
     s1 = np.asarray(s1, dtype=float)
     v2 = np.asarray(v2, dtype=float)
-    if np.any(s1 <= 0.0) or np.any(s1 >= 1.0) or np.any(v2 <= 0.0) or np.any(v2 >= 1.0):
-        raise ValueError("s1 and v2 must lie strictly inside (0, 1)")
+    # min and max propagate NaN, which fails both tests
+    for x in (s1, v2):
+        if not (x.min(initial=0.5) > 0.0 and x.max(initial=0.5) < 1.0):
+            raise ValueError("s1 and v2 must lie strictly inside (0, 1)")
+    scalar = s1.ndim == 0 and v2.ndim == 0
+    # numpy's scalar power differs from its array loop in the last bit
+    s1, v2 = np.atleast_1d(s1, v2)
     fam, theta = model.family, model.theta
     if fam is CopulaFamily.INDEPENDENCE:
-        out = v2.copy()
+        out = np.broadcast_to(v2, np.broadcast(s1, v2).shape).copy()
     elif fam is CopulaFamily.CLAYTON:
         if theta == -1.0:
             out = 1.0 - s1 + 0.0 * v2  # broadcast; v2 is irrelevant at the edge
@@ -301,146 +300,129 @@ def conditional_copula_inverse(model: CopulaModel, s1, v2):
             e2 = np.expm1(-theta * log_s1)
             out = np.exp(-np.log1p(e1 - e2) / theta)
     else:
-        # computed on s1 as given, then shared: a 0-d s1 takes numpy's scalar
-        # math, an array its vectorised loops, and the halvings see the same
-        # values either way
-        dphi_s1 = _dphi(fam, theta, s1)
-        phi_s1 = _phi(fam, theta, s1)
-        if fam is CopulaFamily.GUMBEL:
-            out = _gumbel_inverse(theta, s1, v2, phi_s1, dphi_s1)
-        else:
-            out = _halve(fam, theta, phi_s1, dphi_s1, v2)
+        inverse = _gumbel_root if fam is CopulaFamily.GUMBEL else _frank_inverse
+        out = inverse(theta, *np.broadcast_arrays(s1, v2))
     out = np.clip(out, _U_FLOOR, _U_CEIL)  # keep downstream log(s2) finite and negative
-    if out.ndim == 0:
-        return float(out)
+    if scalar:
+        return float(out[0])
     return out
 
 
-# The bisection families' inverse is the midpoint of the dyadic cell that
-# _HALVINGS halvings of (0, 1) end in (2**-40 < 1e-12).  The Gumbel start
-# places each element in that cell directly; arrays go through it in chunks
-# of _CHUNK elements so its temporaries stay small.
-_HALVINGS = 40
-_CHUNK = 8192
-_NEWTON_STEPS = 6
+# Veltkamp's constant 2**27 + 1: it splits a double into two 26-bit halves
+_SPLIT = 134217729.0
+# ln 2 with its low 32 bits cleared, so that n * _LN2_HI is exact for any
+# binary exponent n, and the rest of ln 2 (fdlibm's split)
+_LN2_HI = 6.93147180369123816490e-01
+_LN2_LO = 1.90821492927058770002e-10
 
 
-def _conditional_cdf(fam: CopulaFamily, theta: float, phi_s1, dphi_s1, x):
-    """The float conditional cdf dphi(s1)/dphi(C(s1, x)) the halvings test."""
-    c = _phi_inv(fam, theta, phi_s1 + _phi(fam, theta, x))
-    return dphi_s1 / _dphi(fam, theta, c)
+def _two_product(c: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """c * x as p + e exactly, p the rounded product (Dekker 1971)."""
+    m, n = math.frexp(c)  # split the scaled c, so no finite c overflows
+    h = _SPLIT * m
+    h = h - (h - m)
+    ch, cl = math.ldexp(h, n), math.ldexp(m - h, n)
+    h = _SPLIT * x
+    xh = h - (h - x)
+    xl = x - xh
+    p = c * x
+    return p, ((ch * xh - p) + ch * xl + cl * xh) + cl * xl
 
 
-def _halve(fam: CopulaFamily, theta: float, phi_s1, dphi_s1, v2):
-    """Halve (0, 1) _HALVINGS times toward the root; return the midpoint.
+def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a + b as s + e exactly, s the rounded sum (Knuth)."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
 
-    The conditional cdf increases in s2; every midpoint is a dyadic
-    rational, exact in floating point.
-    """
-    lo = np.zeros(np.broadcast(phi_s1, v2).shape)
-    hi = np.ones_like(lo)
-    for _ in range(_HALVINGS):
-        mid = 0.5 * (lo + hi)
-        below = _conditional_cdf(fam, theta, phi_s1, dphi_s1, mid) < v2
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    return 0.5 * (lo + hi)
+
+# a cap on the Newton steps; the most that moved some root in a sweep of
+# log-spaced draws was 8, and the iteration stops once none moves
+_NEWTON_STEPS = 40
 
 
 def _gumbel_root(theta: float, s1, v2):
-    """Newton approximation to the Gumbel conditional inverse.
+    """The Gumbel conditional inverse by Newton's method.
 
     With l1 = -log s1 and w = -log C(s1, s2) = l1 * e**t, the conditional
     cdf equation is l1 * expm1(t) + (theta - 1) t = -log v2 (Nelsen 2006,
     An Introduction to Copulas, sec. 2.9).  Its left side is increasing
-    and convex in t, and the start, the smaller root of either term alone,
-    lies right of the root, so the iterates fall monotonically onto it.
-    Then -log s2 = l1 * expm1(theta t) ** (1 / theta).
+    and convex in t, and the start, the smaller of two upper bounds on the
+    root, lies right of it, so the iterates fall monotonically onto it.  An
+    element stops where a step would no longer lower it, so its value does
+    not depend on the other elements.  Then -log s2 = (w**theta -
+    l1**theta) ** (1 / theta) = w * (-expm1(-theta t)) ** (1 / theta).
+
+    A rounding of t costs w about t of its ulps, so the last Newton step r
+    is applied to w itself, as w (1 - r).  Its residual cancels terms as
+    large as -log v2 down to about w; where -log v2 > 2 the residual is
+    taken again with -log v2 = -(n ln 2 + log m), for v2 = m 2**n, and
+    (theta - 1) t as exact pairs.
     """
     ell = -np.log(s1)
     rhs = -np.log(v2)
-    t = np.minimum(np.log1p(rhs / ell), rhs / (theta - 1.0))
+    k = theta - 1.0
+    c = ell + k
+    t = np.minimum(np.log1p(rhs / ell), rhs / c)
+
+    def newton_step(t):
+        q = ell * np.expm1(t)  # w - l1
+        return q, (q + k * t - rhs) / (q + c)
+
+    q, r = newton_step(t)
     for _ in range(_NEWTON_STEPS):
-        e = np.expm1(t)
-        t = t - (ell * e + (theta - 1.0) * t - rhs) / (ell * (e + 1.0) + (theta - 1.0))
-    return np.exp(-ell * np.expm1(theta * t) ** (1.0 / theta))
+        lower = t - r
+        if not (lower < t).any():
+            break
+        t = np.minimum(t, lower)
+        q, r = newton_step(t)
+    big = rhs > 2.0
+    if big.any():
+        m, n = np.frexp(v2[big])
+        rhs_hi = n * -_LN2_HI
+        kt, kt_err = _two_product(k, t[big])
+        gap, gap_err = _two_sum(kt, -rhs_hi)
+        qb = q[big]
+        r[big] = ((gap + qb) + (gap_err + kt_err + n * _LN2_LO + np.log(m))) / (qb + c[big])
+    w = ell + q
+    w -= w * r
+    return np.exp(-w * (-np.expm1(-theta * (t - r))) ** (1.0 / theta))
 
 
-def _gumbel_cells(theta: float, s1, v2, phi_s1, dphi_s1):
-    """The level-_HALVINGS cell of the Newton root, certified, and its midpoint.
+# Frank's closed form holds exp(+-theta) in range only while |theta| is at
+# most this; past it the inverse is taken in logs
+_FRANK_DIRECT_THETA = 700.0
 
-    Returns (out, certified); ``out`` is meaningful where ``certified``,
-    and there it is what the halvings return: both ends of the cell are
-    midpoints they tested (or 0 or 1), so none is left to run.
 
-    The halvings decide at each midpoint m whether cdf(m) < v2.  Those
-    that end in the cell [lo, hi] decided "below" at points of
-    [left ancestor, lo] and "not below" at points of [hi, right ancestor],
-    where the left ancestor is the largest power of two <= lo (their first
-    step right) and the right ancestor is 1 - the largest power of two
-    <= 1 - hi (their first step left).  The float cdf is a chain of
-    monotone rounded operations (log, power, exp, +, *, /) and so is
-    non-decreasing in s2 except where C(s1, s2) rounds to 0 or 1; those
-    sets sit at the two ends of (0, 1), where the ancestors see them.
-    Testing the four end points therefore certifies every decision on the
-    path.  This assumes numpy's log, exp and power are monotone.  A cell
-    end at 0 or 1 was never a midpoint: the halvings made no decision on
-    that side, so it needs no test.
+def _frank_inverse(theta: float, s1, v2):
+    """The Frank conditional inverse in closed form.
+
+    With a = exp(-theta s1), the conditional cdf equation solves to
+    exp(-theta s2) = 1 + y, y = v2 expm1(-theta) / (v2 + (1 - v2) a), so
+    s2 = -log1p(y) / theta.  Where y < -1/2 (theta > 0 only) log1p(y)
+    would cancel; there 1 + y = (v2 e**-theta + (1 - v2) a) / (v2 + (1 - v2) a)
+    is taken as that ratio of positive sums.  The two branches run on
+    disjoint elements.  Past |theta| = _FRANK_DIRECT_THETA, where those
+    exponentials leave the double range, both sums are taken in logs.
     """
-    scale = 2.0 ** _HALVINGS
-    r = _gumbel_root(theta, s1, v2)
-    k = np.minimum(np.floor(r * scale), scale - 1.0)
-    lo = k / scale
-    hi = (k + 1.0) / scale
-    left = np.ldexp(0.5, np.frexp(lo)[1])
-    right = 1.0 - np.ldexp(0.5, np.frexp(1.0 - hi)[1])
-    fam = CopulaFamily.GUMBEL
-
-    def below(x):
-        return _conditional_cdf(fam, theta, phi_s1, dphi_s1, x) < v2
-
-    certified = (
-        np.isfinite(r)
-        & np.isfinite(phi_s1)
-        & np.isfinite(dphi_s1)
-        & (dphi_s1 != 0.0)
-        & ((lo == 0.0) | (below(lo) & below(left)))
-        & ((hi == 1.0) | ~(below(hi) | below(right)))
-    )
-    return 0.5 * (lo + hi), certified
-
-
-def _gumbel_inverse(theta: float, s1, v2, phi_s1, dphi_s1):
-    """Gumbel conditional inverse, bit for bit the 40 halvings of (0, 1).
-
-    The certified start runs under np.errstate because it evaluates points
-    the halvings never visit; uncertified elements run the 40 halvings
-    with their usual floating-point warnings.
-    """
-    fam = CopulaFamily.GUMBEL
-    shape = np.broadcast(s1, v2).shape
-    if shape == ():
-        with np.errstate(all="ignore"):
-            out, certified = _gumbel_cells(theta, s1, v2, phi_s1, dphi_s1)
-        if certified:
-            return out
-        return _halve(fam, theta, phi_s1, dphi_s1, v2)
-    # flat views where the layout allows (a strided column stays a view)
-    s1, v2, phi_s1, dphi_s1 = (
-        np.broadcast_to(a, shape).reshape(-1) for a in (s1, v2, phi_s1, dphi_s1)
-    )
-    out = np.empty(s1.size)
-    certified = np.empty(s1.size, dtype=bool)
-    with np.errstate(all="ignore"):
-        for a in range(0, s1.size, _CHUNK):
-            b = a + _CHUNK
-            out[a:b], certified[a:b] = _gumbel_cells(
-                theta, s1[a:b], v2[a:b], phi_s1[a:b], dphi_s1[a:b]
-            )
-    rest = np.flatnonzero(~certified)
-    if rest.size:
-        out[rest] = _halve(fam, theta, phi_s1[rest], dphi_s1[rest], v2[rest])
-    return out.reshape(shape)
+    if abs(theta) > _FRANK_DIRECT_THETA:
+        tail = np.log1p(-v2) - theta * s1
+        log_ratio = np.logaddexp(np.log(v2) - theta, tail) - np.logaddexp(np.log(v2), tail)
+        return -log_ratio / theta
+    # -theta s1 exactly, as p + e: rounding it first would cost a up to
+    # |theta s1| / 2 ulp
+    p, e = _two_product(-theta, s1)
+    a = np.exp(p)
+    a += a * e
+    den = v2 + (1.0 - v2) * a
+    y = v2 * math.expm1(-theta) / den
+    log_ratio = np.empty(y.shape)
+    near = y < -0.5
+    far = ~near
+    log_ratio[far] = np.log1p(y[far])
+    v2, a, den = v2[near], a[near], den[near]
+    log_ratio[near] = np.log((v2 * math.exp(-theta) + (1.0 - v2) * a) / den)
+    return -log_ratio / theta
 
 
 @dataclass(frozen=True)
@@ -463,18 +445,25 @@ class LatentDraws:
         return Sample(t, delta, self.z)
 
 
+# rows drawn per block: every step of a draw is elementwise, so blocking
+# leaves its bits alone and keeps its chains of temporaries in cache
+_BLOCK_ROWS = 16384
+
+
 def _draw_latent(config: DgpConfig) -> LatentDraws:
     rng = np.random.Generator(np.random.Philox(key=config.seed))
     u = rng.random((config.n, 4))
     np.maximum(u, _U_FLOOR, out=u)
-    z = config.covariate_sd * _ndtri(u[:, :2])
-    s1 = u[:, 2]
-    v2 = u[:, 3]
-    s2 = np.asarray(conditional_copula_inverse(config.copula, s1, v2))
+    z = np.empty((config.n, 2))
+    s2, t1, t2 = (np.empty(config.n) for _ in range(3))
     m1, m2 = config.marginals
-    t1 = m1.invert_survival(s1, z[:, 0])
-    t2 = m2.invert_survival(s2, z[:, 1])
-    return LatentDraws(z=z, s1=s1, s2=s2, t1=t1, t2=t2)
+    for a in range(0, config.n, _BLOCK_ROWS):
+        rows = slice(a, a + _BLOCK_ROWS)
+        z[rows] = config.covariate_sd * _ndtri(u[rows, :2])
+        s2[rows] = conditional_copula_inverse(config.copula, u[rows, 2], u[rows, 3])
+        t1[rows] = m1.invert_survival(u[rows, 2], z[rows, 0])
+        t2[rows] = m2.invert_survival(s2[rows], z[rows, 1])
+    return LatentDraws(z=z, s1=u[:, 2], s2=s2, t1=t1, t2=t2)
 
 
 def simulate(config: DgpConfig) -> Sample:

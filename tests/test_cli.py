@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import coprisk
 import coprisk.cli
 from coprisk.cli import main
 from coprisk.copula import CopulaFamily
@@ -243,6 +244,40 @@ def test_manifest_replay_reproduces_every_artifact(tmp_path, capsys):
     )
     assert code == 0
     for name in ("dataset.csv", "surface.csv", "theta_series.csv", "manifest.txt"):
+        assert sha(a / name) == sha(b / name), name
+
+
+def _gumbel_manifest(tmp_path, capsys):
+    out = tmp_path / "a"
+    args = ["simulate", "--family", "gumbel", "--theta", "1.25", "--n", "50", "--out", str(out)]
+    assert run_cli(args, capsys)[0] == 0
+    return out
+
+
+def test_manifest_from_another_library_version_exits_2(tmp_path, capsys):
+    # a manifest names the generator that wrote its dataset; another version
+    # may draw other bits, so its replay is refused instead of diverging
+    a = _gumbel_manifest(tmp_path, capsys)
+    text = (a / "manifest.txt").read_text()
+    assert f"\nversion={coprisk.__version__}\n" in text
+    cfg = tmp_path / "old.txt"
+    cfg.write_text(text.replace(f"version={coprisk.__version__}", "version=0.1.0"))
+    b = tmp_path / "b"
+    code, _, err = run_cli(["simulate", "--config", str(cfg), "--out", str(b)], capsys)
+    assert code == 2
+    assert err.count("\n") == 1 and err.startswith("error: config:")
+    assert "0.1.0" in err and coprisk.__version__ in err
+    assert not (b / "dataset.csv").exists()
+
+
+def test_config_file_without_a_version_still_replays(tmp_path, capsys):
+    a = _gumbel_manifest(tmp_path, capsys)
+    lines = (a / "manifest.txt").read_text().splitlines(keepends=True)
+    cfg = tmp_path / "settings.txt"
+    cfg.write_text("".join(line for line in lines if not line.startswith("version=")))
+    b = tmp_path / "b"
+    assert run_cli(["simulate", "--config", str(cfg), "--out", str(b)], capsys)[0] == 0
+    for name in ("dataset.csv", "manifest.txt"):
         assert sha(a / name) == sha(b / name), name
 
 

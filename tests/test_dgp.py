@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -187,16 +188,38 @@ def test_conditional_inverse_matches_bisection_oracle(model):
             assert got == pytest.approx(want, abs=1e-10)
 
 
+ALL_FAMILIES = [
+    CopulaModel(CopulaFamily.INDEPENDENCE),
+    CopulaModel(CopulaFamily.CLAYTON, 0.5),
+    CopulaModel(CopulaFamily.CLAYTON, -1.0),
+    CopulaModel(CopulaFamily.GUMBEL, 1.25),
+    CopulaModel(CopulaFamily.GUMBEL, 5.0),
+    CopulaModel(CopulaFamily.FRANK, 1.86),
+    CopulaModel(CopulaFamily.FRANK, -50.0),
+    CopulaModel(CopulaFamily.FRANK, 1000.0),
+]
+
+
 def test_conditional_inverse_vectorizes():
-    model = CopulaModel(CopulaFamily.CLAYTON, 0.5)
-    s1 = np.array([0.2, 0.5, 0.8])
-    v2 = np.array([0.3, 0.6, 0.9])
-    out = conditional_copula_inverse(model, s1, v2)
-    assert out.shape == (3,)
-    for i in range(3):
-        assert out[i] == pytest.approx(
-            conditional_copula_inverse(model, float(s1[i]), float(v2[i])), abs=0
-        )
+    # a scalar, a 1-element array, a strided column and a broadcast pair all
+    # give each element the bits it gets in a contiguous array; numpy's
+    # scalar power differs from its array loop in the last bit
+    u = np.random.Generator(np.random.Philox(key=12)).random((3_000, 4))
+    for model in ALL_FAMILIES:
+        s1, v2 = u[:, 2], u[:, 3]
+        out = conditional_copula_inverse(model, np.ascontiguousarray(s1), np.ascontiguousarray(v2))
+        assert out.shape == (3_000,)
+        assert np.array_equal(conditional_copula_inverse(model, s1, v2), out)
+        for i in range(0, 3_000, 7):
+            scalar = conditional_copula_inverse(model, float(s1[i]), float(v2[i]))
+            assert type(scalar) is float
+            assert scalar == out[i]
+            assert conditional_copula_inverse(model, s1[i : i + 1], v2[i : i + 1])[0] == out[i]
+        grid = conditional_copula_inverse(model, s1[:40, None], v2[:30])
+        assert grid.shape == (40, 30)
+        for i in range(40):
+            row = conditional_copula_inverse(model, np.full(30, s1[i]), v2[:30])
+            assert np.array_equal(grid[i], row)
 
 
 def test_conditional_inverse_near_independence_matches_v2():
@@ -218,14 +241,180 @@ def test_conditional_inverse_countermonotone_edge():
             assert conditional_copula_inverse(model, s1, v2) == 1.0 - s1
 
 
-@pytest.mark.parametrize("s1, v2", [(0.0, 0.5), (1.0, 0.5), (0.5, 0.0), (0.5, 1.0)])
+@pytest.mark.parametrize(
+    "s1, v2",
+    [(0.0, 0.5), (1.0, 0.5), (0.5, 0.0), (0.5, 1.0), (math.nan, 0.5), (0.5, math.nan)],
+)
 def test_conditional_inverse_rejects_boundary_inputs(s1, v2):
-    with pytest.raises(ValueError):
-        conditional_copula_inverse(CopulaModel(CopulaFamily.CLAYTON, 0.5), s1, v2)
+    # NaN compares false both ways, so it must fail the range test too
+    for model in ALL_FAMILIES:
+        with pytest.raises(ValueError):
+            conditional_copula_inverse(model, s1, v2)
+        with pytest.raises(ValueError):
+            conditional_copula_inverse(model, np.array([0.3, s1]), np.array([0.3, v2]))
 
 
 # ----------------------------------------------------------------------
-# Gumbel certified start: the same bits as 40 halvings of (0, 1)
+# accuracy against the exact root, from a 50-digit decimal oracle
+# ----------------------------------------------------------------------
+
+EPS = 2.0 ** -52
+UNIT_EDGES = (2.0 ** -53, 1.0 - 2.0 ** -53)
+_LO, _HI = Decimal(UNIT_EDGES[0]), Decimal(UNIT_EDGES[1])
+
+
+def _expm1(x: Decimal) -> Decimal:
+    with localcontext() as ctx:
+        ctx.prec += 30  # e**x - 1 cancels about -log10|x| digits
+        r = x.exp() - 1
+    return +r
+
+
+def _gumbel_exact(theta: float, s1: float, v2: float) -> Decimal:
+    """The Gumbel conditional inverse of the exact inputs, to 50 digits,
+    clipped to the simulator's range.
+
+    Newton's method on l1 expm1(t) + (theta - 1) t = -log v2 from an upper
+    bound of the root, then -log s2 = l1 expm1(theta t) ** (1 / theta).
+    """
+    with localcontext() as ctx:
+        ctx.prec = 50
+        th = Decimal(theta)
+        ell = -Decimal(s1).ln()
+        rhs = -Decimal(v2).ln()
+        t = min((1 + rhs / ell).ln(), rhs / (th - 1))
+        for _ in range(200):
+            e = _expm1(t)
+            step = (ell * e + (th - 1) * t - rhs) / (ell * (e + 1) + th - 1)
+            t -= step
+            if abs(step) <= abs(t) * Decimal("1e-40"):
+                break
+        else:
+            raise AssertionError("the oracle did not converge")
+        s2 = (-ell * _expm1(th * t) ** (1 / th)).exp()
+        return min(max(s2, _LO), _HI)
+
+
+def _frank_exact(theta: float, s1: float, v2: float) -> Decimal:
+    """The Frank conditional inverse of the exact inputs, to 50 digits,
+    clipped: exp(-theta s2) = (v2 e**-theta + (1 - v2) a) / (v2 + (1 - v2) a)
+    with a = exp(-theta s1), a ratio of positive sums."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        ctx.Emax, ctx.Emin = 10 ** 9, -(10 ** 9)  # exp(+-theta) for any float theta
+        th, s, v = Decimal(theta), Decimal(s1), Decimal(v2)
+        a = (-th * s).exp()
+        s2 = -((v * (-th).exp() + (1 - v) * a) / (v + (1 - v) * a)).ln() / th
+        return min(max(s2, _LO), _HI)
+
+
+def _assert_gumbel_accurate(theta, s1, v2):
+    """Relative error at most 16 eps max(1, -log s2) against the exact root.
+
+    The factor -log s2 is exp's: w = -log s2 comes out within a few ulp,
+    and s2 = exp(-w) turns an absolute error of w into a relative one.
+    """
+    got = np.atleast_1d(conditional_copula_inverse(CopulaModel(CopulaFamily.GUMBEL, theta), s1, v2))
+    s1, v2 = np.broadcast_arrays(np.asarray(s1, dtype=float), np.asarray(v2, dtype=float))
+    for g, a, b in zip(got.ravel().tolist(), s1.ravel().tolist(), v2.ravel().tolist()):
+        exact = _gumbel_exact(theta, a, b)
+        bound = 16 * EPS * max(1.0, -math.log(float(exact))) * float(exact)
+        assert abs(Decimal(g) - exact) <= Decimal(bound), (theta, a, b, g, exact)
+
+
+def _assert_frank_accurate(theta, s1, v2):
+    """At most 16 ulp from the exact root."""
+    got = np.atleast_1d(conditional_copula_inverse(CopulaModel(CopulaFamily.FRANK, theta), s1, v2))
+    s1, v2 = np.broadcast_arrays(np.asarray(s1, dtype=float), np.asarray(v2, dtype=float))
+    for g, a, b in zip(got.ravel().tolist(), s1.ravel().tolist(), v2.ravel().tolist()):
+        exact = _frank_exact(theta, a, b)
+        assert abs(Decimal(g) - exact) <= 16 * Decimal(math.ulp(float(exact))), (theta, a, b, g, exact)
+
+
+# Gumbel 50: phi(s1) underflows to 0 and C(s1, s2) rounds to 1 near s2 = 1;
+# the 40 halvings this simulator once ran walked to 0.9999999999995453
+# there, although the root is 0.99999956.  Mirrored: s1 near 0, v2 near 1.
+SATURATED = (50.0, 0.9999996838467762, 1.3885405830054312e-07)
+SATURATED_MIRROR = (50.0, 1.0 - 0.9999996838467762, 1.0 - 1.3885405830054312e-07)
+# where -log v2 is large and w small, so the last Newton step's residual
+# cancels terms of about 37, 430 or 744 down to about 1; with -log v2 and
+# (theta - 1) t rounded to doubles there, the errors are 10, 22 and 9 eps
+# times max(1, -log s2), against 0.5, 0.6 and 0.04 with them carried exactly
+GUMBEL_CANCELLING = [
+    (1.9500525, UNIT_EDGES[1], UNIT_EDGES[0]),
+    (12.664645458407232, UNIT_EDGES[1], 6.99626459152167e-188),
+    (20.0, UNIT_EDGES[1], 5e-324),
+]
+gumbel_thetas = st.one_of(
+    st.floats(min_value=1.0 + 2.0 ** -52, max_value=1.01),
+    st.floats(min_value=1.0 + 1e-4, max_value=100.0),
+)
+units = st.one_of(
+    st.sampled_from(UNIT_EDGES),
+    st.floats(min_value=2.0 ** -53, max_value=1.0 - 2.0 ** -53),
+    st.floats(min_value=2.0 ** -53, max_value=0.5).map(lambda e: 1.0 - e),
+)
+
+
+@given(gumbel_thetas, units, units)
+@example(*SATURATED)
+@example(*SATURATED_MIRROR)
+@example(*GUMBEL_CANCELLING[0])
+@example(*GUMBEL_CANCELLING[1])
+@example(*GUMBEL_CANCELLING[2])
+@example(5.0, 0.5, UNIT_EDGES[0])
+@example(50.0, UNIT_EDGES[0], UNIT_EDGES[1])
+@example(50.0, UNIT_EDGES[1], UNIT_EDGES[0])
+@example(100.0, UNIT_EDGES[1], UNIT_EDGES[1])
+@example(1.0 + 1e-4, UNIT_EDGES[0], UNIT_EDGES[0])
+@example(1.0 + 2.0 ** -52, UNIT_EDGES[1], 7.5e-10)
+@example(1.000001, 0.16265136497070776, 0.9999979934478894)
+@settings(max_examples=300, deadline=None)
+def test_gumbel_inverse_scalar_is_accurate(theta, s1, v2):
+    _assert_gumbel_accurate(theta, s1, v2)
+
+
+@given(gumbel_thetas, st.lists(st.tuples(units, units), min_size=1, max_size=20))
+@example(SATURATED[0], [SATURATED[1:], SATURATED_MIRROR[1:], UNIT_EDGES, UNIT_EDGES[::-1]])
+@settings(max_examples=60, deadline=None)
+def test_gumbel_inverse_array_is_accurate(theta, pairs):
+    s1, v2 = np.array(pairs).T
+    _assert_gumbel_accurate(theta, s1, v2)
+
+
+def test_gumbel_inverse_broadcasts_accurately():
+    rng = np.random.default_rng(4)
+    s1, v2 = rng.random(3), rng.random(5)
+    _assert_gumbel_accurate(1.25, 0.3, v2)
+    _assert_gumbel_accurate(1.25, s1, 0.7)
+    _assert_gumbel_accurate(1.25, s1[:, None], v2)
+
+
+def _log_spaced_units(rng, n):
+    # each coordinate uniform, or log-spaced to 1e-16 from either end of (0, 1)
+    side = rng.integers(0, 3, n)
+    e = 10.0 ** rng.uniform(-16.0, 0.0, n)
+    return np.clip(np.where(side == 0, rng.random(n), np.where(side == 1, e, 1.0 - e)), *UNIT_EDGES)
+
+
+@pytest.mark.parametrize("theta", [1.0001, 1.25, 5.0, 50.0])
+def test_gumbel_inverse_log_spaced_sweep_is_accurate(theta):
+    # 1,000 of 20,000 draws per theta, each checked against the oracle and
+    # against a scalar call
+    rng = np.random.default_rng(600_613)
+    n = 20_000
+    s1, v2 = _log_spaced_units(rng, n), _log_spaced_units(rng, n)
+    got = conditional_copula_inverse(CopulaModel(CopulaFamily.GUMBEL, theta), s1, v2)
+    picked = rng.choice(n, 1_000, replace=False)
+    for i in picked.tolist():
+        assert got[i] == conditional_copula_inverse(
+            CopulaModel(CopulaFamily.GUMBEL, theta), float(s1[i]), float(v2[i])
+        )
+    _assert_gumbel_accurate(theta, s1[picked], v2[picked])
+
+
+# ----------------------------------------------------------------------
+# agreement with the 40-step bisection the simulator ran before 0.2.0
 # ----------------------------------------------------------------------
 
 
@@ -251,30 +440,33 @@ def _forty_halvings(model: CopulaModel, s1, v2):
     return out
 
 
-def _assert_gumbel_bits(theta, s1, v2):
+def _assert_gumbel_agrees_with_halvings(theta, s1, v2, checked=None):
+    """The exact inverse lies within one level-40 cell (2**-40) of the 40
+    halvings' midpoint; where it does not, the halvings' float cdf misled
+    them, and the exact inverse is the closer of the two to the true root.
+
+    With ``checked`` set, the oracle sees only that many of the disagreeing
+    draws: the farthest apart half and a random half of the rest.
+    """
     model = CopulaModel(CopulaFamily.GUMBEL, theta)
-    # extreme theta and unit draws overflow or divide by zero in both routes;
-    # only the returned bits are compared here
+    got = conditional_copula_inverse(model, s1, v2)
+    # extreme theta and unit draws overflow or divide by zero in the halvings
     with np.errstate(all="ignore"):
-        got = conditional_copula_inverse(model, s1, v2)
         want = _forty_halvings(model, s1, v2)
     assert type(got) is type(want)
-    assert np.array_equal(got, want)
-
-
-# Gumbel 50: phi(s1) underflows to 0, C rounds to 1 near s2 = 1 and the
-# float cdf turns to -inf there, so the halvings walk right to
-# 0.9999999999995453 although the root is 0.99999956; only the outer right
-# ancestor of the root's cell sees it.  Mirrored: s1 near 0, v2 near 1.
-SATURATED = (50.0, 0.9999996838467762, 1.3885405830054312e-07)
-SATURATED_MIRROR = (50.0, 1.0 - 0.9999996838467762, 1.0 - 1.3885405830054312e-07)
-UNIT_EDGES = (2.0 ** -53, 1.0 - 2.0 ** -53)
-gumbel_thetas = st.floats(min_value=1.0 + 1e-4, max_value=100.0)
-units = st.one_of(
-    st.sampled_from(UNIT_EDGES),
-    st.floats(min_value=2.0 ** -53, max_value=1.0 - 2.0 ** -53),
-    st.floats(min_value=2.0 ** -53, max_value=0.5).map(lambda e: 1.0 - e),
-)
+    got, want = np.atleast_1d(got), np.atleast_1d(want)
+    assert got.shape == want.shape
+    s1, v2 = np.broadcast_arrays(np.asarray(s1, dtype=float), np.asarray(v2, dtype=float))
+    gap = np.abs(got - want).ravel()
+    apart = np.flatnonzero(gap > 2.0 ** -40)
+    if checked is not None and apart.size > checked:
+        by_gap = apart[np.argsort(gap[apart], kind="stable")]
+        rest = np.random.default_rng(40).choice(by_gap[: -checked // 2], checked // 2, replace=False)
+        apart = np.concatenate([by_gap[-checked // 2 :], rest])
+    got, want, s1, v2 = got.ravel(), want.ravel(), s1.ravel(), v2.ravel()
+    for g, h, a, b in zip(got[apart].tolist(), want[apart].tolist(), s1[apart].tolist(), v2[apart].tolist()):
+        exact = _gumbel_exact(theta, a, b)
+        assert abs(Decimal(g) - exact) < abs(Decimal(h) - exact), (theta, a, b, g, h, exact)
 
 
 @given(gumbel_thetas, units, units)
@@ -286,7 +478,7 @@ units = st.one_of(
 @example(1.0 + 1e-4, UNIT_EDGES[0], UNIT_EDGES[0])
 @settings(max_examples=300, deadline=None)
 def test_gumbel_inverse_scalar_equals_forty_halvings(theta, s1, v2):
-    _assert_gumbel_bits(theta, s1, v2)
+    _assert_gumbel_agrees_with_halvings(theta, s1, v2)
 
 
 @given(gumbel_thetas, st.lists(st.tuples(units, units), min_size=1, max_size=40))
@@ -294,74 +486,88 @@ def test_gumbel_inverse_scalar_equals_forty_halvings(theta, s1, v2):
 @settings(max_examples=100, deadline=None)
 def test_gumbel_inverse_array_equals_forty_halvings(theta, pairs):
     s1, v2 = np.array(pairs).T
-    _assert_gumbel_bits(theta, s1, v2)
+    _assert_gumbel_agrees_with_halvings(theta, s1, v2)
 
 
 def test_gumbel_inverse_broadcasts_like_forty_halvings():
     rng = np.random.default_rng(4)
     s1, v2 = rng.random(3), rng.random(5)
-    _assert_gumbel_bits(1.25, 0.3, v2)
-    _assert_gumbel_bits(1.25, s1, 0.7)
-    _assert_gumbel_bits(1.25, s1[:, None], v2)
+    _assert_gumbel_agrees_with_halvings(1.25, 0.3, v2)
+    _assert_gumbel_agrees_with_halvings(1.25, s1, 0.7)
+    _assert_gumbel_agrees_with_halvings(1.25, s1[:, None], v2)
 
 
 @pytest.mark.parametrize("theta", [1.0001, 1.25, 5.0, 50.0])
 def test_gumbel_inverse_log_spaced_sweep_equals_forty_halvings(theta):
     # 200k draws per theta, each coordinate uniform, or log-spaced to 1e-16
-    # from either end of (0, 1); more than 8192 rows, so several chunks
+    # from either end of (0, 1); up to 72k of them leave the halvings' cell
+    # at theta = 50, by as much as 0.99, so the oracle checks 2,000 of those
     rng = np.random.default_rng(600_613)
     n = 200_000
-
-    def draw():
-        side = rng.integers(0, 3, n)
-        e = 10.0 ** rng.uniform(-16.0, 0.0, n)
-        u = np.where(side == 0, rng.random(n), np.where(side == 1, e, 1.0 - e))
-        return np.clip(u, *UNIT_EDGES)
-
-    _assert_gumbel_bits(theta, draw(), draw())
+    s1, v2 = _log_spaced_units(rng, n), _log_spaced_units(rng, n)
+    _assert_gumbel_agrees_with_halvings(theta, s1, v2, checked=2_000)
 
 
-def _count_full_bisections(monkeypatch):
-    """Record the sizes of the 40-halving runs the Gumbel inverse falls back to."""
-    sizes = []
-    halve = dgp._halve
-
-    def spy(fam, theta, phi_s1, dphi_s1, v2):
-        sizes.append(np.broadcast(phi_s1, v2).size)
-        return halve(fam, theta, phi_s1, dphi_s1, v2)
-
-    monkeypatch.setattr(dgp, "_halve", spy)
-    return sizes
+frank_thetas = st.one_of(
+    st.sampled_from([-700.0, -50.0, -8.0, -1e-6, 1e-6, 0.5, 1.86, 20.0, 50.0, 700.0]),
+    st.floats(min_value=-700.0, max_value=-1e-6),
+    st.floats(min_value=1e-6, max_value=700.0),
+)
 
 
-def test_gumbel_wrong_root_falls_back_to_the_same_bits(monkeypatch):
-    root = dgp._gumbel_root
-    monkeypatch.setattr(dgp, "_gumbel_root", lambda theta, s1, v2: 1.0 - root(theta, s1, v2))
-    sizes = _count_full_bisections(monkeypatch)
-    u = np.random.Generator(np.random.Philox(key=5)).random((20_000, 2))
-    _assert_gumbel_bits(1.25, u[:, 0], u[:, 1])
-    assert sum(sizes) > 19_000  # nearly every mirrored root misses its cell
-    _assert_gumbel_bits(1.25, 0.3, 0.9)
-    _assert_gumbel_bits(*SATURATED_MIRROR)
+@given(frank_thetas, units, units)
+@example(1.86, 2.7779375739722667e-06, 0.9525023924802107)
+@example(50.0, 0.7025885133855037, 2.7094990789315446e-14)
+@example(-50.0, 0.9999999999973758, 0.294693182079087)
+@example(20.0, 0.9990575803895373, 1.992453610316173e-08)
+@example(50.0, UNIT_EDGES[0], UNIT_EDGES[1])
+@example(50.0, UNIT_EDGES[1], UNIT_EDGES[0])
+@example(-50.0, UNIT_EDGES[1], UNIT_EDGES[1])
+@example(-50.0, UNIT_EDGES[0], UNIT_EDGES[0])
+@settings(max_examples=400, deadline=None)
+def test_frank_inverse_is_accurate(theta, s1, v2):
+    _assert_frank_accurate(theta, s1, v2)
 
 
-def test_gumbel_simulation_rarely_falls_back(monkeypatch):
-    sizes = _count_full_bisections(monkeypatch)
-    n = 100_000
-    simulate_latent(default_config(n, seed=11, theta=1.25, family=CopulaFamily.GUMBEL))
-    assert sum(sizes) / n < 1e-3
+@pytest.mark.parametrize("theta", [-1.86, 1.86, -50.0, 50.0])
+def test_frank_inverse_log_spaced_sweep_is_accurate(theta):
+    rng = np.random.default_rng(600_614)
+    _assert_frank_accurate(theta, _log_spaced_units(rng, 2_000), _log_spaced_units(rng, 2_000))
+
+
+@pytest.mark.parametrize("theta", [-1e6, -1000.0, -700.5, 700.5, 1000.0, 1e6])
+def test_frank_inverse_past_the_direct_range_is_accurate_in_absolute_terms(theta):
+    # past |theta| = 700 the two sums are taken in logs, whose rounding is
+    # absolute: about eps in s2, against 2**-41 for the 40 halvings before
+    rng = np.random.default_rng(600_615)
+    s1 = np.concatenate([_log_spaced_units(rng, 300), [UNIT_EDGES[0], UNIT_EDGES[1], 0.5]])
+    v2 = np.concatenate([_log_spaced_units(rng, 300), [UNIT_EDGES[1], UNIT_EDGES[0], 0.5]])
+    got = conditional_copula_inverse(CopulaModel(CopulaFamily.FRANK, theta), s1, v2)
+    for g, a, b in zip(got.tolist(), s1.tolist(), v2.tolist()):
+        assert abs(Decimal(g) - _frank_exact(theta, a, b)) <= 4 * Decimal(EPS), (a, b)
+
+
+def test_frank_inverse_at_huge_theta_is_the_frechet_bound():
+    # s2 -> s1 as theta -> inf and s2 -> 1 - s1 as theta -> -inf, O(1/theta)
+    rng = np.random.default_rng(600_616)
+    s1, v2 = _log_spaced_units(rng, 300), _log_spaced_units(rng, 300)
+    upper = conditional_copula_inverse(CopulaModel(CopulaFamily.FRANK, 1e300), s1, v2)
+    lower = conditional_copula_inverse(CopulaModel(CopulaFamily.FRANK, -1e300), s1, v2)
+    assert np.allclose(upper, s1, rtol=0, atol=4 * EPS)
+    assert np.allclose(lower, np.clip(1.0 - s1, *UNIT_EDGES), rtol=0, atol=4 * EPS)
 
 
 def test_frank_counterexample_to_a_cell_certificate_is_pinned():
-    # Frank's float phi_inv subtracts two terms moving in opposite
-    # directions, so its float cdf is not monotone: a level-36 cell
-    # certificate accepts the cell of 0.8767657630874055 here, while the
-    # 40 halvings return the value pinned below
+    # Frank's float cdf is not monotone, so no few-point certificate could
+    # stand in for its 40 halvings; they returned 0.8767657630455687 here,
+    # 425,947 ulp from the exact root 0.876765763092858390...  The closed
+    # form returns the double nearest to it.
     model = CopulaModel(CopulaFamily.FRANK, 1.86)
     s1, v2 = 2.7779375739722667e-06, 0.9525023924802107
-    assert conditional_copula_inverse(model, s1, v2) == 0.8767657630455687
-    assert conditional_copula_inverse(model, np.array([s1]), np.array([v2]))[0] == 0.8767657630455687
-    assert _forty_halvings(model, s1, v2) == 0.8767657630455687
+    assert conditional_copula_inverse(model, s1, v2) == 0.8767657630928584
+    assert conditional_copula_inverse(model, np.array([s1]), np.array([v2]))[0] == 0.8767657630928584
+    exact = _frank_exact(1.86, s1, v2)
+    assert abs(Decimal(0.8767657630928584) - exact) <= Decimal(math.ulp(0.8767657630928584)) / 2
 
 
 # ----------------------------------------------------------------------
@@ -422,13 +628,15 @@ def test_same_seed_reproduces_bitwise():
 
 
 # sha256 over the bytes of t (<f8), delta (<i8) and z (<f8) of
-# simulate(default_config(2000, seed=11, theta=..., family=...)), computed
-# while the simulator still drew its normal covariates with
+# simulate(default_config(2000, seed=11, theta=..., family=...)).  Clayton's
+# was computed while the simulator still drew its normal covariates with
 # scipy.special.ndtri; the numpy port must leave every bit unchanged.
+# Gumbel's and Frank's were computed when they first drew from the exact
+# conditional inverse (version 0.2.0).
 DGP_DIGESTS = [
     (CopulaFamily.CLAYTON, 0.5, "089dc85c62528e7ca71991fdf5ab1c14395cca0c4eb1b912bd51aafc2565f597"),
-    (CopulaFamily.GUMBEL, 1.25, "dab2be00fe746ba1a5589c381ae67f2d97eda880d6c0d81b5cf279ffdc0c2960"),
-    (CopulaFamily.FRANK, 1.86, "25c18dff46a5c828304f703b5004f38553c04e11b60e4a43dbe9f6c85fb371aa"),
+    (CopulaFamily.GUMBEL, 1.25, "b17091c2265287780c1355950576cbbfd9af0f504ef6ea3b8e7da869d7d1c04c"),
+    (CopulaFamily.FRANK, 1.86, "86eb4f086727397b3332327bc78b48f986ef98cc78750eeb6fe5201e3d2a94e7"),
 ]
 
 
@@ -445,16 +653,13 @@ def _sample_digest(sample: Sample) -> str:
     return h.hexdigest()
 
 
-# The same digest at n = 100,000 (13 chunks of the Gumbel certified start).
-# Gumbel 1.25 and Frank 1.86 were computed on the commit before that start,
-# when every Gumbel and Frank draw ran the 40 halvings of (0, 1); Gumbel 5
-# and 50, where the start falls back most often, before the start certified
-# the final cell and the normal quantile took its logs in long double.
+# The same digest at n = 100,000 (13 chunks of the Gumbel and Frank
+# inverse), computed with the exact conditional inverse of version 0.2.0.
 DGP_DIGESTS_100K = [
-    (CopulaFamily.GUMBEL, 1.25, "d37b939f6064afb81db6c40fe59cb0624b9b049a542ef35ded553d8d45031a1a"),
-    (CopulaFamily.GUMBEL, 5.0, "08aead66e5b624e2636344fdbd9377471c67ef5972c8dfa7483765c691ef4223"),
-    (CopulaFamily.GUMBEL, 50.0, "b2dbf385eda8378231442226f2e7a6b1eb12b8fbd49027dcd19d343117e7b669"),
-    (CopulaFamily.FRANK, 1.86, "4f20315cef275c9ebc1bd26aa25aacd3e037569264c8085750c956e522044ab0"),
+    (CopulaFamily.GUMBEL, 1.25, "a24d48f6563e15fd9b8616aa9cf683f871fe4ce9b3f1dc81db61fd10907df0f0"),
+    (CopulaFamily.GUMBEL, 5.0, "62fa8ef6d8f5280350e3f13e8db79955624452f422eafc8432a15d8cd0a45322"),
+    (CopulaFamily.GUMBEL, 50.0, "5594def9a6ad465291e9e4e579d8c4e277590eb8a67b11469820e275bb5c9ac0"),
+    (CopulaFamily.FRANK, 1.86, "8e777cc6d6659164c21a6a206fc68bcc6058f9a238cc6bca8edf4ac50a9fde13"),
 ]
 
 
