@@ -25,8 +25,10 @@ rounding midpoint; elements near one go through ``math.log``.
 The second survival value is drawn from the exact inverse of its
 conditional law given the first (the conditional distribution method,
 Nelsen 2006, An Introduction to Copulas, secs. 2.9 and 4.3): in closed form
-for Clayton and Frank, by Newton's method for Gumbel.  Each element is
-computed on its own, so its bits do not depend on the array it comes in.
+for Clayton and Frank, by Newton's method for Gumbel.  Clayton's closed form
+goes to log space where expm1 would overflow (a large theta and a small
+s1).  Each element is computed on its own, so its bits do not depend on the
+array it comes in.
 """
 
 from __future__ import annotations
@@ -55,6 +57,8 @@ __all__ = [
 # smallest uniform draw kept; exact zeros from the generator are lifted here
 _U_FLOOR = 2.0 ** -53
 _U_CEIL = 1.0 - 2.0 ** -53
+# the largest argument for which exp and expm1 stay finite
+_LOG_MAX = math.log(np.finfo(float).max)
 
 ArrayLike = Union[float, np.ndarray]
 
@@ -296,9 +300,22 @@ def conditional_copula_inverse(model: CopulaModel, s1, v2):
             out = 1.0 - s1 + 0.0 * v2  # broadcast; v2 is irrelevant at the edge
         else:
             log_s1 = np.log(s1)
-            e1 = np.expm1(-(theta / (theta + 1.0)) * (np.log(v2) + (theta + 1.0) * log_s1))
-            e2 = np.expm1(-theta * log_s1)
-            out = np.exp(-np.log1p(e1 - e2) / theta)
+            log_v2 = np.log(v2)
+            a1 = -(theta / (theta + 1.0)) * (log_v2 + (theta + 1.0) * log_s1)
+            a2 = -theta * log_s1
+            # past ln(max float) expm1 overflows (a large theta and a small s1)
+            wide = np.maximum(a1, a2) > _LOG_MAX
+            e1 = np.expm1(np.where(wide, 0.0, a1))
+            e2 = np.expm1(np.where(wide, 0.0, a2))
+            log_sum = np.log1p(e1 - e2)
+            if wide.any():
+                # log1p(e1 - e2) = a1 + log(1 - exp(a2 - a1) + exp(-a1)) with
+                # a2 - a1 = theta / (theta + 1) * log v2.  Every log is above
+                # -745, so this needs theta > 1/2: 1 - exp(a2 - a1) > 2**-56,
+                # and exp(-a1) < 2**-1023 is far below half its ulp
+                lv = np.broadcast_to(log_v2, wide.shape)[wide]
+                log_sum[wide] = a1[wide] + np.log(-np.expm1((theta / (theta + 1.0)) * lv))
+            out = np.exp(-log_sum / theta)
     else:
         inverse = _gumbel_root if fam is CopulaFamily.GUMBEL else _frank_inverse
         out = inverse(theta, *np.broadcast_arrays(s1, v2))

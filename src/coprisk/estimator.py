@@ -30,7 +30,7 @@ import numpy as np
 from .copula import CopulaFamily, NoRootError, theta_from_ratio
 from .data import Sample
 from .dgp import DgpConfig, oracle_surface, simulate
-from .kernel import EmptyNeighborhoodError, KernelSpec, estimate_surface_grid
+from .kernel import EmptyNeighborhoodError, KernelSpec, _surface_rows
 
 __all__ = [
     "AllPointsExcludedError",
@@ -171,12 +171,6 @@ def oracle_surface_estimates(config: DgpConfig, t_grid, z) -> np.ndarray:
     return np.array([(o.pi, o.dpi_dz1, o.dpi_dz2, o.d2pi_dz1dz2) for o in oracle], dtype=float)
 
 
-def _surface_array(estimates) -> np.ndarray:
-    return np.array(
-        [(e.pi_hat, e.dpi_hat[0], e.dpi_hat[1], e.d2pi_hat) for e in estimates], dtype=float
-    )
-
-
 def _solve_pointwise(surface, family):
     n = surface.shape[0]
     theta = np.full(n, np.nan)
@@ -263,10 +257,11 @@ def theta_series(
     """
     t, z = grid.resolve(sample)
     try:
-        estimates = estimate_surface_grid(sample, spec, t, z)
+        rows, _ = _surface_rows(sample, spec, t, z)
     except EmptyNeighborhoodError as exc:  # no kernel mass at z: whole curve undefined
         raise AllPointsExcludedError(str(exc)) from None
-    return solve_surface(t, _surface_array(estimates), family, grid.trim_lo, grid.trim_hi)
+    # (pi, dpi1, dpi2, d2pi): the first two covariate derivatives
+    return solve_surface(t, rows[:, (0, 1, 2, -1)], family, grid.trim_lo, grid.trim_hi)
 
 
 def trim_series(series: ThetaSeries, trim_lo: float, trim_hi: float) -> ThetaSeries:

@@ -68,6 +68,15 @@ def test_simulate_seed_changes_the_dataset(tmp_path, capsys):
     assert sha(tmp_path / "a" / "dataset.csv") != sha(tmp_path / "b" / "dataset.csv")
 
 
+def test_clayton_simulate_with_a_large_theta_exits_0(tmp_path, capsys):
+    # seed 2 draws first survival values below 6.9e-7, where expm1(-theta
+    # log s1) overflows at theta 50; they once gave NaN durations
+    args = ["simulate", "--family", "clayton", "--theta", "50", "--n", "100000", "--seed", "2"]
+    code, out, err = run_cli([*args, "--out", str(tmp_path)], capsys)
+    assert code == 0, err
+    assert "dataset=" in out
+
+
 def test_covariate_scale_reading_flag_changes_data_and_is_recorded(tmp_path, capsys):
     base = ["simulate", "--n", "200", "--seed", "2"]
     run_cli(base + ["--out", str(tmp_path / "var")], capsys)

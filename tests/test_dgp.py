@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import sys
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -308,6 +309,19 @@ def _frank_exact(theta: float, s1: float, v2: float) -> Decimal:
         return min(max(s2, _LO), _HI)
 
 
+def _clayton_exact(theta: float, s1: float, v2: float) -> Decimal:
+    """The Clayton conditional inverse of the exact inputs, to 50 digits,
+    clipped: s2**-theta = 1 + (v2 s1**(theta + 1))**(-theta / (theta + 1)) - s1**-theta."""
+    with localcontext() as ctx:
+        ctx.prec = 80  # the last two terms cancel where v2 is near 1
+        ctx.Emax, ctx.Emin = 10 ** 9, -(10 ** 9)  # s1**-theta for a large theta
+        th, s, v = Decimal(theta), Decimal(s1), Decimal(v2)
+        x = 1 + (v * s ** (th + 1)) ** (-th / (th + 1)) - s ** -th
+        s2 = (-x.ln() / th).exp()
+        ctx.prec = 50
+        return min(max(+s2, _LO), _HI)
+
+
 def _assert_gumbel_accurate(theta, s1, v2):
     """Relative error at most 16 eps max(1, -log s2) against the exact root.
 
@@ -329,6 +343,51 @@ def _assert_frank_accurate(theta, s1, v2):
     for g, a, b in zip(got.ravel().tolist(), s1.ravel().tolist(), v2.ravel().tolist()):
         exact = _frank_exact(theta, a, b)
         assert abs(Decimal(g) - exact) <= 16 * Decimal(math.ulp(float(exact))), (theta, a, b, g, exact)
+
+
+def _clayton_overflow_points():
+    """Clayton draws where expm1 of the first exponent a1 = -theta / (theta
+    + 1) * log(v2 s1**(theta + 1)) overflows, seeded: at theta 20, 50, 1000
+    and 1e5, ten where the second exponent -theta log s1 overflows too and
+    ten where it does not (-log s1 up to 35 / theta below the threshold,
+    v2 log-uniform), plus named cases down to the least subnormal."""
+    log_max = math.log(sys.float_info.max)
+    rng = np.random.default_rng(2_718)
+    points = [(50.0, 8e-7, 1e-5), (50.0, 2.0**-53, 0.3), (1.0, 1e-300, 1e-300), (0.6, 5e-324, 5e-324)]
+    for theta in (20.0, 50.0, 1000.0, 1e5):
+        for lo, hi in ((log_max / theta, 37.0), ((log_max - 35.0) / theta, log_max / theta)):
+            s1 = np.exp(-rng.uniform(lo, hi, 400))
+            v2 = np.exp(-rng.uniform(0.0, 37.0, 400))
+            a1 = -(theta / (theta + 1.0)) * (np.log(v2) + (theta + 1.0) * np.log(s1))
+            keep = np.flatnonzero(a1 > log_max)[:10]
+            points += [(theta, a, b) for a, b in zip(s1[keep].tolist(), v2[keep].tolist())]
+    return points
+
+
+CLAYTON_OVERFLOW = _clayton_overflow_points()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_clayton_inverse_is_accurate_where_expm1_overflows():
+    """Relative error at most 8 eps max(1, -log s2) against the exact root.
+
+    Before the log-space branch these draws came out as the 2**-53 floor
+    where only the first expm1 overflowed, and as NaN where both did.
+    """
+    only_first = both = 0
+    for theta, s1, v2 in CLAYTON_OVERFLOW:
+        log_max = math.log(sys.float_info.max)
+        second = -theta * math.log(s1) > log_max
+        only_first, both = only_first + (not second), both + second
+        got = conditional_copula_inverse(CopulaModel(CopulaFamily.CLAYTON, theta), s1, v2)
+        exact = _clayton_exact(theta, s1, v2)
+        bound = 8 * EPS * max(1.0, -math.log(float(exact))) * float(exact)
+        assert abs(Decimal(got) - exact) <= Decimal(bound), (theta, s1, v2, got, exact)
+    assert only_first >= 40 and both >= 40  # both failure modes are covered
+    # the example of the named case: the root, not the floor
+    assert conditional_copula_inverse(CopulaModel(CopulaFamily.CLAYTON, 50.0), 8e-7, 1e-5) == pytest.approx(
+        6.38338266906694e-07, rel=1e-14
+    )
 
 
 # Gumbel 50: phi(s1) underflows to 0 and C(s1, s2) rounds to 1 near s2 = 1;

@@ -21,6 +21,7 @@ that does reach those targets visible as an unexpected pass.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import os
 from dataclasses import replace
@@ -633,6 +634,28 @@ def test_theta_series_carries_its_surface():
     given = _series_from([_clayton_surface(0.5), NO_ESTIMATE])
     assert given.surface[0].tolist() == list(_clayton_surface(0.5))
     assert np.isnan(given.surface[1]).all()
+
+
+# sha256 over the bytes (<f8) of ThetaSeries.surface, then theta_pointwise,
+# of theta_series on simulate(default_config(100_000, seed=11, theta=...,
+# family=...)) at bandwidth 0.3 with the default 500-point grid: the three
+# benchmark designs.  Computed when the surface was still summed with Python
+# integers and built point by point from SurfaceEstimate objects.
+THETA_SERIES_DIGESTS = [
+    (CopulaFamily.CLAYTON, 0.5, "38536fa55c3488ccc70057a7b2ad07c2b9200d1a293ba358189ffd01a6326290"),
+    (CopulaFamily.GUMBEL, 1.25, "38439c4f955458779715b4abcaad65717dc594dfaf7cb7853e46dd33b5c5007e"),
+    (CopulaFamily.FRANK, 1.86, "52f927b9a79e3a730f2395d2c880c192d8110edb372c9de57df8a532475dbed2"),
+]
+
+
+@pytest.mark.parametrize("family, theta, digest", THETA_SERIES_DIGESTS, ids=lambda v: getattr(v, "value", None))
+def test_theta_series_matches_golden_digest_at_benchmark_size(family, theta, digest):
+    sample = simulate(default_config(100_000, seed=11, theta=theta, family=family))
+    series = theta_series(sample, KernelSpec((0.3, 0.3)), GridSpec(), family)
+    h = hashlib.sha256()
+    h.update(np.ascontiguousarray(series.surface, dtype="<f8").tobytes())
+    h.update(np.ascontiguousarray(series.theta_pointwise, dtype="<f8").tobytes())
+    assert h.hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------

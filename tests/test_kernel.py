@@ -1,17 +1,27 @@
 """Kernel estimator tests: closed forms, raw sums, quotient-rule derivatives."""
 
 import math
+from fractions import Fraction
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import coprisk.kernel
 from coprisk.data import Sample
 from coprisk.dgp import default_config, oracle_surface, simulate
-from coprisk.kernel import EmptyNeighborhoodError, KernelSpec, _suffix_sums, _ZWeights, estimate_surface_grid
+from coprisk.kernel import (
+    EmptyNeighborhoodError,
+    KernelSpec,
+    _suffix_sums,
+    _surface_rows,
+    _ZWeights,
+    estimate_surface_grid,
+)
 
 # one observation at the origin, unit bandwidths: the kernel mass at (x, 0)
 # is K(x) * K(0) = 0.75 * K(x), and its z1-slope is K'(x) * K(0)
@@ -189,35 +199,97 @@ def test_raw_sums_cross_derivative_matches_finite_differences():
         assert got == pytest.approx(fd, rel=1e-6, abs=1e-7)
 
 
-# signed zeros, subnormals and exponents from 1e-300 to 1e300 in one column
-SUM_TERMS = st.one_of(
-    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e300, -1e300, 1.0, -1.0]),
-    st.floats(min_value=-1e300, max_value=1e300, allow_nan=False),
+MAX = 1.7976931348623157e308
+TINY = 2.0**-1022  # the least normal float
+# One pool of terms per column set: signed zeros, subnormals and exponents
+# from 1e-300 to 1e300; every finite float; subnormals near 0 only; or
+# floats near the top of the range, so that wide spans, subnormal sums and
+# sums past the range each come up often.
+SUM_TERMS = (
+    st.one_of(
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e300, -1e300, 1.0, -1.0]),
+        st.floats(min_value=-1e300, max_value=1e300, allow_nan=False),
+    ),
+    st.one_of(
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, TINY, -TINY, MAX, -MAX, 1.0, -1.0]),
+        st.floats(allow_nan=False, allow_infinity=False),
+    ),
+    st.one_of(
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, TINY, -TINY]),
+        st.floats(min_value=-(2.0**-1000), max_value=2.0**-1000),
+    ),
+    st.one_of(
+        st.sampled_from([0.0, -0.0, MAX, -MAX]),
+        st.floats(min_value=2.0**1015, max_value=MAX),
+        st.floats(min_value=-MAX, max_value=-(2.0**1015)),
+    ),
 )
+
+
+def _reference_sum(values: list) -> float | None:
+    """math.fsum, or where its partials overflow the exact sum rounded by
+    Fraction's true division; None when the sum is beyond the float range."""
+    try:
+        total = math.fsum(values)
+    except OverflowError:
+        try:
+            total = float(sum(map(Fraction, values), Fraction(0)))
+        except OverflowError:
+            return None
+    return None if math.isinf(total) else total
 
 
 @st.composite
 def columns_and_starts(draw):
-    m = draw(st.integers(0, 30))
+    m = draw(st.integers(0, 40))
     c = draw(st.integers(1, 4))
-    columns = draw(arrays(float, (m, c), elements=SUM_TERMS))
+    columns = draw(arrays(float, (m, c), elements=draw(st.sampled_from(SUM_TERMS))))
     if draw(st.booleans()):  # one all-zero column
         columns[:, draw(st.integers(0, c - 1))] = draw(st.sampled_from([0.0, -0.0]))
     starts = draw(st.lists(st.integers(0, m), min_size=1, max_size=12))  # unsorted, repeated, m
-    return columns, starts
+    block = draw(st.sampled_from([1, 2, 3, 7, 1 << 20]))  # row blocks of the limb sums
+    return columns, starts, block
 
 
+def _column(*values):
+    return np.array(values, dtype=float)[:, None]
+
+
+# Ties to even that a far lower term breaks (the sticky bit must see limbs
+# below the 96 bits that rounding reads), and the top of the range: MAX
+# plus half its ulp rounds past it, less the least subnormal it does not.
 @given(columns_and_starts())
-@settings(max_examples=400, deadline=None)
+@example((_column(1.0, 2.0**-53, 2.0**-200), [0, 1, 2, 3], 1 << 20))
+@example((_column(-1.0, -(2.0**-53), -5e-324), [0, 1, 2, 3], 1 << 20))
+@example((_column(1.0, 2.0**-53, 2.0**-300, -(2.0**-300)), [0, 2, 1], 1))
+@example((_column(MAX, math.ulp(MAX) / 2, -5e-324), [2, 1, 0], 1 << 20))
+@example((_column(MAX, math.ulp(MAX) / 2), [1, 0], 1 << 20))
+@settings(max_examples=1000, deadline=None)
 def test_suffix_sweep_equals_fsum(case):
-    columns, starts = case
-    got = _suffix_sums(columns, np.array(starts, dtype=np.intp))
+    columns, starts, block = case
+    want = [[_reference_sum(columns[s:, j].tolist()) for j in range(columns.shape[1])] for s in starts]
+    with mock.patch.object(coprisk.kernel, "_BLOCK_ROWS", block):
+        if any(w is None for row in want for w in row):
+            with pytest.raises(OverflowError):  # _ZWeights.sums turns it into ValueError
+                _suffix_sums(columns, np.array(starts, dtype=np.intp))
+            return
+        got = _suffix_sums(columns, np.array(starts, dtype=np.intp))
     assert got.shape == (len(starts), columns.shape[1])
-    for row, start in zip(got.tolist(), starts):
-        for j, value in enumerate(row):
-            want = math.fsum(columns[start:, j].tolist())
-            assert value == want
-            assert math.copysign(1.0, value) == math.copysign(1.0, want)
+    for row, want_row in zip(got.tolist(), want):
+        for value, w in zip(row, want_row):
+            assert value == w
+            assert math.copysign(1.0, value) == math.copysign(1.0, w)
+
+
+def test_limb_sweep_carries_past_the_top_limb():
+    # 8192 mantissas of 53 one-bits, shifted 31 bits above the least term,
+    # put 2**20 - 1 each into their top limb: the sum needs the carry limb
+    big = math.nextafter(2.0, 0.0)
+    columns = np.array([[big, -big]] * 8192 + [[2.0**-31, -(2.0**-31)]])
+    starts = [0, 1, 4096, 8191, 8192, 8193]
+    got = _suffix_sums(columns, np.array(starts))
+    want = [[math.fsum(columns[s:, j].tolist()) for j in range(2)] for s in starts]
+    assert got.tolist() == want
 
 
 @pytest.mark.parametrize(
@@ -235,6 +307,72 @@ def test_overflowing_kernel_weights_raise(at_z, h):
         estimate_surface_grid(sample, KernelSpec((h, h)), [0.5], [0.0, 0.0])
 
 
+def test_kernel_mass_whose_square_underflows_gives_nonfinite_derivatives():
+    # b = 2 (0.75 / 1e100)**2 is about 1e-200, and b * b underflows to 0: the
+    # surface level stays a ratio of sums, and the quotient-rule derivatives
+    # come out NaN instead of raising ZeroDivisionError
+    sample = Sample([1.0, 2.0], [1, 2], [[0.0, 0.0], [0.5, 0.5]])
+    (est,) = estimate_surface_grid(sample, KernelSpec((1e100, 1e100)), [1.5], [0.0, 0.0])
+    assert est.pi_hat == 0.5
+    assert all(math.isnan(v) for v in (*est.dpi_hat, est.d2pi_hat))
+
+
+# ----------------------------------------------------------------------
+# window selection
+# ----------------------------------------------------------------------
+
+
+def _window_durations(sample, spec, z):
+    """Durations of the rows in the window by the (n, d) mask, sorted."""
+    with np.errstate(over="ignore"):  # an overflowing distance is outside
+        u = (np.asarray(z, dtype=float) - sample.z) / np.asarray(spec.bandwidths)
+    return np.sort(sample.t[np.all(np.abs(u) <= 1.0, axis=1)])
+
+
+def _distinct_durations(n):
+    return 1.0 + np.arange(n, dtype=float)  # a duration names its row
+
+
+def test_window_keeps_rows_exactly_at_the_support_edge():
+    h = 0.5
+    edge = [-h, h, np.nextafter(-h, -1.0), np.nextafter(h, 1.0), 0.0]
+    z = np.array([[a, b] for a in edge for b in edge])
+    sample = Sample(_distinct_durations(len(z)), [1] * len(z), z)
+    spec = KernelSpec((h, h))
+    weights = _ZWeights(sample, spec, np.zeros(2))
+    want = _window_durations(sample, spec, [0.0, 0.0])
+    assert want.size == 9  # |u| = 1 exactly stays inside; one ulp past it does not
+    assert weights.t_sorted.tolist() == want.tolist()
+    assert weights.columns.shape == (9, 4)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_window_matches_the_full_mask(d):
+    rng = np.random.default_rng(40 + d)
+    n = 3000
+    sample = Sample(_distinct_durations(n), rng.integers(1, 3, n), rng.normal(size=(n, d)))
+    for h in (0.2, 0.7, 3.0):
+        spec = KernelSpec((h,) * d)
+        for z in (np.zeros(d), rng.normal(size=d)):
+            weights = _ZWeights(sample, spec, z)
+            assert weights.t_sorted.tolist() == _window_durations(sample, spec, z).tolist()
+            assert weights.columns.shape == (weights.t_sorted.size, d + 2)
+
+
+def test_window_distances_that_overflow_raise_no_warning():
+    # (z - Z) / h overflows for the far rows of the first and of the second
+    # coordinate; the rows at z keep finite distances and overflowing weights
+    h = 1e-308
+    z = [[0.0, 0.0], [1e10, 0.0], [0.0, -1e10], [0.0, 0.0]]
+    sample = Sample(_distinct_durations(4), [1] * 4, z)
+    spec = KernelSpec((h, h))
+    assert _window_durations(sample, spec, [0.0, 0.0]).tolist() == [1.0, 4.0]
+    with pytest.raises(ValueError, match="kernel weights overflow"):
+        _ZWeights(sample, spec, np.zeros(2))
+    with pytest.raises(ValueError, match="kernel weights overflow"):
+        estimate_surface_grid(sample, spec, [0.5], [0.0, 0.0])
+
+
 # ----------------------------------------------------------------------
 # surface estimates
 # ----------------------------------------------------------------------
@@ -248,6 +386,36 @@ def test_estimate_matches_raw_sums():
     est = estimate_surface_grid(sample, spec, [1.0], z)[0]
     assert est.b_at_z == sums.b
     assert est.pi_hat == sums.a / sums.b
+
+
+def _scalar_quotient_rule(a, a_grad, a_cross, b, b_grad, b_cross):
+    """The surface of one grid point from its sums, in Python floats."""
+    b2 = b * b
+    return [
+        a / b,
+        *((ak * b - a * bk) / b2 for ak, bk in zip(a_grad, b_grad)),
+        a_cross / b
+        - (b_grad[0] * a_grad[1] + a_grad[0] * b_grad[1] + b_cross * a) / b2
+        + 2.0 * b_grad[0] * a * b_grad[1] / (b2 * b),
+    ]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_array_quotient_rule_equals_the_scalar_formulas(d):
+    rng = np.random.default_rng(7 + d)
+    n = 4000
+    sample = Sample(rng.exponential(size=n), rng.integers(1, 3, n), rng.normal(size=(n, d)))
+    spec = KernelSpec(tuple(0.6 + 0.1 * k for k in range(d)))
+    z = rng.normal(scale=0.2, size=d)
+    grid = np.linspace(0.01, 3.0, 60)
+    rows, b = _surface_rows(sample, spec, grid, z)
+    (b_sum, *b_grad, b_cross), *a_rows = _ZWeights(sample, spec, z).sums(grid).tolist()
+    assert b == b_sum
+    want = [_scalar_quotient_rule(a, a_grad, a_cross, b, b_grad, b_cross) for a, *a_grad, a_cross in a_rows]
+    assert rows.tolist() == want
+    ests = estimate_surface_grid(sample, spec, grid, z)
+    assert [[e.pi_hat, *e.dpi_hat, e.d2pi_hat] for e in ests] == want
+    assert all(e.b_at_z == b for e in ests)
 
 
 def test_all_durations_beyond_t_give_flat_one():
