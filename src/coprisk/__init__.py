@@ -14,7 +14,6 @@ from .copula import (
     ThetaSolution,
     check_ordering_condition,
     generator,
-    inverse_generator,
     joint_survival,
     kendalls_tau,
     phi_log_deriv_ratio,
@@ -22,7 +21,6 @@ from .copula import (
     theta_from_ratio,
 )
 from .data import (
-    Observation,
     Sample,
     read_dataset_csv,
     write_dataset_csv,
@@ -32,7 +30,6 @@ from .data import (
 from .dgp import (
     DgpConfig,
     LatentDraws,
-    OracleSurface,
     WeibullMarginal,
     conditional_copula_inverse,
     default_config,
@@ -45,9 +42,7 @@ from .estimator import (
     GridSpec,
     McSummary,
     ThetaSeries,
-    default_trim_from_series,
     monte_carlo,
-    oracle_surface_estimates,
     solve_surface,
     summarize_replicates,
     theta_series,
@@ -69,8 +64,6 @@ __all__ = [
     "LatentDraws",
     "McSummary",
     "NoRootError",
-    "Observation",
-    "OracleSurface",
     "Sample",
     "SurfaceEstimate",
     "ThetaSeries",
@@ -79,15 +72,12 @@ __all__ = [
     "check_ordering_condition",
     "conditional_copula_inverse",
     "default_config",
-    "default_trim_from_series",
     "estimate_surface_grid",
     "generator",
-    "inverse_generator",
     "joint_survival",
     "kendalls_tau",
     "monte_carlo",
     "oracle_surface",
-    "oracle_surface_estimates",
     "phi_log_deriv_ratio",
     "read_dataset_csv",
     "simulate",

@@ -34,13 +34,12 @@ from .data import (
     write_mc_replicates_csv,
     write_theta_series_csv,
 )
-from .dgp import default_config, simulate
+from .dgp import default_config, oracle_surface, simulate
 from .estimator import (
     AllPointsExcludedError,
     GridSpec,
     _DegenerateRangeError,
     monte_carlo,
-    oracle_surface_estimates,
     solve_surface,
     summarize_replicates,
     theta_series,
@@ -432,7 +431,7 @@ def _cmd_oracle_check(settings, out_dir):
         dgp = _dgp_config(settings)
         t_grid = np.linspace(0.4, 3.0, 60)
         for z in ((0.0, 0.0), (0.4, -0.3), (-0.5, 0.25)):
-            surface = oracle_surface_estimates(dgp, t_grid, np.asarray(z))
+            surface = oracle_surface(dgp, t_grid, z)
             series = solve_surface(t_grid, surface, family)
             worst = max(worst, float(np.max(np.abs(series.theta_pointwise - dgp.copula.theta))))
     _write_manifest(out_dir, "oracle-check", settings)

@@ -42,7 +42,6 @@ __all__ = [
     "FRANK_DEAD_ZONE",
     "check_ordering_condition",
     "generator",
-    "inverse_generator",
     "joint_survival",
     "kendalls_tau",
     "phi_log_deriv_ratio",
@@ -317,24 +316,13 @@ def generator(model: CopulaModel, s: float) -> GeneratorValue:
     )
 
 
-def inverse_generator(model: CopulaModel, u: float) -> float:
-    """Inverse generator, with the convention phi_inv(u) = 0 for u >= phi(0).
-
-    Only Clayton with theta < 0 has finite phi(0) = -1/theta; the other
-    families are strict (phi(0) = +inf), so the convention branch never
-    triggers there.
-    """
-    u = float(u)
-    if not math.isfinite(u) or u < 0.0:
-        raise ValueError(f"u must be finite and >= 0, got {u!r}")
-    return float(_phi_inv(model.family, model.theta, u))
-
-
 def joint_survival(model: CopulaModel, s1: float, s2: float) -> float:
     """Joint survival probability phi_inv(phi(s1) + phi(s2)).
 
     Couples two marginal survival probabilities in (0, 1]; the result obeys
-    the Frechet bounds, in particular 0 <= result <= min(s1, s2).
+    the Frechet bounds, in particular 0 <= result <= min(s1, s2).  The
+    inverse is 0 from phi(0) on, which is finite only for Clayton with
+    theta < 0 (phi(0) = -1/theta): the joint survival is exactly 0 there.
     """
     s1 = _check_scalar("s1", s1, 0.0, 1.0, include_hi=True)
     s2 = _check_scalar("s2", s2, 0.0, 1.0, include_hi=True)

@@ -1,5 +1,4 @@
-"""Observation records, the column-backed Sample container, and every CSV
-artifact the package writes.
+"""The column-store Sample and every CSV artifact the package writes.
 
 The CSV dialect is fixed: a header row, LF line endings, floats written as
 shortest round-trip decimals so that write -> read reproduces the in-memory
@@ -16,7 +15,6 @@ from __future__ import annotations
 
 import functools
 import warnings
-from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -26,7 +24,6 @@ if TYPE_CHECKING:
     from .estimator import McSummary, ThetaSeries
 
 __all__ = [
-    "Observation",
     "Sample",
     "read_dataset_csv",
     "write_dataset_csv",
@@ -35,21 +32,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Observation:
-    """One competing-risks record: duration, failure cause (1 or 2), covariates."""
+class Sample:
+    """Immutable column store of competing-risks records.
 
-    t: float
-    delta: int
-    z: tuple[float, ...]
-
-
-class Sample(Sequence):
-    """Immutable column store of observations.
-
-    Keeps durations, causes and covariates as numpy arrays (what the kernel
-    machinery consumes) while behaving as a sequence of Observation records.
-    At least two covariate columns are required; the first two are the
+    Keeps durations, causes (1 or 2) and covariates as read-only numpy
+    arrays, one row per record; ``len`` is the number of records.  At least
+    two covariate columns are required; the first two are the
     cause-specific ones used by the cross-derivative estimator.
     """
 
@@ -79,33 +67,12 @@ class Sample(Sequence):
         self.delta = delta
         self.z = z
 
-    @classmethod
-    def from_observations(cls, observations) -> "Sample":
-        obs = list(observations)
-        return cls(
-            [o.t for o in obs],
-            [o.delta for o in obs],
-            [list(o.z) for o in obs],
-        )
-
     @property
     def d(self) -> int:
         return self.z.shape[1]
 
     def __len__(self) -> int:
         return self.t.size
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return Sample(self.t[index], self.delta[index], self.z[index])
-        i = int(index)
-        return Observation(
-            float(self.t[i]), int(self.delta[i]), tuple(float(v) for v in self.z[i])
-        )
-
-    def __iter__(self) -> Iterator[Observation]:
-        for i in range(len(self)):
-            yield self[i]
 
     def mean_covariates(self) -> np.ndarray:
         """Sample average of each covariate column."""

@@ -3,9 +3,9 @@
 Two latent durations share an Archimedean copula on their survival scales;
 each margin is Weibull with a multiplicative covariate effect on the
 cumulative hazard, and each cause has its own covariate.  Only the smaller
-duration and its cause are observed.  A closed-form Clayton surface with
-exact covariate derivatives is provided as the oracle against which kernel
-estimates can be checked.
+duration and its cause are observed.  ``oracle_surface`` gives the exact
+Clayton surface and its covariate derivatives along a duration grid, the
+array the kernel estimate and the theta solve are checked against.
 
 Draws are counter-based (Philox): unit i consumes counters 4i..4i+3 in the
 fixed order (z1, z2, s1, v2), so datasets are reproducible per unit and
@@ -27,8 +27,9 @@ conditional law given the first (the conditional distribution method,
 Nelsen 2006, An Introduction to Copulas, secs. 2.9 and 4.3): in closed form
 for Clayton and Frank, by Newton's method for Gumbel.  Clayton's closed form
 goes to log space where expm1 would overflow (a large theta and a small
-s1).  Each element is computed on its own, so its bits do not depend on the
-array it comes in.
+s1), and sidesteps its two expm1 terms where they cancel past log1p's
+domain (v2 near 1).  Each element is computed on its own, so its bits do
+not depend on the array it comes in.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ from .data import Sample
 __all__ = [
     "DgpConfig",
     "LatentDraws",
-    "OracleSurface",
     "WeibullMarginal",
     "conditional_copula_inverse",
     "default_config",
@@ -307,7 +307,16 @@ def conditional_copula_inverse(model: CopulaModel, s1, v2):
             wide = np.maximum(a1, a2) > _LOG_MAX
             e1 = np.expm1(np.where(wide, 0.0, a1))
             e2 = np.expm1(np.where(wide, 0.0, a2))
-            log_sum = np.log1p(e1 - e2)
+            diff = e1 - e2
+            # two rounded expm1 of nearly equal arguments (v2 near 1, a large
+            # a2) can cancel to -1 or below; there 1 + e1 - e2 is taken as
+            # 1 + exp(a2) expm1(a1 - a2), a1 - a2 = -theta / (theta + 1) * log v2
+            cancelled = diff <= -1.0
+            log_sum = np.log1p(np.where(cancelled, 0.0, diff))
+            if cancelled.any():
+                lv = np.broadcast_to(log_v2, cancelled.shape)[cancelled]
+                e_a2 = np.exp(np.broadcast_to(a2, cancelled.shape)[cancelled])
+                log_sum[cancelled] = np.log1p(e_a2 * np.expm1(-(theta / (theta + 1.0)) * lv))
             if wide.any():
                 # log1p(e1 - e2) = a1 + log(1 - exp(a2 - a1) + exp(-a1)) with
                 # a2 - a1 = theta / (theta + 1) * log v2.  Every log is above
@@ -467,7 +476,8 @@ class LatentDraws:
 _BLOCK_ROWS = 16384
 
 
-def _draw_latent(config: DgpConfig) -> LatentDraws:
+def simulate_latent(config: DgpConfig) -> LatentDraws:
+    """Both latent durations behind simulate(), before the min is taken."""
     rng = np.random.Generator(np.random.Philox(key=config.seed))
     u = rng.random((config.n, 4))
     np.maximum(u, _U_FLOOR, out=u)
@@ -489,55 +499,40 @@ def simulate(config: DgpConfig) -> Sample:
     Deterministic given config.seed; identical configs produce identical
     arrays bit for bit.
     """
-    return _draw_latent(config).observed()
+    return simulate_latent(config).observed()
 
 
-def simulate_latent(config: DgpConfig) -> LatentDraws:
-    """Validation hook exposing the latent pair behind simulate()."""
-    return _draw_latent(config)
-
-
-@dataclass(frozen=True)
-class OracleSurface:
-    """Closed-form joint survival surface value and covariate derivatives."""
-
-    pi: float
-    dpi_dz1: float
-    dpi_dz2: float
-    d2pi_dz1dz2: float
-
-
-def oracle_surface(config: DgpConfig, t: float, z) -> OracleSurface:
-    """Exact Clayton surface pi(t; z) with its covariate derivatives.
+def oracle_surface(config: DgpConfig, t_grid, z) -> np.ndarray:
+    """Exact Clayton surface along ``t_grid`` at ``z``: one (pi, dpi1, dpi2,
+    d2pi) row per duration, the (G, 4) array solve_surface takes.
 
     Only the Clayton family has this closed form here; it exists to
-    validate kernel estimates and the theta inversion end to end.
+    validate kernel estimates and the theta inversion end to end.  Each row
+    is computed in Python floats on its own.  Where the joint survival is
+    exactly zero (theta < 0 only) the row is zero.
     """
     if config.copula.family is not CopulaFamily.CLAYTON:
         raise ValueError("oracle surface is available for the Clayton family only")
-    t = float(t)
-    if not (math.isfinite(t) and t > 0.0):
-        raise ValueError(f"t must be positive, got {t!r}")
+    t_grid = np.asarray(t_grid, dtype=float)
+    if t_grid.ndim != 1 or not np.all(np.isfinite(t_grid) & (t_grid > 0.0)):
+        raise ValueError("t_grid must be a 1-d array of finite positive durations")
     z = np.asarray(z, dtype=float)
     if z.shape != (2,):
         raise ValueError("z must have exactly two entries")
     theta = config.copula.theta
     m1, m2 = config.marginals
-    s1 = float(m1.survival(t, z[0]))
-    s2 = float(m2.survival(t, z[1]))
-    ds1 = float(m1.survival_dz(t, z[0]))
-    ds2 = float(m2.survival_dz(t, z[1]))
-    g = s1 ** -theta + s2 ** -theta - 1.0
-    if g <= 0.0:  # reachable only for theta < 0: survival is exactly zero there
-        return OracleSurface(0.0, 0.0, 0.0, 0.0)
-    pi = g ** (-1.0 / theta)
-    dpi1 = s1 ** -(theta + 1.0) * g ** (-(1.0 + 1.0 / theta)) * ds1
-    dpi2 = s2 ** -(theta + 1.0) * g ** (-(1.0 + 1.0 / theta)) * ds2
-    d2pi = (
-        (1.0 + theta)
-        * g ** (-(2.0 + 1.0 / theta))
-        * (s1 * s2) ** -(theta + 1.0)
-        * ds1
-        * ds2
-    )
-    return OracleSurface(pi, dpi1, dpi2, d2pi)
+    out = np.zeros((t_grid.size, 4))
+    for i, t in enumerate(t_grid.tolist()):
+        s1 = float(m1.survival(t, z[0]))
+        s2 = float(m2.survival(t, z[1]))
+        ds1 = float(m1.survival_dz(t, z[0]))
+        ds2 = float(m2.survival_dz(t, z[1]))
+        g = s1 ** -theta + s2 ** -theta - 1.0
+        if g <= 0.0:
+            continue
+        pi = g ** (-1.0 / theta)
+        dpi1 = s1 ** -(theta + 1.0) * g ** (-(1.0 + 1.0 / theta)) * ds1
+        dpi2 = s2 ** -(theta + 1.0) * g ** (-(1.0 + 1.0 / theta)) * ds2
+        d2pi = (1.0 + theta) * g ** (-(2.0 + 1.0 / theta)) * (s1 * s2) ** -(theta + 1.0) * ds1 * ds2
+        out[i] = pi, dpi1, dpi2, d2pi
+    return out

@@ -10,26 +10,25 @@ trimming window, skipping unusable points (no estimate, level outside
 (0, 1), nonfinite ratio, out-of-domain parameter, or no root).
 
 solve_surface is the one solve step and takes a given surface as that
-(G, 4) float array, the layout of ThetaSeries.surface and surface.csv.
-theta_series is the route from a sample: it builds the kernel surface along
-the grid and hands it to solve_surface.  monte_carlo is the one replicate
-driver.  Replicates are independent jobs with derived seeds; aggregation is
-keyed by replicate index, so summaries are bitwise independent of worker
-count and scheduling.
+(G, 4) float array, the layout of ThetaSeries.surface, surface.csv and the
+exact Clayton surface dgp.oracle_surface.  theta_series is the route from a
+sample: it builds the kernel surface along the grid and hands it to
+solve_surface.  monte_carlo is the one replicate driver.  Replicates are
+independent jobs with derived seeds; aggregation is keyed by replicate
+index, so summaries are bitwise independent of worker count and scheduling.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .copula import CopulaFamily, NoRootError, theta_from_ratio
 from .data import Sample
-from .dgp import DgpConfig, oracle_surface, simulate
+from .dgp import DgpConfig, simulate
 from .kernel import EmptyNeighborhoodError, KernelSpec, _surface_rows
 
 __all__ = [
@@ -37,9 +36,7 @@ __all__ = [
     "GridSpec",
     "McSummary",
     "ThetaSeries",
-    "default_trim_from_series",
     "monte_carlo",
-    "oracle_surface_estimates",
     "solve_surface",
     "summarize_replicates",
     "theta_series",
@@ -133,18 +130,15 @@ class ThetaSeries:
     the surface gave nothing to solve), ``defined`` marks points whose
     solution exists and lies inside the family domain, and ``included``
     additionally applies the trim window; ``theta_hat`` is the arithmetic
-    mean of the included values.  ``iterations`` and ``near_independence``
-    are root-solver diagnostics (zero/False for closed-form families).
-    ``surface`` is the solved surface, one (pi, dpi1, dpi2, d2pi) row per
-    grid point, NaN where there was no surface estimate.
+    mean of the included values.  ``surface`` is the solved surface, one
+    (pi, dpi1, dpi2, d2pi) row per grid point, NaN where there was no
+    surface estimate.
     """
 
     t: np.ndarray
     theta_pointwise: np.ndarray
     defined: np.ndarray
     included: np.ndarray
-    iterations: np.ndarray
-    near_independence: np.ndarray
     surface: np.ndarray
     theta_hat: float
     n_included: int
@@ -152,31 +146,14 @@ class ThetaSeries:
     trim_hi: float
 
     def __post_init__(self) -> None:
-        for arr in (
-            self.t,
-            self.theta_pointwise,
-            self.defined,
-            self.included,
-            self.iterations,
-            self.near_independence,
-            self.surface,
-        ):
+        for arr in (self.t, self.theta_pointwise, self.defined, self.included, self.surface):
             arr.setflags(write=False)
-
-
-def oracle_surface_estimates(config: DgpConfig, t_grid, z) -> np.ndarray:
-    """Exact Clayton surface along ``t_grid`` at ``z`` as the (G, 4) array
-    solve_surface takes (for tests and the oracle-check command)."""
-    oracle = [oracle_surface(config, float(t), z) for t in np.asarray(t_grid, dtype=float)]
-    return np.array([(o.pi, o.dpi_dz1, o.dpi_dz2, o.d2pi_dz1dz2) for o in oracle], dtype=float)
 
 
 def _solve_pointwise(surface, family):
     n = surface.shape[0]
     theta = np.full(n, np.nan)
     defined = np.zeros(n, dtype=bool)
-    iterations = np.zeros(n, dtype=np.int64)
-    near0 = np.zeros(n, dtype=bool)
     for i, (pi, dpi1, dpi2, d2pi) in enumerate(surface.tolist()):
         if not (0.0 < pi < 1.0):  # also skips the NaN rows of missing estimates
             continue
@@ -191,13 +168,11 @@ def _solve_pointwise(surface, family):
         except NoRootError:
             continue
         theta[i] = sol.theta
-        iterations[i] = sol.iterations
-        near0[i] = sol.near_independence
         defined[i] = sol.admissible  # out-of-domain values stay visible, not averaged
-    return theta, defined, iterations, near0
+    return theta, defined
 
 
-def _assemble(t, surface, theta, defined, iterations, near0, trim_lo, trim_hi) -> ThetaSeries:
+def _assemble(t, surface, theta, defined, trim_lo, trim_hi) -> ThetaSeries:
     _check_trim(trim_lo, trim_hi)
     included = defined & (t >= trim_lo) & (t <= trim_hi)
     n_included = int(np.count_nonzero(included))
@@ -212,8 +187,6 @@ def _assemble(t, surface, theta, defined, iterations, near0, trim_lo, trim_hi) -
         theta_pointwise=theta,
         defined=defined,
         included=included,
-        iterations=iterations,
-        near_independence=near0,
         surface=surface,
         theta_hat=theta_hat,
         n_included=n_included,
@@ -267,64 +240,10 @@ def theta_series(
 def trim_series(series: ThetaSeries, trim_lo: float, trim_hi: float) -> ThetaSeries:
     """Re-average an existing series under a different trim window.
 
-    Pointwise values, definedness and diagnostics are reused unchanged;
-    only the inclusion mask and the average move.
+    Pointwise values and definedness are reused unchanged; only the
+    inclusion mask and the average move.
     """
-    return _assemble(
-        series.t,
-        series.surface,
-        series.theta_pointwise,
-        series.defined,
-        series.iterations,
-        series.near_independence,
-        trim_lo,
-        trim_hi,
-    )
-
-
-def default_trim_from_series(series: ThetaSeries, stability_window: int = 25) -> tuple[float, float]:
-    """Suggest a trim window where the pointwise series is locally stable.
-
-    Slides a centered window of ``stability_window`` defined points and
-    keeps those whose median absolute deviation stays within 3x the
-    grid-wide median of such deviations; the widest contiguous run of
-    qualifying windows becomes the suggestion.  Falls back to the full
-    grid range (with a warning) when nothing qualifies.  A suggestion is
-    never applied silently; callers opt in.
-    """
-    if not isinstance(stability_window, int) or stability_window < 3:
-        raise ValueError(f"stability_window must be an integer >= 3, got {stability_window!r}")
-    full = (float(series.t[0]), float(series.t[-1]))
-    t = series.t[series.defined]
-    th = series.theta_pointwise[series.defined]
-    w = stability_window
-    if t.size < w:
-        warnings.warn(
-            "too few defined points for a stability window; using the full range",
-            stacklevel=2,
-        )
-        return full
-    n_win = t.size - w + 1
-    mads = np.empty(n_win)
-    for i in range(n_win):
-        seg = th[i : i + w]
-        mads[i] = np.median(np.abs(seg - np.median(seg)))
-    threshold = 3.0 * float(np.median(mads))
-    ok = mads <= threshold  # <=: a constant series (all-zero deviations) keeps everything
-    if not ok.any():
-        warnings.warn("no stable window found; using the full range", stacklevel=2)
-        return full
-    # widest contiguous run of qualifying windows
-    best_start, best_len = 0, 0
-    run_start = None
-    for i, flag in enumerate(np.append(ok, False)):
-        if flag and run_start is None:
-            run_start = i
-        elif not flag and run_start is not None:
-            if i - run_start > best_len:
-                best_start, best_len = run_start, i - run_start
-            run_start = None
-    return float(t[best_start]), float(t[best_start + best_len - 1 + w - 1])
+    return _assemble(series.t, series.surface, series.theta_pointwise, series.defined, trim_lo, trim_hi)
 
 
 # ----------------------------------------------------------------------

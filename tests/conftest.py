@@ -114,7 +114,7 @@ def consistency_runs(fixture_runtimes):
             zbar = sample.mean_covariates()
             pi_error = abs(
                 estimate_surface_grid(sample, spec, [1.5], zbar)[0].pi_hat
-                - oracle_surface(cfg, 1.5, zbar).pi
+                - oracle_surface(cfg, [1.5], zbar)[0, 0]
             )
             try:
                 theta_error = abs(

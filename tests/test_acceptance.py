@@ -33,11 +33,10 @@ from coprisk.copula import (
     phi_log_deriv_ratio,
     theta_from_ratio,
 )
-from coprisk.dgp import default_config, simulate, simulate_latent
+from coprisk.dgp import default_config, oracle_surface, simulate, simulate_latent
 from coprisk.estimator import (
     GridSpec,
     monte_carlo,
-    oracle_surface_estimates,
     solve_surface,
     summarize_replicates,
 )
@@ -63,7 +62,7 @@ def test_acceptance_1_closed_form_parameter_recovery():
     t_grid = np.linspace(0.4, 3.0, 20)
     worst = 0.0
     for z1, z2 in zip(np.linspace(-0.8, 0.8, 20), np.linspace(0.6, -0.6, 20)):
-        surface = oracle_surface_estimates(cfg, t_grid, np.array([z1, z2]))
+        surface = oracle_surface(cfg, t_grid, [z1, z2])
         series = solve_surface(t_grid, surface, CopulaFamily.CLAYTON)
         worst = max(
             worst, float(np.max(np.abs(series.theta_pointwise - cfg.copula.theta)))

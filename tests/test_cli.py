@@ -560,6 +560,22 @@ def test_montecarlo_manifest_replay_is_byte_identical(tmp_path, capsys):
         assert sha(a / name) == sha(b / name), name
 
 
+# sha256 of the artifacts of `montecarlo --family gumbel --tau 0.2 --n 2000
+# --replicates 4`, the same on one worker and on two
+MC_GUMBEL_DIGESTS = {
+    "mc_replicates.csv": "0d78108966b9f3d39618aa6879ab94e829fda5b23daf3933e5fbe6e9a097074c",
+    "mc_summary.csv": "a3890279296a99a1070e9625c3d7d57805251a4fa50df705ad7e049d6075c7a7",
+}
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_montecarlo_artifacts_match_golden_digests(tmp_path, capsys, threads):
+    out = tmp_path / "run"
+    args = ["--family", "gumbel", "--tau", "0.2", "--n", "2000", "--replicates", "4", "--threads", threads]
+    assert run_cli(["montecarlo", *args, "--out", str(out)], capsys)[0] == 0
+    assert {name: sha(out / name) for name in MC_GUMBEL_DIGESTS} == MC_GUMBEL_DIGESTS
+
+
 # ---------------------------------------------------------------------------
 # oracle-check
 # ---------------------------------------------------------------------------
@@ -573,6 +589,21 @@ def test_oracle_check_error_is_negligible(tmp_path, capsys, family):
     assert code == 0
     value = float(out.strip().split("=")[1])
     assert value < 1e-10
+
+
+# the exact worst error each family's oracle-check prints
+ORACLE_CHECK_LINES = {
+    "clayton": "max_abs_theta_error=2.5757174171303632e-14",
+    "gumbel": "max_abs_theta_error=2.6645352591003757e-15",
+    "frank": "max_abs_theta_error=2.4658497466134577e-11",
+}
+
+
+@pytest.mark.parametrize("family", list(ORACLE_CHECK_LINES))
+def test_oracle_check_prints_the_pinned_worst_error(tmp_path, capsys, family):
+    code, out, _ = run_cli(["oracle-check", "--family", family, "--out", str(tmp_path)], capsys)
+    assert code == 0
+    assert out == ORACLE_CHECK_LINES[family] + "\n"
 
 
 # ---------------------------------------------------------------------------

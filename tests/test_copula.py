@@ -29,7 +29,6 @@ from coprisk import (
     NoRootError,
     check_ordering_condition,
     generator,
-    inverse_generator,
     joint_survival,
     kendalls_tau,
     phi_log_deriv_ratio,
@@ -138,37 +137,40 @@ def test_generator_decreasing_convex_clayton_edge(s):
 
 
 # ----------------------------------------------------------------------
-# inverse generator
+# inverse generator, through joint_survival = phi_inv(phi(s1) + phi(s2))
 # ----------------------------------------------------------------------
 
 
 def test_inverse_at_zero_is_one():
+    # phi(1) = 0, so C(1, 1) is phi_inv(0)
     for fam, th in [(CLAYTON, 0.5), (CLAYTON, -0.5), (GUMBEL, 2.0), (FRANK, 3.0), (INDEP, None)]:
-        assert inverse_generator(CopulaModel(fam, th), 0.0) == 1.0
+        assert joint_survival(CopulaModel(fam, th), 1.0, 1.0) == 1.0
 
 
 def test_clayton_negative_theta_convention():
     # phi(0) = -1/theta = 2: at and past it the inverse is exactly 0
     model = CopulaModel(CLAYTON, -0.5)
-    assert inverse_generator(model, 2.0) == 0.0
-    assert inverse_generator(model, 2.5) == 0.0
-    assert inverse_generator(model, 1.999999) > 0.0
+    assert generator(model, 0.25).phi == 1.0
+    assert joint_survival(model, 0.25, 0.25) == 0.0  # phi sum 2
+    assert joint_survival(model, 0.2, 0.2) == 0.0  # phi sum about 2.21
+    assert joint_survival(model, 0.2500001, 0.2500001) > 0.0  # phi sum just below 2
 
 
 @pytest.mark.parametrize("family", [CLAYTON, GUMBEL, FRANK])
 @given(data=st.data(), s=st.floats(min_value=1e-4, max_value=1.0))
 @settings(max_examples=350, deadline=None)
 def test_generator_round_trip(family, data, s):
+    # C(s, 1) = phi_inv(phi(s) + 0)
     theta = data.draw(theta_strategy(family))
     model = CopulaModel(family, theta)
-    back = inverse_generator(model, generator(model, s).phi)
-    assert back == pytest.approx(s, abs=1e-10)
+    assert generator(model, 1.0).phi == 0.0
+    assert joint_survival(model, s, 1.0) == pytest.approx(s, abs=1e-10)
 
 
 def test_round_trip_independence():
     model = CopulaModel(INDEP)
     for s in (1e-4, 0.3, 0.99, 1.0):
-        assert inverse_generator(model, generator(model, s).phi) == pytest.approx(s, abs=1e-12)
+        assert joint_survival(model, s, 1.0) == pytest.approx(s, abs=1e-12)
 
 
 # ----------------------------------------------------------------------
@@ -643,10 +645,9 @@ def test_argument_domain_rejections():
     for bad in (0.0, -0.1, 1.5, math.nan):
         with pytest.raises(ValueError):
             generator(model, bad)
-    with pytest.raises(ValueError):
-        inverse_generator(model, -1e-9)
-    with pytest.raises(ValueError):
-        joint_survival(model, 0.0, 0.5)
+    for bad in (0.0, 1.0 + 1e-9):
+        with pytest.raises(ValueError):
+            joint_survival(model, bad, 0.5)
     for bad in (0.0, 1.0):
         with pytest.raises(ValueError):
             phi_log_deriv_ratio(model, bad)

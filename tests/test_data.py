@@ -12,7 +12,6 @@ import coprisk.data
 from coprisk.copula import CopulaFamily
 from coprisk.data import (
     _BLOCK_ROWS,
-    Observation,
     Sample,
     _float_cells,
     _write_csv,
@@ -36,33 +35,6 @@ def test_sample_columns_and_length():
     assert s.t.dtype == np.float64
     assert s.delta.dtype == np.int64
     assert s.z.shape == (4, 2)
-
-
-def test_sample_indexing_returns_observation():
-    s = _toy_sample()
-    o = s[1]
-    assert isinstance(o, Observation)
-    assert o.t == 1.25
-    assert o.delta == 2
-    assert o.z == (1.5, 0.0)
-    # negative indices follow sequence semantics
-    assert s[-1].t == 0.125
-
-
-def test_sample_slice_returns_sample():
-    s = _toy_sample()
-    head = s[:2]
-    assert isinstance(head, Sample)
-    assert len(head) == 2
-    assert np.array_equal(head.t, s.t[:2])
-
-
-def test_sample_iteration_and_from_observations_round_trip():
-    s = _toy_sample()
-    rebuilt = Sample.from_observations(iter(s))
-    assert np.array_equal(rebuilt.t, s.t)
-    assert np.array_equal(rebuilt.delta, s.delta)
-    assert np.array_equal(rebuilt.z, s.z)
 
 
 def test_sample_mean_covariates():

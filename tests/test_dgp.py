@@ -367,6 +367,15 @@ def _clayton_overflow_points():
 CLAYTON_OVERFLOW = _clayton_overflow_points()
 
 
+# v2 near 1 and a large theta |log s1|: e1 - e2, a difference of two rounded
+# expm1 values of nearly equal arguments, came out below -1 (log1p gave NaN)
+# and exactly -1 (log1p gave -inf, and the draw the 1 - 2**-53 ceiling)
+CLAYTON_CANCELLED = (
+    (5.0, 3.4753965793830132e-06, 0.9999999999999994),
+    (2.0, 8.364664276902932e-08, 0.9999999999999999),
+)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_clayton_inverse_is_accurate_where_expm1_overflows():
     """Relative error at most 8 eps max(1, -log s2) against the exact root.
@@ -388,6 +397,11 @@ def test_clayton_inverse_is_accurate_where_expm1_overflows():
     assert conditional_copula_inverse(CopulaModel(CopulaFamily.CLAYTON, 50.0), 8e-7, 1e-5) == pytest.approx(
         6.38338266906694e-07, rel=1e-14
     )
+    # the draws where the two rounded expm1 values cancelled
+    for theta, s1, v2 in CLAYTON_CANCELLED:
+        got = conditional_copula_inverse(CopulaModel(CopulaFamily.CLAYTON, theta), s1, v2)
+        exact = _clayton_exact(theta, s1, v2)
+        assert abs(Decimal(got) - exact) <= 8 * Decimal(math.ulp(float(exact))), (theta, s1, v2, got, exact)
 
 
 # Gumbel 50: phi(s1) underflows to 0 and C(s1, s2) rounds to 1 near s2 = 1;
@@ -737,7 +751,7 @@ def _around(x: float, ulps: int) -> list[float]:
 
 
 def _covariate_uniforms(seed: int, n: int = 100_000) -> np.ndarray:
-    # the strided view _draw_latent hands to the normal quantile
+    # the strided view simulate_latent hands to the normal quantile
     u = np.random.Generator(np.random.Philox(key=seed)).random((n, 4))
     np.maximum(u, 2.0 ** -53, out=u)
     return u[:, :2]
@@ -891,6 +905,10 @@ def test_latent_margins_are_the_weibull_laws():
 # ----------------------------------------------------------------------
 
 
+def _oracle_pi(cfg, t, z):
+    return oracle_surface(cfg, [t], z)[0, 0]
+
+
 @pytest.mark.parametrize("theta", [0.5, 2.5])
 def test_oracle_surface_first_derivatives_match_finite_differences(theta):
     cfg = default_config(10, seed=1, theta=theta)
@@ -899,17 +917,11 @@ def test_oracle_surface_first_derivatives_match_finite_differences(theta):
     for _ in range(50):
         t = float(rng.uniform(0.3, 2.5))
         z = rng.uniform(-1.0, 1.0, size=2)
-        surf = oracle_surface(cfg, t, z)
-        fd1 = (
-            oracle_surface(cfg, t, [z[0] + h, z[1]]).pi
-            - oracle_surface(cfg, t, [z[0] - h, z[1]]).pi
-        ) / (2.0 * h)
-        fd2 = (
-            oracle_surface(cfg, t, [z[0], z[1] + h]).pi
-            - oracle_surface(cfg, t, [z[0], z[1] - h]).pi
-        ) / (2.0 * h)
-        assert surf.dpi_dz1 == pytest.approx(fd1, rel=1e-6)
-        assert surf.dpi_dz2 == pytest.approx(fd2, rel=1e-6)
+        _, dpi1, dpi2, _ = oracle_surface(cfg, [t], z)[0]
+        fd1 = (_oracle_pi(cfg, t, [z[0] + h, z[1]]) - _oracle_pi(cfg, t, [z[0] - h, z[1]])) / (2.0 * h)
+        fd2 = (_oracle_pi(cfg, t, [z[0], z[1] + h]) - _oracle_pi(cfg, t, [z[0], z[1] - h])) / (2.0 * h)
+        assert dpi1 == pytest.approx(fd1, rel=1e-6)
+        assert dpi2 == pytest.approx(fd2, rel=1e-6)
 
 
 @pytest.mark.parametrize("theta", [0.5, 2.5])
@@ -920,59 +932,57 @@ def test_oracle_surface_cross_derivative_matches_finite_differences(theta):
     for _ in range(50):
         t = float(rng.uniform(0.3, 2.5))
         z = rng.uniform(-1.0, 1.0, size=2)
-        surf = oracle_surface(cfg, t, z)
+        d2pi = oracle_surface(cfg, [t], z)[0, 3]
         fd = (
-            oracle_surface(cfg, t, [z[0] + h, z[1] + h]).pi
-            - oracle_surface(cfg, t, [z[0] + h, z[1] - h]).pi
-            - oracle_surface(cfg, t, [z[0] - h, z[1] + h]).pi
-            + oracle_surface(cfg, t, [z[0] - h, z[1] - h]).pi
+            _oracle_pi(cfg, t, [z[0] + h, z[1] + h])
+            - _oracle_pi(cfg, t, [z[0] + h, z[1] - h])
+            - _oracle_pi(cfg, t, [z[0] - h, z[1] + h])
+            + _oracle_pi(cfg, t, [z[0] - h, z[1] - h])
         ) / (4.0 * h * h)
         # abs floor covers stencil roundoff (~1e-11) where the derivative is tiny
-        assert surf.d2pi_dz1dz2 == pytest.approx(fd, rel=1e-6, abs=1e-9)
+        assert d2pi == pytest.approx(fd, rel=1e-6, abs=1e-9)
 
 
 def test_oracle_surface_negative_theta_derivatives_and_zero_region():
     cfg = default_config(10, seed=1, theta=-0.5)
-    # interior point: the joint survival is positive and smooth
-    surf = oracle_surface(cfg, 0.5, [0.0, 0.0])
-    assert surf.pi > 0.0
+    # interior point: the joint survival is positive and smooth; far tail:
+    # the countermonotone-side copula assigns exactly zero mass
+    surf, far = oracle_surface(cfg, [0.5, 4.0], [0.0, 0.0])
+    assert surf[0] > 0.0
     h = 1e-5
-    fd1 = (
-        oracle_surface(cfg, 0.5, [h, 0.0]).pi - oracle_surface(cfg, 0.5, [-h, 0.0]).pi
-    ) / (2.0 * h)
-    assert surf.dpi_dz1 == pytest.approx(fd1, rel=1e-6)
-    # far tail: the countermonotone-side copula assigns exactly zero mass
-    far = oracle_surface(cfg, 4.0, [0.0, 0.0])
-    assert (far.pi, far.dpi_dz1, far.dpi_dz2, far.d2pi_dz1dz2) == (0.0, 0.0, 0.0, 0.0)
+    fd1 = (_oracle_pi(cfg, 0.5, [h, 0.0]) - _oracle_pi(cfg, 0.5, [-h, 0.0])) / (2.0 * h)
+    assert surf[1] == pytest.approx(fd1, rel=1e-6)
+    assert far.tolist() == [0.0, 0.0, 0.0, 0.0]
 
 
 def test_identification_identity_recovers_theta_on_grid():
     # smoke-scale version of the end-to-end identity: the curvature ratio of
     # the exact surface must return the generating theta at machine accuracy
     cfg = default_config(10, seed=1)
-    for t in np.linspace(0.5, 2.5, 5):
-        for v in np.linspace(-0.8, 0.8, 5):
-            surf = oracle_surface(cfg, float(t), [v, v])
-            ratio = surf.d2pi_dz1dz2 / (surf.dpi_dz1 * surf.dpi_dz2)
-            sol = theta_from_ratio(CopulaFamily.CLAYTON, surf.pi, ratio)
+    for v in np.linspace(-0.8, 0.8, 5):
+        for pi, dpi1, dpi2, d2pi in oracle_surface(cfg, np.linspace(0.5, 2.5, 5), [v, v]).tolist():
+            sol = theta_from_ratio(CopulaFamily.CLAYTON, pi, d2pi / (dpi1 * dpi2))
             assert sol.admissible
             assert abs(sol.theta - 0.5) < 1e-10
 
 
 def test_oracle_surface_limits_in_duration():
     cfg = default_config(10, seed=1)
-    assert oracle_surface(cfg, 1e-8, [0.3, -0.2]).pi == pytest.approx(1.0, abs=1e-6)
-    pis = [oracle_surface(cfg, t, [0.0, 0.0]).pi for t in np.linspace(0.1, 5.0, 40)]
-    assert all(a > b for a, b in zip(pis, pis[1:]))  # strictly decreasing in t
+    assert _oracle_pi(cfg, 1e-8, [0.3, -0.2]) == pytest.approx(1.0, abs=1e-6)
+    pis = oracle_surface(cfg, np.linspace(0.1, 5.0, 40), [0.0, 0.0])[:, 0]
+    assert np.all(np.diff(pis) < 0.0)  # strictly decreasing in t
 
 
 def test_oracle_surface_rejects_bad_inputs():
     gumbel_cfg = DgpConfig(copula=CopulaModel(CopulaFamily.GUMBEL, 2.0), n=10, seed=1)
     with pytest.raises(ValueError):
-        oracle_surface(gumbel_cfg, 1.0, [0.0, 0.0])
+        oracle_surface(gumbel_cfg, [1.0], [0.0, 0.0])
     cfg = default_config(10, seed=1)
-    for bad_t in (0.0, -1.0, math.inf):
+    for bad_t in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ValueError):
-            oracle_surface(cfg, bad_t, [0.0, 0.0])
+            oracle_surface(cfg, [1.0, bad_t], [0.0, 0.0])
+    for bad_grid in (1.0, [[1.0, 2.0]]):
+        with pytest.raises(ValueError):
+            oracle_surface(cfg, bad_grid, [0.0, 0.0])
     with pytest.raises(ValueError):
-        oracle_surface(cfg, 1.0, [0.0, 0.0, 0.0])
+        oracle_surface(cfg, [1.0], [0.0, 0.0, 0.0])

@@ -31,16 +31,14 @@ import pytest
 
 from coprisk.copula import CopulaFamily, CopulaModel, kendalls_tau
 from coprisk.data import Sample, write_mc_replicates_csv, write_theta_series_csv
-from coprisk.dgp import default_config, simulate
+from coprisk.dgp import default_config, oracle_surface, simulate
 from coprisk.estimator import (
     AllPointsExcludedError,
     GridSpec,
     McSummary,
     ThetaSeries,
     _worker_count,
-    default_trim_from_series,
     monte_carlo,
-    oracle_surface_estimates,
     solve_surface,
     summarize_replicates,
     theta_series,
@@ -155,22 +153,19 @@ def test_oracle_surfaces_recover_parameter_exactly():
     config = default_config(10, seed=1)  # carries theta = 0.5
     t_grid = np.linspace(0.5, 3.0, 30)
     z = np.array([0.2, -0.4])
-    surface = oracle_surface_estimates(config, t_grid, z)
+    surface = oracle_surface(config, t_grid, z)
     series = solve_surface(t_grid, surface, CopulaFamily.CLAYTON)
     assert series.defined.all() and series.included.all()
     assert np.max(np.abs(series.theta_pointwise - 0.5)) < 1e-10
     assert abs(series.theta_hat - 0.5) < 1e-10
     assert series.n_included == 30
-    # closed-form inversion reports no iterations and no near-zero flags
-    assert not series.iterations.any()
-    assert not series.near_independence.any()
 
 
 def test_oracle_series_average_is_trim_invariant():
     config = default_config(10, seed=1)
     t_grid = np.linspace(0.5, 3.0, 30)
     z = np.array([0.2, -0.4])
-    surface = oracle_surface_estimates(config, t_grid, z)
+    surface = oracle_surface(config, t_grid, z)
     series = solve_surface(t_grid, surface, CopulaFamily.CLAYTON)
     for lo, hi in [(0.6, 2.9), (1.0, 1.5), (-INF, INF)]:
         trimmed = trim_series(series, lo, hi)
@@ -185,7 +180,6 @@ def test_gumbel_closed_form_inversion_on_synthetic_surface():
     )
     assert series.defined[0]
     assert series.theta_pointwise[0] == pytest.approx(2.0, abs=1e-12)
-    assert series.iterations[0] == 0
 
 
 def test_frank_root_finding_on_synthetic_surface():
@@ -196,8 +190,6 @@ def test_frank_root_finding_on_synthetic_surface():
     )
     assert series.defined[0]
     assert series.theta_pointwise[0] == pytest.approx(1.0, abs=1e-9)
-    assert series.iterations[0] > 0
-    assert not series.near_independence[0]
 
 
 def test_frank_near_zero_root_stays_included():
@@ -207,7 +199,6 @@ def test_frank_near_zero_root_stays_included():
         [_surface(0.5, (-0.1, -0.2), 2.0 * 0.02)], family=CopulaFamily.FRANK
     )
     assert series.defined[0]
-    assert series.near_independence[0]
     assert abs(series.theta_pointwise[0]) < 1e-6
     assert series.n_included == 1
 
@@ -235,10 +226,9 @@ def test_exclusion_rules_partition_the_grid():
         series.defined,
         [True, False, False, False, False, False, False, False, True],
     )
-    # skipped points carry NaN and zero iterations
+    # skipped points carry NaN
     for i in range(1, 7):
         assert math.isnan(series.theta_pointwise[i])
-        assert series.iterations[i] == 0
     # the inadmissible solution is recorded for diagnostics but not averaged
     assert series.theta_pointwise[7] == pytest.approx(-3.5, abs=1e-12)
     assert not series.defined[7]
@@ -394,45 +384,6 @@ def test_trim_series_reaverages_within_window():
 
 
 # ---------------------------------------------------------------------------
-# Data-driven trim suggestion
-# ---------------------------------------------------------------------------
-
-
-def test_trim_suggestion_keeps_full_range_for_constant_series():
-    config = default_config(10, seed=1)
-    t_grid = (1.0, 1.5, 2.0, 2.5)
-    surface = oracle_surface_estimates(config, np.asarray(t_grid), np.array([0.1, -0.2]))
-    series = solve_surface(t_grid, surface, CopulaFamily.CLAYTON)
-    assert default_trim_from_series(series, stability_window=3) == (1.0, 2.5)
-
-
-def test_trim_suggestion_cuts_noisy_head():
-    # first 20% of the grid carries oscillations 100x larger than the rest
-    thetas = [
-        0.5 + ((0.5 if i < 20 else 0.005) if i % 2 == 0 else -(0.5 if i < 20 else 0.005))
-        for i in range(100)
-    ]
-    t = np.linspace(1.0, 100.0, 100)
-    series = solve_surface(t, [_clayton_surface(th) for th in thetas], CopulaFamily.CLAYTON)
-    lo, hi = default_trim_from_series(series, stability_window=11)
-    assert t[10] < lo < t[25]  # cut lands just past the noisy head
-    assert hi == t[-1]
-
-
-def test_trim_suggestion_warns_and_falls_back_when_sparse():
-    series = _series_from([_clayton_surface(0.5)] * 5)
-    with pytest.warns(UserWarning, match="too few defined points"):
-        lo, hi = default_trim_from_series(series, stability_window=25)
-    assert (lo, hi) == (1.0, 5.0)
-
-
-def test_trim_suggestion_validates_window_size():
-    series = _series_from([_clayton_surface(0.5)] * 5)
-    with pytest.raises(ValueError):
-        default_trim_from_series(series, stability_window=2)
-
-
-# ---------------------------------------------------------------------------
 # Replicates: determinism, workers, seeds
 # ---------------------------------------------------------------------------
 
@@ -509,7 +460,7 @@ def _oracle_series_for_theta(theta):
     config = default_config(10, seed=1, theta=theta)
     t_grid = (1.0, 1.5, 2.0)
     z = np.array([0.1, -0.2])
-    surface = oracle_surface_estimates(config, np.asarray(t_grid), z)
+    surface = oracle_surface(config, t_grid, z)
     return solve_surface(t_grid, surface, CopulaFamily.CLAYTON)
 
 
@@ -627,7 +578,7 @@ def test_theta_series_carries_its_surface():
         series.surface[0, 0] = 0.5
     # solving the carried surface again under the same window gives the same series
     again = solve_surface(series.t, series.surface, CopulaFamily.CLAYTON, series.trim_lo, series.trim_hi)
-    for name in ("t", "theta_pointwise", "defined", "included", "iterations", "near_independence", "surface"):
+    for name in ("t", "theta_pointwise", "defined", "included", "surface"):
         assert np.array_equal(getattr(again, name), getattr(series, name), equal_nan=True), name
     assert again.theta_hat == series.theta_hat and again.n_included == series.n_included
     # a given surface keeps its layout, NaN rows where there is no estimate
@@ -723,12 +674,6 @@ def test_trimmed_percentiles_bracket_the_mean(benchmark_summaries):
     assert trimmed.p05 < trimmed.p95
     assert trimmed.p05 <= trimmed.mean <= trimmed.p95
     assert (trimmed.n_included >= 1).all()
-
-
-def test_trim_suggestion_overlaps_the_stable_window(mc50_series):
-    lo, hi = default_trim_from_series(mc50_series[0])
-    print(f"suggested window = ({lo:.4f}, {hi:.4f})")
-    assert lo < 2.5 and hi > 1.3  # overlaps the hand-picked stable window
 
 
 @pytest.mark.xfail(

@@ -579,4 +579,4 @@ def test_pi_hat_tracks_oracle_at_scale(bench_sample_100k):
     zbar = bench_sample_100k.mean_covariates()
     for t in (1.0, 1.5, 2.0):
         est = estimate_surface_grid(bench_sample_100k, spec, [t], zbar)[0]
-        assert est.pi_hat == pytest.approx(oracle_surface(cfg, t, zbar).pi, abs=0.02)
+        assert est.pi_hat == pytest.approx(oracle_surface(cfg, [t], zbar)[0, 0], abs=0.02)
