@@ -17,10 +17,9 @@ that near-independence parameters remain usable.
 
 Frank's root searches use ``_brentq``, a port of scipy's Brent routine
 that returns the same root bits and iteration count.  Frank's Kendall tau
-integrates the Debye function with ``coprisk._quadpack``, a port of the
-QUADPACK routine behind ``scipy.integrate.quad`` with the same value bits,
-imported only by a Frank tau conversion (``kendalls_tau``,
-``theta_for_tau``).  No code path here imports scipy.
+1 - (4/theta)(1 - D1(theta)), with D1 the first Debye function, is summed
+from two series of D1 (Abramowitz and Stegun 27.1), with no quadrature and
+no cancellation near theta = 0.  No code path here imports scipy.
 """
 
 from __future__ import annotations
@@ -408,35 +407,52 @@ def theta_from_ratio(family: CopulaFamily, pi: float, ratio: float) -> ThetaSolu
     raise ValueError(f"cannot solve for theta in family {family!r}")
 
 
-def _debye_integrand(t: float) -> float:
-    """t/(e^t - 1), continued by its limit 1 at t = 0."""
-    if t == 0.0:
-        return 1.0
-    try:
-        return t / math.expm1(t)
-    except OverflowError:  # t > 709.78, where e^t - 1 rounds to e^t anyway
-        return t * math.exp(-t)
+# 4 B_2k / ((2k + 1) (2k)!) for k = 1..30, B_2k the Bernoulli numbers: the
+# Taylor coefficients of Frank's tau in odd powers of theta, rounded to doubles
+_FRANK_TAU_SERIES = (
+    0.1111111111111111, -0.0011111111111111111, 1.889644746787604e-05,
+    -3.6743092298647856e-07, 7.5915479955884e-09, -1.6259046580576902e-10,
+    3.568676408182581e-12, -7.97571834428843e-14, 1.8075920118479673e-15,
+    -4.142607044872499e-17, 9.580874484104748e-19, -2.2327143497300036e-20,
+    5.236603021673285e-22, -1.2349679209706961e-23, 2.926390261080881e-25,
+    -6.963382628936004e-27, 1.66305425784556e-28, -3.984859395313849e-30,
+    9.576137699584661e-32, -2.307338942146956e-33, 5.572717918588032e-35,
+    -1.3488487861940358e-36, 3.271283511024841e-38, -7.948043324609544e-40,
+    1.9343114072162203e-41, -4.7147748994873535e-43, 1.150838563246903e-44,
+    -2.812823639262411e-46, 6.883441258013258e-48, -1.6864289562241783e-49,
+)
+_PI2_6_M1 = 0.6449340668482264  # pi^2/6 - 1
 
 
-def _debye1(x: float) -> float:
-    """First Debye function (1/x) * integral_0^x t/(e^t - 1) dt.
+def _frank_tau(theta: float) -> float:
+    """Frank's Kendall tau, an odd function of theta, within 3 ulp.
 
-    Integrated by ``coprisk._quadpack.quad``, which returns the bits of
-    ``scipy.integrate.quad`` with the same settings.  It is imported here,
-    so that only a Frank tau conversion loads it.
+    Below |theta| = 3 it sums the Taylor series of tau (radius 2 pi).  From 3
+    on it takes D1(x) = (pi^2/6 - sum_k e^(-kx) (x/k + 1/k^2))/x, dropping the
+    terms below e^-40, as tau = (1 - 2/x)^2 + 4 (pi^2/6 - 1 - sum)/x^2: two
+    positive terms, where 1 - 4/x + 4 D1(x)/x cancels.
     """
-    from ._quadpack import quad
-
-    val, _, _ = quad(_debye_integrand, 0.0, x, 1e-12, 1e-12, 200)
-    return val / x
+    x = abs(theta)
+    if x < 3.0:
+        x2 = x * x
+        acc = 0.0
+        for c in reversed(_FRANK_TAU_SERIES):
+            acc = acc * x2 + c
+        tau = acc * x
+    else:
+        tail = 0.0
+        for k in range(math.ceil(40.0 / x) + 1, 0, -1):  # smallest terms first
+            tail += math.exp(-k * x) * (x / k + 1.0 / (k * k))
+        tau = (1.0 - 2.0 / x) ** 2 + 4.0 * (_PI2_6_M1 - tail) / x / x
+    return math.copysign(tau, theta)
 
 
 def kendalls_tau(model: CopulaModel) -> float:
     """Population Kendall's tau of the model.
 
     Clayton theta/(theta+2), Gumbel 1 - 1/theta, Frank
-    1 - (4/theta)(1 - D1(theta)) with D1 the first Debye function computed
-    by adaptive quadrature, independence 0.
+    1 - (4/theta)(1 - D1(theta)) with D1 the first Debye function, summed
+    from its series (within 3 ulp, and exactly odd in theta), independence 0.
     """
     fam, theta = model.family, model.theta
     if fam is CopulaFamily.CLAYTON:
@@ -444,7 +460,7 @@ def kendalls_tau(model: CopulaModel) -> float:
     if fam is CopulaFamily.GUMBEL:
         return 1.0 - 1.0 / theta
     if fam is CopulaFamily.FRANK:
-        return 1.0 - 4.0 / theta * (1.0 - _debye1(theta))
+        return _frank_tau(theta)
     return 0.0
 
 

@@ -308,15 +308,12 @@ def conditional_copula_inverse(model: CopulaModel, s1, v2):
             e1 = np.expm1(np.where(wide, 0.0, a1))
             e2 = np.expm1(np.where(wide, 0.0, a2))
             diff = e1 - e2
-            # two rounded expm1 of nearly equal arguments (v2 near 1, a large
-            # a2) can cancel to -1 or below; there 1 + e1 - e2 is taken as
-            # 1 + exp(a2) expm1(a1 - a2), a1 - a2 = -theta / (theta + 1) * log v2
-            cancelled = diff <= -1.0
+            # two rounded expm1 of nearly equal arguments (v2 near 1, a large a2) can
+            # cancel to -1 or below or, for theta > 0, lose half their bits (for theta < 0
+            # both lie in (-1, 0) and err by about eps); there 1 + e1 - e2 is taken as
+            # 1 + p, p = exp(a2) m, m = expm1(a1 - a2), a1 - a2 = -theta/(theta + 1) log v2
+            cancelled = (diff <= -1.0) | ((theta > 0) & (np.abs(diff) < 2.0**-26 * e2))
             log_sum = np.log1p(np.where(cancelled, 0.0, diff))
-            if cancelled.any():
-                lv = np.broadcast_to(log_v2, cancelled.shape)[cancelled]
-                e_a2 = np.exp(np.broadcast_to(a2, cancelled.shape)[cancelled])
-                log_sum[cancelled] = np.log1p(e_a2 * np.expm1(-(theta / (theta + 1.0)) * lv))
             if wide.any():
                 # log1p(e1 - e2) = a1 + log(1 - exp(a2 - a1) + exp(-a1)) with
                 # a2 - a1 = theta / (theta + 1) * log v2.  Every log is above
@@ -325,6 +322,20 @@ def conditional_copula_inverse(model: CopulaModel, s1, v2):
                 lv = np.broadcast_to(log_v2, wide.shape)[wide]
                 log_sum[wide] = a1[wide] + np.log(-np.expm1((theta / (theta + 1.0)) * lv))
             out = np.exp(-log_sum / theta)
+            if cancelled.any():
+                at = np.nonzero(cancelled)
+                m = np.expm1(-(theta / (theta + 1.0)) * np.broadcast_to(log_v2, out.shape)[at])
+                a2_at = np.broadcast_to(a2, out.shape)[at]
+                p = np.exp(a2_at) * m
+                log1p_p = np.log1p(p)
+                out[at] = np.exp(-log1p_p / theta)
+                # the root is also s1 (m (1 + 1/p))**(-1/theta), as exp(a2) = s1**-theta:
+                # it errs by about (|log s1| - |log s2|) eps, against |log s1| eps from
+                # the rounded a2 above, and is taken where |log s2| > |log s1| / 2
+                use_s1 = (p > 1.0) & (2.0 * log1p_p > a2_at)
+                s1_at = np.broadcast_to(s1, out.shape)[at][use_s1]
+                root = s1_at * np.exp(-(np.log(m[use_s1]) + np.log1p(1.0 / p[use_s1])) / theta)
+                out[tuple(i[use_s1] for i in at)] = root
     else:
         inverse = _gumbel_root if fam is CopulaFamily.GUMBEL else _frank_inverse
         out = inverse(theta, *np.broadcast_arrays(s1, v2))

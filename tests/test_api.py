@@ -46,7 +46,7 @@ PUBLIC_NAMES = [
     "write_theta_series_csv",
 ]
 
-SUBMODULES = ("_quadpack", "copula", "data", "dgp", "estimator", "kernel")
+SUBMODULES = ("copula", "data", "dgp", "estimator", "kernel")
 
 
 def test_package_exports_exactly_the_public_names():

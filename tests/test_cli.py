@@ -182,7 +182,7 @@ def _simulate_gumbel_dataset(tmp_path, capsys):
 
 def test_estimate_data_ignores_tau_and_theta(tmp_path, capsys):
     # a run from a file reads no theta, so --tau is not converted (for Frank
-    # that would run the Debye quadrature) and neither value is recorded
+    # that would solve the tau curve) and neither value is recorded
     data = tmp_path / "data"
     code, _, _ = run_cli(
         ["simulate", "--n", "2000", "--family", "frank", "--theta", "1.86", "--out", str(data)], capsys
@@ -683,8 +683,8 @@ def test_cold_import_loads_no_scipy(tmp_path):
     # only a Monte Carlo study with more than one worker starts a process pool
     assert report["import_pool"] == []
     assert report["clayton_gumbel_pool"] == []
-    # the Brent and QUADPACK ports give the values scipy's routines gave
-    assert report["frank_tau"] == 1.8608837808585967
+    # the Brent port gives the root scipy's brentq gives on the series tau curve
+    assert report["frank_tau"] == 1.8608837808585954
     assert report["frank_ratio"] == 0.7614099464601876
 
 

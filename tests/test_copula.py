@@ -3,11 +3,12 @@
 Frozen reference numbers were produced with mpmath at 50 significant
 digits: generator values and derivatives from the raw generator
 expressions, curvature ratios from high-precision central differences at
-step 1e-6, Frank taus from high-precision quadrature of the Debye
-integrand.  Runtime oracles (bisection, quotient identities) only use the
-public generator values, never the code paths they are checking.  The Brent
-and QUADPACK ports are checked bit for bit against scipy.optimize.brentq and
-scipy.integrate.quad, which they port.
+step 1e-6, Frank taus from the closed form pi^2/6 + x log(1 - e^-x) -
+Li2(e^-x) of the Debye integral, checked against mpmath's quadrature of the
+integrand, and Frank theta(tau) roots by mpmath's findroot on that closed
+form.  Runtime oracles (bisection, quotient identities) only use the public
+generator values, never the code paths they are checking.  The Brent port
+is checked bit for bit against scipy.optimize.brentq, which it ports.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad as scipy_quad
 from scipy.optimize import brentq as scipy_brentq
 
 from coprisk import (
@@ -35,12 +35,11 @@ from coprisk import (
     theta_for_tau,
     theta_from_ratio,
 )
-from coprisk._quadpack import quad
 from coprisk.copula import (
+    _FRANK_TAU_SERIES,
     FRANK_BRACKET,
     FRANK_DEAD_ZONE,
     _brentq,
-    _debye_integrand,
     _frank_curvature,
 )
 
@@ -57,8 +56,34 @@ FRANK2_JOINT_06_09 = 0.56133431581268420
 GUMBEL2_RATIO_HALF_FD = -4.8853900817718965  # central diff, step 1e-6
 FRANK1_RATIO_HALF_FD = -2.5414940825375930  # central diff, step 1e-6
 FRANK3_RATIO_04 = -4.2930382820799994
-FRANK_TAU_5 = 0.45670095816011690
-FRANK_TAU_1 = 0.11001853644899311
+# Frank (theta, tau): near 0, on both sides of the series switch at |theta| = 3,
+# and out to where e^theta overflows and beyond
+FRANK_TAU = (
+    (1e-06, 1.1111111111111e-07),
+    (-1e-06, -1.1111111111111e-07),
+    (0.001, 0.00011111111000000002),
+    (0.1, 0.01111000018892774),
+    (1.0, 0.1100185364489931),
+    (1.86, 0.19991108467560106),
+    (2.9999999999999996, 0.3072469594307237),
+    (3.0, 0.3072469594307238),
+    (-3.0, -0.3072469594307238),
+    (5.0, 0.4567009581601169),
+    (20.0, 0.81644934023564),
+    (-38.0, -0.8992934461685547),
+    (500.0, 0.9920263189450695),
+    (712.0, 0.9943950016890769),
+    (10000.0, 0.9996000657973627),
+)
+# Frank tau -> theta roots, to 21 digits
+FRANK_THETA_FOR_TAU = (
+    (0.2, 1.86088378085859532516),
+    (-0.45, -4.89420211201305068095),
+    (0.001, 0.00900000729000767254855),
+    (0.75, 14.1385039129865714486),
+    (0.98, 198.341309665014731145),
+    (-0.9, -38.281209952464068377),
+)
 
 
 def theta_strategy(family):
@@ -375,26 +400,13 @@ def test_brentq_port_equals_scipy_bitwise(pi, theta):
     assert sol.iterations == res.iterations
 
 
-def _scipy_debye1(x):
-    """D1 as computed before the QUADPACK port: scipy's quad on t/(e^t - 1)."""
-
-    def integrand(t):
-        if t == 0.0:
-            return 1.0
-        return t / math.expm1(t)
-
-    val, _ = scipy_quad(integrand, 0.0, x, epsabs=1e-12, epsrel=1e-12, limit=200)
-    return val / x
-
-
 @pytest.mark.parametrize("tau", [-0.9, -0.45, -0.1, 0.001, 0.2, 0.3, 0.75, 0.98])
 def test_theta_for_tau_brent_equals_scipy_bitwise(tau):
-    # scipy on both sides of the reference: its Brent on a tau curve built
-    # from its quad, so neither port appears in it
+    # scipy's Brent on the package's tau curve, so only the Brent port differs
     lo, hi = (1e-6, 500.0) if tau > 0 else (-500.0, -1e-6)
 
     def f(th):
-        return 1.0 - 4.0 / th * (1.0 - _scipy_debye1(th)) - tau
+        return kendalls_tau(CopulaModel(FRANK, th)) - tau
 
     assert _same_float(theta_for_tau(FRANK, tau), scipy_brentq(f, lo, hi, xtol=1e-12))
 
@@ -436,95 +448,6 @@ def test_brentq_port_raises_as_scipy(f, a, b, xtol, error):
 
 
 # ----------------------------------------------------------------------
-# QUADPACK port: scipy.integrate.quad is the bitwise oracle
-# ----------------------------------------------------------------------
-
-
-def _assert_quad_equals_scipy(f, a, b, epsabs, epsrel, limit):
-    want = scipy_quad(f, a, b, epsabs=epsabs, epsrel=epsrel, limit=limit, full_output=1)
-    got = quad(f, a, b, epsabs, epsrel, limit)
-    assert _same_float(got[0], want[0]), (got, want[:2])
-    assert _same_float(got[1], want[1]), (got, want[:2])
-    assert got[2] == want[2]["neval"]
-    return got
-
-
-_DEBYE_X = st.one_of(
-    st.floats(min_value=-500.0, max_value=709.0),
-    st.floats(min_value=-8.0, max_value=2.85).map(lambda e: 10.0**e),
-    st.floats(min_value=-8.0, max_value=2.69).map(lambda e: -(10.0**e)),
-)
-
-
-@given(x=_DEBYE_X)
-@example(x=FRANK_DEAD_ZONE)
-@example(x=-FRANK_DEAD_ZONE)
-@example(x=500.0)
-@example(x=-500.0)
-@example(x=709.0)
-@example(x=5e-324)
-@example(x=-5e-324)
-# where the integral overflows, quad returns NaN after up to 200 subintervals
-@example(x=-(10.0**154.5))
-@example(x=-1e155)
-@example(x=-1e200)
-@example(x=-sys.float_info.max)
-@settings(max_examples=300, deadline=None)
-@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
-def test_quad_port_equals_scipy_bitwise_on_the_debye_integrand(x):
-    _assert_quad_equals_scipy(_debye_integrand, 0.0, x, 1e-12, 1e-12, 200)
-
-
-@pytest.mark.parametrize("x, subintervals", [(1.86, 1), (-500.0, 6), (500.0, 7), (709.0, 8)])
-def test_quad_port_subdivides_as_scipy(x, subintervals):
-    _, _, neval = _assert_quad_equals_scipy(_debye_integrand, 0.0, x, 1e-12, 1e-12, 200)
-    assert neval == 42 * subintervals - 21  # 21 points per subinterval, counted as QUADPACK does
-
-
-def test_quad_port_rejects_tolerances_as_scipy():
-    # with no absolute tolerance, epsrel below 50 eps cannot be met
-    with pytest.raises(ValueError):
-        scipy_quad(_debye_integrand, 0.0, 1.0, epsabs=0.0, epsrel=1e-15)
-    with pytest.raises(ValueError):
-        quad(_debye_integrand, 0.0, 1.0, 0.0, 1e-15, 50)
-
-
-def _singular(kind, c):
-    if kind == 0:
-        return lambda t: 1.0 / math.sqrt(abs(t - c)) if t != c else 0.0
-    if kind == 1:
-        return lambda t: math.log(abs(t - c)) if t != c else 0.0
-    return lambda t: 1.0 if t > c else -2.0
-
-
-@given(
-    kind=st.integers(0, 2),
-    a=st.floats(-3.0, 3.0),
-    b=st.floats(-3.0, 3.0),
-    c=st.floats(-3.0, 3.0),
-    eps=st.sampled_from(
-        [(0.0, 1e-12), (1e-14, 1e-14), (1e-12, 1e-12), (1.49e-8, 1.49e-8), (1e-4, 0.0)]
-    ),
-    limit=st.sampled_from([1, 2, 3, 10, 50]),
-)
-# an error estimate set by the epsilon algorithm's floor of 5 eps |result|
-@example(
-    kind=1,
-    a=1.4314273793644903,
-    b=-0.7882329777540997,
-    c=2.0645056000821533,
-    eps=(1e-14, 1e-14),
-    limit=10,
-)
-@settings(max_examples=150, deadline=None)
-@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
-def test_quad_port_equals_scipy_bitwise_on_singular_integrands(kind, a, b, c, eps, limit):
-    # the epsilon algorithm, the error-list ordering and the exits of a short
-    # subdivision limit, which the smooth Debye integrand reaches less often
-    _assert_quad_equals_scipy(_singular(kind, c), a, b, *eps, limit)
-
-
-# ----------------------------------------------------------------------
 # Kendall's tau
 # ----------------------------------------------------------------------
 
@@ -536,8 +459,43 @@ def test_tau_closed_forms():
 
 
 def test_frank_tau_against_frozen_quadrature():
-    assert kendalls_tau(CopulaModel(FRANK, 5.0)) == pytest.approx(FRANK_TAU_5, abs=1e-10)
-    assert kendalls_tau(CopulaModel(FRANK, 1.0)) == pytest.approx(FRANK_TAU_1, abs=1e-10)
+    for theta, tau in FRANK_TAU:
+        got = kendalls_tau(CopulaModel(FRANK, theta))
+        assert abs(got - tau) <= 4 * math.ulp(tau), (theta, got, tau)
+
+
+def test_frank_tau_series_coefficients_from_bernoulli_numbers():
+    from fractions import Fraction
+
+    bernoulli = [Fraction(1)]
+    for m in range(1, 2 * len(_FRANK_TAU_SERIES) + 1):
+        bernoulli.append(-sum(math.comb(m + 1, j) * bernoulli[j] for j in range(m)) / (m + 1))
+    want = tuple(
+        float(4 * bernoulli[2 * k] / ((2 * k + 1) * math.factorial(2 * k)))
+        for k in range(1, len(_FRANK_TAU_SERIES) + 1)
+    )
+    assert len(want) == 30
+    assert all(_same_float(a, b) for a, b in zip(_FRANK_TAU_SERIES, want))
+
+
+_FRANK_THETAS = st.floats(
+    min_value=FRANK_DEAD_ZONE, max_value=sys.float_info.max
+) | st.floats(min_value=-sys.float_info.max, max_value=-FRANK_DEAD_ZONE)
+
+
+@given(st.lists(_FRANK_THETAS, min_size=1, max_size=20))
+@example([1e300, -1e300])
+@example([-1e200, -1e155, -(10.0**154.5)])
+@example([-sys.float_info.max, sys.float_info.max])
+@example([FRANK_DEAD_ZONE, -FRANK_DEAD_ZONE, 3.0, math.nextafter(3.0, 0.0), 709.0, 712.0])
+@settings(max_examples=300, deadline=None)
+def test_frank_tau_is_finite_bounded_odd_and_monotone(thetas):
+    thetas = sorted(thetas)
+    taus = [kendalls_tau(CopulaModel(FRANK, th)) for th in thetas]
+    for th, tau in zip(thetas, taus):
+        assert math.isfinite(tau) and -1.0 <= tau <= 1.0, (th, tau)
+        assert _same_float(kendalls_tau(CopulaModel(FRANK, -th)), -tau), th
+    assert all(a <= b for a, b in zip(taus, taus[1:])), list(zip(thetas, taus))
 
 
 def test_frank_tau_antisymmetry_and_small_theta():
@@ -551,8 +509,8 @@ def test_frank_tau_antisymmetry_and_small_theta():
 
 @pytest.mark.parametrize("theta", [712.0, 1000.0])
 def test_frank_tau_past_the_expm1_overflow(theta):
-    # e^t overflows for t > 709.78 inside the Debye integral; there
-    # D1(theta) = pi^2/(6 theta) up to terms below e^-709
+    # e^theta overflows for theta > 709.78; there D1(theta) = pi^2/(6 theta)
+    # up to terms below e^-709
     asymptote = 1.0 - 4.0 / theta * (1.0 - math.pi**2 / (6.0 * theta))
     assert kendalls_tau(CopulaModel(FRANK, theta)) == pytest.approx(asymptote, abs=1e-15)
 
@@ -571,6 +529,11 @@ def test_frank_tau_past_the_expm1_overflow(theta):
 def test_theta_for_tau_round_trip(family, tau):
     theta = theta_for_tau(family, tau)
     assert kendalls_tau(CopulaModel(family, theta)) == pytest.approx(tau, abs=1e-10)
+
+
+@pytest.mark.parametrize("tau, root", FRANK_THETA_FOR_TAU)
+def test_frank_theta_for_tau_against_frozen_roots(tau, root):
+    assert theta_for_tau(FRANK, tau) == pytest.approx(root, rel=1e-14, abs=0.0)
 
 
 def test_theta_for_tau_rejects_unreachable():

@@ -368,11 +368,13 @@ CLAYTON_OVERFLOW = _clayton_overflow_points()
 
 
 # v2 near 1 and a large theta |log s1|: e1 - e2, a difference of two rounded
-# expm1 values of nearly equal arguments, came out below -1 (log1p gave NaN)
-# and exactly -1 (log1p gave -inf, and the draw the 1 - 2**-53 ceiling)
+# expm1 values of nearly equal arguments, came out below -1 (log1p gave NaN),
+# exactly -1 (log1p gave -inf, and the draw the 1 - 2**-53 ceiling) and
+# exactly 0 (the ceiling again, for a root of 7.35e-14)
 CLAYTON_CANCELLED = (
     (5.0, 3.4753965793830132e-06, 0.9999999999999994),
     (2.0, 8.364664276902932e-08, 0.9999999999999999),
+    (5.0, 1.0832416705580414e-16, 0.9999999999999917),
 )
 
 
