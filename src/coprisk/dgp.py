@@ -14,21 +14,18 @@ replicates can be generated independently from derived seeds.
 The normal covariates come from the inverse normal cdf ``_ndtri``, a numpy
 port of Cephes ``ndtri`` (S. L. Moshier, *Methods and Programs for
 Mathematical Functions*, 1989), the routine behind ``scipy.special.ndtri``:
-the same coefficients, branch points and Horner order, so it returns the
-same bits without importing scipy.  Its logarithms must be the C library's
-``log``, the one the compiled routine calls, because numpy's vectorised
-``np.log`` differs from it in the last bit on a small fraction of inputs on
-some CPUs.  ``_libm_log`` takes them in long double and rounds to double,
-which is libm's answer wherever the long-double value lies clear of a
-rounding midpoint; elements near one go through ``math.log``.
+the same coefficients, branch points and Horner order, within 5 ulp of the
+exact quantile (4.3 measured).  Its logarithms are numpy's ``np.log``, as
+are those of the durations, so z and t alike may differ in the last bit
+between numpy builds whose vectorised ``log`` differs.
 
 The second survival value is drawn from the exact inverse of its
 conditional law given the first (the conditional distribution method,
 Nelsen 2006, An Introduction to Copulas, secs. 2.9 and 4.3): in closed form
 for Clayton and Frank, by Newton's method for Gumbel.  Clayton's closed form
 goes to log space where expm1 would overflow (a large theta and a small
-s1), and sidesteps its two expm1 terms where they cancel past log1p's
-domain (v2 near 1).  Each element is computed on its own, so its bits do
+s1), and for theta > 0 takes a form without its two expm1 terms, which
+cancel as v2 nears 1.  Each element is computed on its own, so its bits do
 not depend on the array it comes in.
 """
 
@@ -102,82 +99,65 @@ _Q2 = (
 
 
 def _polevl(x: np.ndarray, coef: tuple[float, ...]) -> np.ndarray:
-    ans = coef[0]
-    for c in coef[1:]:
-        ans = ans * x + c
+    """Horner in the Cephes order, ((c0 x + c1) x + c2) ..., into one new array."""
+    ans = x * coef[0]
+    ans += coef[1]
+    for c in coef[2:]:
+        ans *= x
+        ans += c
     return ans
 
 
 def _p1evl(x: np.ndarray, coef: tuple[float, ...]) -> np.ndarray:
+    """Horner with an implicit leading 1.0, ((x + c0) x + c1) ..."""
     ans = x + coef[0]
     for c in coef[1:]:
-        ans = ans * x + c
+        ans *= x
+        ans += c
     return ans
 
 
-# glibc's log (musl shares its code) is documented to be within 0.519 ulp of
-# the exact logarithm, so it returns the correctly rounded value wherever
-# the exact value lies more than 0.019 ulp from a rounding midpoint.  The
-# long-double log is allowed 32 of its own ulps of error on top (1/64 of a
-# double ulp on x86's 80-bit format, so the band is about 1/29 ulp).  Where
-# long double is no wider than double the band exceeds half an ulp, and
-# every element falls back to math.log.
-_LOG_BAND = (0.519 - 0.5) + 32.0 * float(np.finfo(np.longdouble).eps / np.finfo(float).eps)
-
-
-def _libm_log(x: np.ndarray) -> np.ndarray:
-    """``math.log`` elementwise, bit for bit, mostly without calling it.
-
-    The long-double log rounded to double is kept where the long-double
-    value lies at least ``_LOG_BAND`` ulp from a rounding midpoint: the
-    exact log is then on the same side of that midpoint, and a libm ``log``
-    within 0.519 ulp rounds it the same way.  This assumes the platform's
-    ``log`` meets glibc's documented 0.519 ulp bound and its ``logl`` is
-    within 32 long-double ulps.  Elements inside the band, results that are
-    a power of two (whose ulp differs on the two sides) and non-finite
-    results go through ``math.log``.
-    """
-    with np.errstate(all="ignore"):  # non-finite results fall back; math.log raises as before
-        wide = np.log(x.astype(np.longdouble))
-        out = wide.astype(float)
-        # the bits of wide below out's last place: exact in double
-        residual = (wide - out).astype(float)
-    kept = (np.abs(residual) <= (0.5 - _LOG_BAND) * np.spacing(np.abs(out))) & (
-        np.abs(np.frexp(out)[0]) != 0.5
-    )
-    rest = np.flatnonzero(~kept)
-    if rest.size:
-        out[rest] = list(map(math.log, x[rest].tolist()))
-    return out
-
-
 def _ndtri(y0) -> np.ndarray:
-    """Inverse standard normal cdf, elementwise, bit for bit Cephes ndtri.
+    """Inverse standard normal cdf, elementwise, Cephes ndtri on numpy's log.
 
     0 maps to -inf, 1 to +inf, and anything outside [0, 1] (or NaN) to NaN.
+    The central rational runs over every element, in place; only the tail
+    elements (y <= exp(-2) after folding) are gathered, and overwrite it.
     """
     y0 = np.asarray(y0, dtype=float)
-    flat = y0.ravel()
-    out = np.full(flat.shape, np.nan)
-    upper = flat > 1.0 - _EXP_M2
-    y = np.where(upper, 1.0 - flat, flat)
-    central = y > _EXP_M2
-    yc = y[central] - 0.5
-    y2 = yc * yc
-    out[central] = (yc + yc * (y2 * _polevl(y2, _P0) / _p1evl(y2, _Q0))) * _S2PI
-    tail = (y > 0.0) & ~central
-    x = np.sqrt(-2.0 * _libm_log(y[tail]))
-    x0 = x - _libm_log(x) / x
-    z = 1.0 / x
-    x1 = z * _polevl(z, _P1) / _p1evl(z, _Q1)
-    far = x >= 8.0
-    if far.any():
-        zf = z[far]
-        x1[far] = zf * _polevl(zf, _P2) / _p1evl(zf, _Q2)
-    x = x0 - x1
-    out[tail] = np.where(upper[tail], x, -x)
-    out[flat == 0.0] = -np.inf
-    out[flat == 1.0] = np.inf
+    upper = y0 > 1.0 - _EXP_M2
+    y = np.where(upper, 1.0 - y0, y0).ravel()
+    upper = upper.ravel()
+    # out-of-range inputs overflow the central rational and land in the tail,
+    # where the log of a negative makes them NaN; 0 and 1 take log(0)
+    with np.errstate(all="ignore"):
+        yc = y - 0.5
+        y2 = yc * yc
+        out = _polevl(y2, _P0)
+        out *= y2
+        out /= _p1evl(y2, _Q0)
+        out *= yc
+        out += yc
+        out *= _S2PI
+        at = np.flatnonzero(y <= _EXP_M2)
+        if at.size:
+            yt = y[at]
+            x = np.log(yt)
+            x *= -2.0
+            np.sqrt(x, out=x)
+            x0 = x - np.log(x) / x
+            z = 1.0 / x
+            x1 = _polevl(z, _P1)
+            x1 *= z
+            x1 /= _p1evl(z, _Q1)
+            far = np.flatnonzero(x >= 8.0)
+            if far.size:
+                zf = z[far]
+                x1[far] = zf * _polevl(zf, _P2) / _p1evl(zf, _Q2)
+            x0 -= x1
+            x0[yt == 0.0] = np.inf  # x0 was inf - inf / inf
+            np.negative(x0, out=x0, where=~upper[at])
+            out[at] = x0
     return out.reshape(y0.shape)
 
 
@@ -299,49 +279,55 @@ def conditional_copula_inverse(model: CopulaModel, s1, v2):
         if theta == -1.0:
             out = 1.0 - s1 + 0.0 * v2  # broadcast; v2 is irrelevant at the edge
         else:
-            log_s1 = np.log(s1)
-            log_v2 = np.log(v2)
-            a1 = -(theta / (theta + 1.0)) * (log_v2 + (theta + 1.0) * log_s1)
-            a2 = -theta * log_s1
-            # past ln(max float) expm1 overflows (a large theta and a small s1)
-            wide = np.maximum(a1, a2) > _LOG_MAX
-            e1 = np.expm1(np.where(wide, 0.0, a1))
-            e2 = np.expm1(np.where(wide, 0.0, a2))
-            diff = e1 - e2
-            # two rounded expm1 of nearly equal arguments (v2 near 1, a large a2) can
-            # cancel to -1 or below or, for theta > 0, lose half their bits (for theta < 0
-            # both lie in (-1, 0) and err by about eps); there 1 + e1 - e2 is taken as
-            # 1 + p, p = exp(a2) m, m = expm1(a1 - a2), a1 - a2 = -theta/(theta + 1) log v2
-            cancelled = (diff <= -1.0) | ((theta > 0) & (np.abs(diff) < 2.0**-26 * e2))
-            log_sum = np.log1p(np.where(cancelled, 0.0, diff))
-            if wide.any():
-                # log1p(e1 - e2) = a1 + log(1 - exp(a2 - a1) + exp(-a1)) with
-                # a2 - a1 = theta / (theta + 1) * log v2.  Every log is above
-                # -745, so this needs theta > 1/2: 1 - exp(a2 - a1) > 2**-56,
-                # and exp(-a1) < 2**-1023 is far below half its ulp
-                lv = np.broadcast_to(log_v2, wide.shape)[wide]
-                log_sum[wide] = a1[wide] + np.log(-np.expm1((theta / (theta + 1.0)) * lv))
-            out = np.exp(-log_sum / theta)
-            if cancelled.any():
-                at = np.nonzero(cancelled)
-                m = np.expm1(-(theta / (theta + 1.0)) * np.broadcast_to(log_v2, out.shape)[at])
-                a2_at = np.broadcast_to(a2, out.shape)[at]
-                p = np.exp(a2_at) * m
-                log1p_p = np.log1p(p)
-                out[at] = np.exp(-log1p_p / theta)
-                # the root is also s1 (m (1 + 1/p))**(-1/theta), as exp(a2) = s1**-theta:
-                # it errs by about (|log s1| - |log s2|) eps, against |log s1| eps from
-                # the rounded a2 above, and is taken where |log s2| > |log s1| / 2
-                use_s1 = (p > 1.0) & (2.0 * log1p_p > a2_at)
-                s1_at = np.broadcast_to(s1, out.shape)[at][use_s1]
-                root = s1_at * np.exp(-(np.log(m[use_s1]) + np.log1p(1.0 / p[use_s1])) / theta)
-                out[tuple(i[use_s1] for i in at)] = root
+            out = _clayton_inverse(theta, s1, v2)
     else:
         inverse = _gumbel_root if fam is CopulaFamily.GUMBEL else _frank_inverse
         out = inverse(theta, *np.broadcast_arrays(s1, v2))
     out = np.clip(out, _U_FLOOR, _U_CEIL)  # keep downstream log(s2) finite and negative
     if scalar:
         return float(out[0])
+    return out
+
+
+def _clayton_inverse(theta: float, s1: np.ndarray, v2: np.ndarray) -> np.ndarray:
+    """The Clayton conditional inverse in closed form, theta > -1.
+
+    s2**-theta = 1 + e1 - e2, with e1 = expm1(a1), e2 = expm1(a2),
+    a1 = -theta / (theta + 1) * log(v2 s1**(theta + 1)) and a2 = -theta log s1.
+    For theta < 0 both lie in (-1, 0) and their difference errs by about eps,
+    so it is taken as it stands.  For theta > 0 it cancels as v2 nears 1;
+    there 1 + e1 - e2 = 1 + p, p = exp(a2) m, m = expm1(a1 - a2) and
+    a1 - a2 = -theta / (theta + 1) * log v2, a form free of cancellation,
+    taken for every draw.  The logs of s1 and v2 are taken before they are
+    broadcast.
+    """
+    c = theta / (theta + 1.0)
+    log_s1 = np.log(s1)
+    log_v2 = np.log(v2)
+    a1 = -c * (log_v2 + (theta + 1.0) * log_s1)
+    a2 = -theta * log_s1
+    if theta < 0.0:
+        return np.exp(-np.log1p(np.expm1(a1) - np.expm1(a2)) / theta)
+    # past ln(max float) exp and expm1 overflow (a large theta and a small s1)
+    wide = np.maximum(a1, a2) > _LOG_MAX
+    m = np.expm1(np.where(wide, 0.0, -c * log_v2))
+    p = np.exp(np.where(wide, 0.0, a2)) * m
+    log1p_p = np.log1p(p)
+    out = np.exp(-log1p_p / theta)
+    # the root is also s1 (m (1 + 1/p))**(-1/theta), as exp(a2) = s1**-theta:
+    # it errs by about (|log s1| - |log s2|) eps, against |log s1| eps from
+    # the rounded a2 above, and is taken where |log s2| > |log s1| / 2
+    use_s1 = (p > 1.0) & (2.0 * log1p_p > a2) & ~wide
+    if use_s1.any():
+        s1_at = np.broadcast_to(s1, out.shape)[use_s1]
+        out[use_s1] = s1_at * np.exp(-(np.log(m[use_s1]) + np.log1p(1.0 / p[use_s1])) / theta)
+    if wide.any():
+        # log1p(e1 - e2) = a1 + log(1 - exp(a2 - a1) + exp(-a1)) with
+        # a2 - a1 = theta / (theta + 1) * log v2.  Every log is above
+        # -745, so this needs theta > 1/2: 1 - exp(a2 - a1) > 2**-56,
+        # and exp(-a1) < 2**-1023 is far below half its ulp
+        lv = np.broadcast_to(log_v2, wide.shape)[wide]
+        out[wide] = np.exp(-(a1[wide] + np.log(-np.expm1(c * lv))) / theta)
     return out
 
 

@@ -109,11 +109,12 @@ def test_estimate_writes_surface_series_and_success_line(tmp_path, capsys):
 
 
 # sha256 of the text artifacts of `estimate --n 20000 --seed 1 --bandwidth 0.3`,
-# computed while every float was written by repr one value at a time.
+# first computed while every float was written by repr one value at a time,
+# re-pinned at version 0.3.0, which moved the simulated dataset's bits.
 ESTIMATE_TEXT_DIGESTS = {
-    "dataset.csv": "b8593daee409b3b57d44b66196bdf45455404d7a9c06db4056d3578a1a45170f",
-    "surface.csv": "d5802c3c9de810fbdedcbe4a18cac05f11aa14ef2c30e952f994bec8ac89b0e4",
-    "theta_series.csv": "0dfdd94dd7b01bac28b075bf620a83c28db9ecf9d0b3413ca6c739e4beacfc4c",
+    "dataset.csv": "6a8ee26386d21a72792eaf64b48736b7d5c401ccd10b377503e4e0603b9540ea",
+    "surface.csv": "36ab6f09dc03c082861a64d4508b19dfbc6f2375b09d926d8f37196357d2a3d3",
+    "theta_series.csv": "fb2da2f424b7dd4000d619c699fd330451a9a0a3778340513394f2eb79321954",
 }
 
 
@@ -263,20 +264,30 @@ def _gumbel_manifest(tmp_path, capsys):
     return out
 
 
-def test_manifest_from_another_library_version_exits_2(tmp_path, capsys):
-    # a manifest names the generator that wrote its dataset; another version
-    # may draw other bits, so its replay is refused instead of diverging
+def _assert_manifest_version_refused(tmp_path, capsys, version):
     a = _gumbel_manifest(tmp_path, capsys)
     text = (a / "manifest.txt").read_text()
     assert f"\nversion={coprisk.__version__}\n" in text
     cfg = tmp_path / "old.txt"
-    cfg.write_text(text.replace(f"version={coprisk.__version__}", "version=0.1.0"))
+    cfg.write_text(text.replace(f"version={coprisk.__version__}", f"version={version}"))
     b = tmp_path / "b"
     code, _, err = run_cli(["simulate", "--config", str(cfg), "--out", str(b)], capsys)
     assert code == 2
     assert err.count("\n") == 1 and err.startswith("error: config:")
-    assert "0.1.0" in err and coprisk.__version__ in err
+    assert version in err and coprisk.__version__ in err
     assert not (b / "dataset.csv").exists()
+
+
+def test_manifest_from_another_library_version_exits_2(tmp_path, capsys):
+    # a manifest names the generator that wrote its dataset; another version
+    # may draw other bits, so its replay is refused instead of diverging
+    _assert_manifest_version_refused(tmp_path, capsys, "0.1.0")
+
+
+def test_manifest_from_version_0_2_0_exits_2(tmp_path, capsys):
+    # 0.2.0 drew Gumbel and Frank from the exact conditional inverse, 0.3.0
+    # moved the normal covariates' bits and Clayton's for theta > 0
+    _assert_manifest_version_refused(tmp_path, capsys, "0.2.0")
 
 
 def test_config_file_without_a_version_still_replays(tmp_path, capsys):

@@ -219,14 +219,13 @@ def test_forced_fallback_gives_the_same_bytes(tmp_path, monkeypatch):
 
 
 # sha256 of write_dataset_csv(simulate(default_config(100_000, seed=11,
-# theta=..., family=...))).  Clayton's was computed while every float was
-# written by repr one value at a time; Gumbel's and Frank's by that writer
-# and checked against repr when they first drew from the exact conditional
-# inverse (version 0.2.0).
+# theta=..., family=...))), re-pinned at version 0.3.0 (the normal quantile
+# on numpy's log, Clayton's cancellation-free form) and checked then against
+# _reference_csv, which writes every float by repr one value at a time.
 DATASET_TEXT_DIGESTS = [
-    (CopulaFamily.CLAYTON, 0.5, "78d58f0ed9a4962d2e7ca789efea2afe8551868f8325d1152ce5bfeac94a0fc7"),
-    (CopulaFamily.GUMBEL, 1.25, "a051f7b232bbe7173ad68957a77cf2ae252223f7cc889abc420551638d5a115d"),
-    (CopulaFamily.FRANK, 1.86, "0613335e538b784897e8c73787f630852ec39c2729c4d9d7734073d6271a6106"),
+    (CopulaFamily.CLAYTON, 0.5, "05d25db3c8f875efee2bf458a26b4c39b290daf7eb1ec83831afb0fd23be2c47"),
+    (CopulaFamily.GUMBEL, 1.25, "56977df8dbc3f8e0ed1a82f71630da8b22c7e214e5ff9d004e64a4b4a0c184e8"),
+    (CopulaFamily.FRANK, 1.86, "b687dd0d708fb63adaa91b130144564990b2cb0993abc812cbe87846d3d7b271"),
 ]
 
 
