@@ -50,7 +50,7 @@ from .estimator import (
 )
 from .kernel import EmptyNeighborhoodError, KernelSpec, SurfaceEstimate, estimate_surface_grid
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 __all__ = [
     "AllPointsExcludedError",

@@ -24,7 +24,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .copula import CopulaFamily, NoRootError, _d2phi, _dphi, theta_for_tau, theta_from_ratio
+from .copula import CopulaFamily, _d2phi, _dphi, _solve_ratio, theta_for_tau
 from .data import (
     _fmt,
     _write_mc_summary_csv,
@@ -408,34 +408,39 @@ _CHECK_THETAS = {
 def _cmd_oracle_check(settings, out_dir):
     """Invert the curvature ratio back to the parameter it came from.
 
-    Sweeps a (survival level, parameter) grid for the configured family;
-    for Clayton, additionally solves the closed-form surface along a
-    duration grid with solve_surface, the solve step every estimate takes.
-    Prints the worst absolute error.
+    Sweeps a (survival level, parameter) grid for the configured family,
+    one array solve per parameter; for Clayton, additionally solves the
+    closed-form surface along a duration grid with solve_surface, the solve
+    step every estimate takes.  Prints the worst absolute error; a point
+    that solves to no finite parameter is an estimation failure.
     """
     family = settings["family"]
-    worst = 0.0
+    errors = []
     levels = np.linspace(0.05, 0.95, 20)
-    for theta in _CHECK_THETAS[family]:
-        theta = float(theta)
+    for theta in _CHECK_THETAS[family].tolist():
         ratios = -(_d2phi(family, theta, levels) / _dphi(family, theta, levels))
-        for pi, ratio in zip(levels, ratios):
-            try:
-                sol = theta_from_ratio(family, float(pi), float(ratio))
-            except NoRootError as exc:
-                raise EstimationFailure(
-                    f"no parameter solves the curvature ratio at pi={pi!r}: {exc}"
-                ) from None
-            worst = max(worst, abs(sol.theta - theta))
+        solved, _ = _solve_ratio(family, levels, ratios)
+        unsolved = ~np.isfinite(solved)
+        if unsolved.any():
+            raise EstimationFailure(
+                f"no parameter solves the curvature ratio of theta={theta!r}"
+                f" at pi={float(levels[unsolved][0])!r}"
+            )
+        errors.append(np.abs(solved - theta))
     if family is CopulaFamily.CLAYTON:
         dgp = _dgp_config(settings)
         t_grid = np.linspace(0.4, 3.0, 60)
         for z in ((0.0, 0.0), (0.4, -0.3), (-0.5, 0.25)):
-            surface = oracle_surface(dgp, t_grid, z)
-            series = solve_surface(t_grid, surface, family)
-            worst = max(worst, float(np.max(np.abs(series.theta_pointwise - dgp.copula.theta))))
+            series = solve_surface(t_grid, oracle_surface(dgp, t_grid, z), family)
+            unsolved = ~np.isfinite(series.theta_pointwise)
+            if unsolved.any():
+                raise EstimationFailure(
+                    f"the exact surface at z={z!r} solves to no parameter"
+                    f" at t={float(t_grid[unsolved][0])!r}"
+                )
+            errors.append(np.abs(series.theta_pointwise - dgp.copula.theta))
     _write_manifest(out_dir, "oracle-check", settings)
-    print(f"max_abs_theta_error={_fmt(worst)}")
+    print(f"max_abs_theta_error={_fmt(float(np.max(np.concatenate(errors))))}")
     return 0
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .copula import CopulaFamily, NoRootError, theta_from_ratio
+from .copula import CopulaFamily, _solve_ratio
 from .data import Sample
 from .dgp import DgpConfig, simulate
 from .kernel import EmptyNeighborhoodError, KernelSpec, _surface_rows
@@ -151,24 +151,18 @@ class ThetaSeries:
 
 
 def _solve_pointwise(surface, family):
-    n = surface.shape[0]
-    theta = np.full(n, np.nan)
-    defined = np.zeros(n, dtype=bool)
-    for i, (pi, dpi1, dpi2, d2pi) in enumerate(surface.tolist()):
-        if not (0.0 < pi < 1.0):  # also skips the NaN rows of missing estimates
-            continue
+    pi, dpi1, dpi2, d2pi = surface.T
+    with np.errstate(over="ignore", invalid="ignore"):  # a nonfinite point is skipped below
         denom = dpi1 * dpi2
-        if denom == 0.0 or not math.isfinite(denom):
-            continue
-        ratio = d2pi / denom
-        if not math.isfinite(ratio):
-            continue
-        try:
-            sol = theta_from_ratio(family, pi, ratio)
-        except NoRootError:
-            continue
-        theta[i] = sol.theta
-        defined[i] = sol.admissible  # out-of-domain values stay visible, not averaged
+        # a level outside (0, 1) also marks the NaN rows of missing estimates
+        solvable = (pi > 0.0) & (pi < 1.0) & np.isfinite(denom) & (denom != 0.0)
+        ratio = np.divide(d2pi, denom, out=np.full_like(pi, np.nan), where=solvable)
+    solvable &= np.isfinite(ratio)
+    theta = np.full_like(pi, np.nan)
+    defined = np.zeros(pi.shape, dtype=bool)
+    # a Frank point without a root stays NaN and undefined; out-of-domain
+    # values stay visible, not averaged
+    theta[solvable], defined[solvable] = _solve_ratio(family, pi[solvable], ratio[solvable])
     return theta, defined
 
 

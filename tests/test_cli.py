@@ -20,6 +20,7 @@ import pytest
 
 import coprisk
 import coprisk.cli
+import coprisk.estimator
 from coprisk.cli import main
 from coprisk.copula import CopulaFamily
 from coprisk.data import Sample, write_dataset_csv, write_theta_series_csv
@@ -278,10 +279,12 @@ def _assert_manifest_version_refused(tmp_path, capsys, version):
     assert not (b / "dataset.csv").exists()
 
 
-def test_manifest_from_another_library_version_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize("version", ["0.1.0", "0.3.0"])
+def test_manifest_from_another_library_version_exits_2(tmp_path, capsys, version):
     # a manifest names the generator that wrote its dataset; another version
     # may draw other bits, so its replay is refused instead of diverging
-    _assert_manifest_version_refused(tmp_path, capsys, "0.1.0")
+    # (0.3.0 solved Frank roots and Frank --tau parameters by Brent's method)
+    _assert_manifest_version_refused(tmp_path, capsys, version)
 
 
 def test_manifest_from_version_0_2_0_exits_2(tmp_path, capsys):
@@ -599,14 +602,14 @@ def test_oracle_check_error_is_negligible(tmp_path, capsys, family):
     )
     assert code == 0
     value = float(out.strip().split("=")[1])
-    assert value < 1e-10
+    assert value <= 1e-13
 
 
 # the exact worst error each family's oracle-check prints
 ORACLE_CHECK_LINES = {
     "clayton": "max_abs_theta_error=2.5757174171303632e-14",
     "gumbel": "max_abs_theta_error=2.6645352591003757e-15",
-    "frank": "max_abs_theta_error=2.4658497466134577e-11",
+    "frank": "max_abs_theta_error=1.7763568394002505e-14",
 }
 
 
@@ -615,6 +618,33 @@ def test_oracle_check_prints_the_pinned_worst_error(tmp_path, capsys, family):
     code, out, _ = run_cli(["oracle-check", "--family", family, "--out", str(tmp_path)], capsys)
     assert code == 0
     assert out == ORACLE_CHECK_LINES[family] + "\n"
+
+
+def _one_nan(solve):
+    def patched(family, pi, ratio):
+        theta, admissible = solve(family, pi, ratio)
+        theta[theta.size // 2] = np.nan
+        return theta, admissible
+
+    return patched
+
+
+# the level sweep solves through the CLI's reference to the array solve, the
+# Clayton surface sweep through solve_surface's
+@pytest.mark.parametrize(
+    "module, family, where",
+    [
+        (coprisk.cli, "frank", "at pi="),
+        (coprisk.cli, "clayton", "at pi="),
+        (coprisk.estimator, "clayton", "exact surface"),
+    ],
+)
+def test_oracle_check_fails_on_a_point_without_a_finite_theta(tmp_path, capsys, monkeypatch, module, family, where):
+    monkeypatch.setattr(module, "_solve_ratio", _one_nan(module._solve_ratio))
+    code, out, err = run_cli(["oracle-check", "--family", family, "--out", str(tmp_path)], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: estimation:") and where in err
 
 
 # ---------------------------------------------------------------------------
@@ -694,9 +724,10 @@ def test_cold_import_loads_no_scipy(tmp_path):
     # only a Monte Carlo study with more than one worker starts a process pool
     assert report["import_pool"] == []
     assert report["clayton_gumbel_pool"] == []
-    # the Brent port gives the root scipy's brentq gives on the series tau curve
+    # bisection of the series tau curve down to adjacent doubles, and 64
+    # halvings of the curvature bracket
     assert report["frank_tau"] == 1.8608837808585954
-    assert report["frank_ratio"] == 0.7614099464601876
+    assert report["frank_ratio"] == 0.7614099464601756
 
 
 def test_nested_output_directory_is_created(tmp_path, capsys):

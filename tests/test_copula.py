@@ -7,21 +7,25 @@ step 1e-6, Frank taus from the closed form pi^2/6 + x log(1 - e^-x) -
 Li2(e^-x) of the Debye integral, checked against mpmath's quadrature of the
 integrand, and Frank theta(tau) roots by mpmath's findroot on that closed
 form.  Runtime oracles (bisection, quotient identities) only use the public
-generator values, never the code paths they are checking.  The Brent port
-is checked bit for bit against scipy.optimize.brentq, which it ports.
+generator values, never the code paths they are checking.  The Frank roots,
+of the curvature equation and of the tau curve, are checked against roots
+of the exact equations found in 50-digit ``decimal`` arithmetic.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import struct
 import sys
+from decimal import Decimal, getcontext, localcontext
+from fractions import Fraction
+from functools import cache
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from scipy.optimize import brentq as scipy_brentq
 
 from coprisk import (
     CopulaFamily,
@@ -39,7 +43,6 @@ from coprisk.copula import (
     _FRANK_TAU_SERIES,
     FRANK_BRACKET,
     FRANK_DEAD_ZONE,
-    _brentq,
     _frank_curvature,
 )
 
@@ -354,12 +357,97 @@ def test_frank_curvature_monotone_in_theta():
 
 
 # ----------------------------------------------------------------------
-# Brent port: scipy.optimize.brentq is the bitwise oracle
+# Frank roots against 50-digit roots of the exact equations
 # ----------------------------------------------------------------------
+
+EPS = 2.0**-52
+# pi to 60 digits, for the pi^2/6 of the Debye integral
+PI_60 = Decimal("3.14159265358979323846264338327950288419716939937510582097494")
 
 
 def _same_float(a: float, b: float) -> bool:
     return struct.pack("<d", a) == struct.pack("<d", b)  # signed zeros and NaNs too
+
+
+@cache
+def _bernoulli(m: int) -> Fraction:
+    return Fraction(1) if m == 0 else -sum(math.comb(m + 1, j) * _bernoulli(j) for j in range(m)) / (m + 1)
+
+
+def _frank_curvature_exact(theta: Decimal, pi: Decimal) -> Decimal:
+    """theta/(e^(-theta pi) - 1) in the current context, -1/pi at theta = 0."""
+    if theta == 0:
+        return -1 / pi
+    x = -theta * pi
+    with localcontext() as ctx:
+        ctx.prec += max(0, -x.adjusted())  # e^x - 1 cancels about -log10|x| digits
+        den = x.exp() - 1
+    return theta / den
+
+
+def _frank_root_exact(pi: float, ratio: float) -> tuple[Decimal, Decimal]:
+    """The Frank theta in FRANK_BRACKET whose exact curvature at the exact pi
+    is -ratio, by 50-digit bisection to 1e-30, with the curvature's slope
+    in theta there."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        p, r = Decimal(pi), Decimal(ratio)
+        lo, hi = (Decimal(end) for end in FRANK_BRACKET)
+        while hi - lo > Decimal("1e-30"):
+            mid = (lo + hi) / 2
+            if _frank_curvature_exact(mid, p) + r > 0:
+                lo = mid
+            else:
+                hi = mid
+        root = (lo + hi) / 2
+        h = Decimal("1e-10")
+        slope = (_frank_curvature_exact(root + h, p) - _frank_curvature_exact(root - h, p)) / (2 * h)
+    return root, slope
+
+
+def _frank_tau_exact(x: Decimal) -> Decimal:
+    """Frank's tau 1 - 4/x + 4/x^2 int_0^x t/(e^t - 1) dt for x > 0, in the
+    current context: the integral from its Bernoulli series below x = 2, and
+    as pi^2/6 - sum_k e^(-kx) (x/k + 1/k^2) from 2 on (A&S 27.1)."""
+    tiny = Decimal(10) ** -(getcontext().prec + 5)
+    if x < 2:
+        integral = Decimal(0)
+        for m in itertools.chain((0, 1), itertools.count(2, 2)):  # odd B_m vanish past B_1
+            b = _bernoulli(m)
+            term = Decimal(b.numerator) / b.denominator * x ** (m + 1) / ((m + 1) * math.factorial(m))
+            integral += term
+            if abs(term) < tiny:
+                break
+    else:
+        integral = PI_60 * PI_60 / 6
+        q = (-x).exp()
+        qk, k = q, 1
+        while qk * x > tiny:
+            integral -= qk * (x / k + Decimal(1) / (k * k))
+            qk *= q
+            k += 1
+    return 1 - 4 / x + 4 * integral / (x * x)
+
+
+def _frank_theta_for_tau_exact(tau: float) -> Decimal:
+    """The Frank theta whose exact tau is the exact tau, by 50-digit
+    bisection to a relative 1e-30; tau is odd in theta."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        t = abs(Decimal(tau))
+        lo, hi = Decimal("1e-6"), Decimal(500)
+        while hi - lo > hi * Decimal("1e-30"):
+            mid = (lo + hi) / 2
+            if _frank_tau_exact(mid) < t:
+                lo = mid
+            else:
+                hi = mid
+        return (lo + hi) / 2 if tau > 0 else -(lo + hi) / 2
+
+
+def _curvature(theta: float, pi: float) -> float:
+    # the array helper the solve uses, on one element as the solve takes it
+    return float(_frank_curvature(np.array([theta]), np.array([pi]))[0])
 
 
 _PI = st.one_of(
@@ -381,70 +469,33 @@ _THETA = st.one_of(
 @example(pi=0.5, theta=0.0)
 @example(pi=1.0 - 2.0**-53, theta=-50.0)
 @settings(max_examples=400, deadline=None)
-def test_brentq_port_equals_scipy_bitwise(pi, theta):
-    # the Frank curvature equation exactly as theta_from_ratio sets it up
-    ratio = -_frank_curvature(theta, pi)
-    lo, hi = FRANK_BRACKET
-
-    def g(th):
-        return _frank_curvature(th, pi) + ratio
-
-    glo, ghi = g(lo), g(hi)
-    assume(glo != 0.0 and ghi != 0.0 and (glo > 0.0) != (ghi > 0.0))
-    want, res = scipy_brentq(g, lo, hi, xtol=1e-10, full_output=True)
-    root, iterations = _brentq(g, lo, hi, 1e-10)
-    assert _same_float(root, want)
-    assert iterations == res.iterations
+def test_frank_root_against_50_digit_root(pi, theta):
+    # the Frank curvature equation as the estimator meets it: a double ratio
+    # from a double curvature
+    ratio = -_curvature(theta, pi)
+    g_lo, g_hi = (_curvature(end, pi) + ratio for end in FRANK_BRACKET)
+    assume(g_lo > 0.0 > g_hi)
     sol = theta_from_ratio(FRANK, pi, ratio)
-    assert _same_float(sol.theta, want)
-    assert sol.iterations == res.iterations
+    root, slope = _frank_root_exact(pi, ratio)
+    # 1e-13, plus the root shift of a 4-ulp error in the double curvature:
+    # no double evaluation of it pins a root better, and below pi = 0.02
+    # that shift (8 eps/pi near theta = 0) is the larger term
+    bound = Decimal(1e-13) + 4 * Decimal(EPS) * abs(Decimal(ratio)) / abs(slope)
+    assert abs(Decimal(sol.theta) - root) <= bound, (sol.theta, root, bound)
+    assert sol.iterations == 64
 
 
 @pytest.mark.parametrize("tau", [-0.9, -0.45, -0.1, 0.001, 0.2, 0.3, 0.75, 0.98])
-def test_theta_for_tau_brent_equals_scipy_bitwise(tau):
-    # scipy's Brent on the package's tau curve, so only the Brent port differs
-    lo, hi = (1e-6, 500.0) if tau > 0 else (-500.0, -1e-6)
-
-    def f(th):
-        return kendalls_tau(CopulaModel(FRANK, th)) - tau
-
-    assert _same_float(theta_for_tau(FRANK, tau), scipy_brentq(f, lo, hi, xtol=1e-12))
+def test_theta_for_tau_against_50_digit_roots(tau):
+    # the frozen table's bound, on both tau branches and near both bracket ends
+    root = _frank_theta_for_tau_exact(tau)
+    assert abs(Decimal(theta_for_tau(FRANK, tau)) - root) <= abs(root) * Decimal(1e-14)
 
 
-def test_brentq_port_exact_zero_at_an_end():
-    # scipy returns the same end but leaves its iteration count unset there
-    # (it reports whatever its stack held), so only the root is compared
-    for f, a, b in ((lambda x: x - 0.5, 0.5, 1.0), (lambda x: 1.0 - x, 0.5, 1.0)):
-        root, iterations = _brentq(f, a, b, 1e-10)
-        assert _same_float(root, scipy_brentq(f, a, b, xtol=1e-10))
-        assert iterations == 0
+def test_frank_zero_at_a_bracket_end_returns_that_end():
     pi = 0.3
-    sol = theta_from_ratio(FRANK, pi, -_frank_curvature(50.0, pi))
-    assert (sol.theta, sol.iterations) == (50.0, 0)
-
-
-def _step(x):
-    return 1.0 if x > 0.1 else -1.0
-
-
-def _nan_inside(x):
-    return x - 0.7 if x in (0.0, 1.0) else math.nan
-
-
-@pytest.mark.parametrize(
-    "f, a, b, xtol, error",
-    [
-        (lambda x: x * x + 1.0, -1.0, 1.0, 1e-10, ValueError),  # no sign change
-        (_step, -1e300, 1e300, 1e-300, RuntimeError),  # 100 halvings of 1e300 fall short
-        (lambda x: math.nan, 0.0, 1.0, 1e-10, ValueError),  # NaN at an end
-        (_nan_inside, 0.0, 1.0, 1e-10, ValueError),  # NaN at the first step
-    ],
-)
-def test_brentq_port_raises_as_scipy(f, a, b, xtol, error):
-    with pytest.raises(error):
-        scipy_brentq(f, a, b, xtol=xtol)
-    with pytest.raises(error):
-        _brentq(f, a, b, xtol)
+    for end in FRANK_BRACKET:
+        assert theta_from_ratio(FRANK, pi, -_curvature(end, pi)).theta == end
 
 
 # ----------------------------------------------------------------------
@@ -465,13 +516,8 @@ def test_frank_tau_against_frozen_quadrature():
 
 
 def test_frank_tau_series_coefficients_from_bernoulli_numbers():
-    from fractions import Fraction
-
-    bernoulli = [Fraction(1)]
-    for m in range(1, 2 * len(_FRANK_TAU_SERIES) + 1):
-        bernoulli.append(-sum(math.comb(m + 1, j) * bernoulli[j] for j in range(m)) / (m + 1))
     want = tuple(
-        float(4 * bernoulli[2 * k] / ((2 * k + 1) * math.factorial(2 * k)))
+        float(4 * _bernoulli(2 * k) / ((2 * k + 1) * math.factorial(2 * k)))
         for k in range(1, len(_FRANK_TAU_SERIES) + 1)
     )
     assert len(want) == 30

@@ -29,7 +29,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from coprisk.copula import CopulaFamily, CopulaModel, kendalls_tau
+from coprisk.copula import CopulaFamily, CopulaModel, NoRootError, kendalls_tau, theta_from_ratio
 from coprisk.data import Sample, write_mc_replicates_csv, write_theta_series_csv
 from coprisk.dgp import default_config, oracle_surface, simulate
 from coprisk.estimator import (
@@ -591,11 +591,12 @@ def test_theta_series_carries_its_surface():
 # of theta_series on simulate(default_config(100_000, seed=11, theta=...,
 # family=...)) at bandwidth 0.3 with the default 500-point grid: the three
 # benchmark designs.  Computed when the surface was still summed with Python
-# integers and built point by point from SurfaceEstimate objects.
+# integers and built point by point from SurfaceEstimate objects; Frank's
+# re-pinned at version 0.4.0, whose Frank roots come from 64 halvings.
 THETA_SERIES_DIGESTS = [
     (CopulaFamily.CLAYTON, 0.5, "38536fa55c3488ccc70057a7b2ad07c2b9200d1a293ba358189ffd01a6326290"),
     (CopulaFamily.GUMBEL, 1.25, "38439c4f955458779715b4abcaad65717dc594dfaf7cb7853e46dd33b5c5007e"),
-    (CopulaFamily.FRANK, 1.86, "52f927b9a79e3a730f2395d2c880c192d8110edb372c9de57df8a532475dbed2"),
+    (CopulaFamily.FRANK, 1.86, "1327bbfcaec29fd9a599b3c4537a5cb66f7a33e64b861db687e3ce4f15131220"),
 ]
 
 
@@ -607,6 +608,30 @@ def test_theta_series_matches_golden_digest_at_benchmark_size(family, theta, dig
     h.update(np.ascontiguousarray(series.surface, dtype="<f8").tobytes())
     h.update(np.ascontiguousarray(series.theta_pointwise, dtype="<f8").tobytes())
     assert h.hexdigest() == digest
+
+
+@pytest.mark.parametrize("family, theta", [row[:2] for row in THETA_SERIES_DIGESTS], ids=lambda v: getattr(v, "value", None))
+def test_grid_solve_equals_pointwise_solve_bitwise(family, theta):
+    # the array solve over the grid gives, point for point, the bits of the
+    # scalar theta_from_ratio on that point's level and ratio
+    sample = simulate(default_config(100_000, seed=11, theta=theta, family=family))
+    series = theta_series(sample, KernelSpec((0.3, 0.3)), GridSpec(), family)
+    want = np.full(series.t.size, np.nan)
+    admissible = np.zeros(series.t.size, dtype=bool)
+    for i, (pi, dpi1, dpi2, d2pi) in enumerate(series.surface.tolist()):
+        denom = dpi1 * dpi2
+        if not (0.0 < pi < 1.0 and math.isfinite(denom) and denom != 0.0):
+            continue
+        ratio = d2pi / denom
+        if not math.isfinite(ratio):
+            continue
+        try:
+            sol = theta_from_ratio(family, pi, ratio)
+        except NoRootError:
+            continue
+        want[i], admissible[i] = sol.theta, sol.admissible
+    assert series.theta_pointwise.tobytes() == want.tobytes()
+    assert np.array_equal(series.defined, admissible)
 
 
 # ---------------------------------------------------------------------------
