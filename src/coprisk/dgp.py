@@ -4,8 +4,8 @@ Two latent durations share an Archimedean copula on their survival scales;
 each margin is Weibull with a multiplicative covariate effect on the
 cumulative hazard, and each cause has its own covariate.  Only the smaller
 duration and its cause are observed.  ``oracle_surface`` gives the exact
-Clayton surface and its covariate derivatives along a duration grid, the
-array the kernel estimate and the theta solve are checked against.
+surface of any family and its covariate derivatives along a duration grid,
+the array the kernel estimate and the theta solve are checked against.
 
 Draws are counter-based (Philox): unit i consumes counters 4i..4i+3 in the
 fixed order (z1, z2, s1, v2), so datasets are reproducible per unit and
@@ -37,7 +37,7 @@ from typing import Union
 
 import numpy as np
 
-from .copula import CopulaFamily, CopulaModel
+from .copula import CopulaFamily, CopulaModel, _d2phi, _dphi, _phi, _phi_inv
 from .data import Sample
 
 __all__ = [
@@ -500,36 +500,30 @@ def simulate(config: DgpConfig) -> Sample:
 
 
 def oracle_surface(config: DgpConfig, t_grid, z) -> np.ndarray:
-    """Exact Clayton surface along ``t_grid`` at ``z``: one (pi, dpi1, dpi2,
-    d2pi) row per duration, the (G, 4) array solve_surface takes.
+    """Exact surface along ``t_grid`` at ``z``: one (pi, dpi1, dpi2, d2pi)
+    row per duration, the (G, 4) array solve_surface takes.
 
-    Only the Clayton family has this closed form here; it exists to
-    validate kernel estimates and the theta inversion end to end.  Each row
-    is computed in Python floats on its own.  Where the joint survival is
-    exactly zero (theta < 0 only) the row is zero.
+    The Archimedean identities on the family's own generator phi, with
+    margins S_j = S_j(t | z_j): pi = phi^-1(phi(S1) + phi(S2)), dpi_j =
+    phi'(S_j) / phi'(pi) * dS_j and d2pi = -phi''(pi) dpi1 dpi2 / phi'(pi).
+    It validates kernel estimates and the theta inversion end to end.
     """
-    if config.copula.family is not CopulaFamily.CLAYTON:
-        raise ValueError("oracle surface is available for the Clayton family only")
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or not np.all(np.isfinite(t_grid) & (t_grid > 0.0)):
         raise ValueError("t_grid must be a 1-d array of finite positive durations")
     z = np.asarray(z, dtype=float)
-    if z.shape != (2,):
-        raise ValueError("z must have exactly two entries")
-    theta = config.copula.theta
+    if z.shape != (2,) or not np.all(np.isfinite(z)):
+        raise ValueError("z must have exactly two finite entries")
+    fam, theta = config.copula.family, config.copula.theta
     m1, m2 = config.marginals
+    s1, s2 = m1.survival(t_grid, z[0]), m2.survival(t_grid, z[1])
+    pi = _phi_inv(fam, theta, _phi(fam, theta, s1) + _phi(fam, theta, s2))
+    # phi'(0) is infinite: where pi is exactly 0 (Clayton theta < 0) the row stays zero
+    at = pi > 0.0
+    t, s1, s2, pi = t_grid[at], s1[at], s2[at], pi[at]
+    dphi_pi = _dphi(fam, theta, pi)
+    dpi1 = _dphi(fam, theta, s1) / dphi_pi * m1.survival_dz(t, z[0])
+    dpi2 = _dphi(fam, theta, s2) / dphi_pi * m2.survival_dz(t, z[1])
     out = np.zeros((t_grid.size, 4))
-    for i, t in enumerate(t_grid.tolist()):
-        s1 = float(m1.survival(t, z[0]))
-        s2 = float(m2.survival(t, z[1]))
-        ds1 = float(m1.survival_dz(t, z[0]))
-        ds2 = float(m2.survival_dz(t, z[1]))
-        g = s1 ** -theta + s2 ** -theta - 1.0
-        if g <= 0.0:
-            continue
-        pi = g ** (-1.0 / theta)
-        dpi1 = s1 ** -(theta + 1.0) * g ** (-(1.0 + 1.0 / theta)) * ds1
-        dpi2 = s2 ** -(theta + 1.0) * g ** (-(1.0 + 1.0 / theta)) * ds2
-        d2pi = (1.0 + theta) * g ** (-(2.0 + 1.0 / theta)) * (s1 * s2) ** -(theta + 1.0) * ds1 * ds2
-        out[i] = pi, dpi1, dpi2, d2pi
+    out[at] = np.column_stack([pi, dpi1, dpi2, -_d2phi(fam, theta, pi) * dpi1 * dpi2 / dphi_pi])
     return out

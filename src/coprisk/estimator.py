@@ -11,7 +11,7 @@ trimming window, skipping unusable points (no estimate, level outside
 
 solve_surface is the one solve step and takes a given surface as that
 (G, 4) float array, the layout of ThetaSeries.surface, surface.csv and the
-exact Clayton surface dgp.oracle_surface.  theta_series is the route from a
+exact surface dgp.oracle_surface.  theta_series is the route from a
 sample: it builds the kernel surface along the grid and hands it to
 solve_surface.  monte_carlo is the one replicate driver.  Replicates are
 independent jobs with derived seeds; aggregation is keyed by replicate

@@ -608,7 +608,7 @@ def test_oracle_check_error_is_negligible(tmp_path, capsys, family):
 # the exact worst error each family's oracle-check prints
 ORACLE_CHECK_LINES = {
     "clayton": "max_abs_theta_error=2.5757174171303632e-14",
-    "gumbel": "max_abs_theta_error=2.6645352591003757e-15",
+    "gumbel": "max_abs_theta_error=3.552713678800501e-15",
     "frank": "max_abs_theta_error=1.7763568394002505e-14",
 }
 
@@ -630,13 +630,15 @@ def _one_nan(solve):
 
 
 # the level sweep solves through the CLI's reference to the array solve, the
-# Clayton surface sweep through solve_surface's
+# surface sweep through solve_surface's
 @pytest.mark.parametrize(
     "module, family, where",
     [
         (coprisk.cli, "frank", "at pi="),
         (coprisk.cli, "clayton", "at pi="),
         (coprisk.estimator, "clayton", "exact surface"),
+        (coprisk.estimator, "gumbel", "exact surface"),
+        (coprisk.estimator, "frank", "exact surface"),
     ],
 )
 def test_oracle_check_fails_on_a_point_without_a_finite_theta(tmp_path, capsys, monkeypatch, module, family, where):

@@ -968,17 +968,29 @@ def test_latent_margins_are_the_weibull_laws():
 
 
 # ----------------------------------------------------------------------
-# closed-form Clayton surface
+# exact surface
 # ----------------------------------------------------------------------
+
+# one design parameter or more per family, on both sides of 0 for Frank;
+# Clayton keeps the bare ids it had as the only family
+ORACLE_MODELS = [
+    pytest.param(CopulaFamily.CLAYTON, 0.5, id="0.5"),
+    pytest.param(CopulaFamily.CLAYTON, 2.5, id="2.5"),
+    pytest.param(CopulaFamily.GUMBEL, 1.25, id="gumbel-1.25"),
+    pytest.param(CopulaFamily.GUMBEL, 3.0, id="gumbel-3.0"),
+    pytest.param(CopulaFamily.FRANK, -3.0, id="frank--3.0"),
+    pytest.param(CopulaFamily.FRANK, 1.86, id="frank-1.86"),
+    pytest.param(CopulaFamily.FRANK, 8.0, id="frank-8.0"),
+]
 
 
 def _oracle_pi(cfg, t, z):
     return oracle_surface(cfg, [t], z)[0, 0]
 
 
-@pytest.mark.parametrize("theta", [0.5, 2.5])
-def test_oracle_surface_first_derivatives_match_finite_differences(theta):
-    cfg = default_config(10, seed=1, theta=theta)
+@pytest.mark.parametrize("family, theta", ORACLE_MODELS)
+def test_oracle_surface_first_derivatives_match_finite_differences(family, theta):
+    cfg = default_config(10, seed=1, theta=theta, family=family)
     rng = np.random.default_rng(7)
     h = 1e-5
     for _ in range(50):
@@ -991,23 +1003,74 @@ def test_oracle_surface_first_derivatives_match_finite_differences(theta):
         assert dpi2 == pytest.approx(fd2, rel=1e-6)
 
 
-@pytest.mark.parametrize("theta", [0.5, 2.5])
-def test_oracle_surface_cross_derivative_matches_finite_differences(theta):
-    cfg = default_config(10, seed=1, theta=theta)
+@pytest.mark.parametrize("family, theta", ORACLE_MODELS)
+def test_oracle_surface_cross_derivative_matches_finite_differences(family, theta):
+    cfg = default_config(10, seed=1, theta=theta, family=family)
     rng = np.random.default_rng(11)
-    h = 1e-4
-    for _ in range(50):
-        t = float(rng.uniform(0.3, 2.5))
-        z = rng.uniform(-1.0, 1.0, size=2)
-        d2pi = oracle_surface(cfg, [t], z)[0, 3]
-        fd = (
+
+    def stencil(t, z, h):
+        return (
             _oracle_pi(cfg, t, [z[0] + h, z[1] + h])
             - _oracle_pi(cfg, t, [z[0] + h, z[1] - h])
             - _oracle_pi(cfg, t, [z[0] - h, z[1] + h])
             + _oracle_pi(cfg, t, [z[0] - h, z[1] - h])
         ) / (4.0 * h * h)
-        # abs floor covers stencil roundoff (~1e-11) where the derivative is tiny
+
+    for _ in range(50):
+        t = float(rng.uniform(0.3, 2.5))
+        z = rng.uniform(-1.0, 1.0, size=2)
+        d2pi = oracle_surface(cfg, [t], z)[0, 3]
+        # one Richardson step cancels the h**2 error, so a step of 1e-3 keeps
+        # the roundoff (about 1e-16 / h**2) far below the abs floor; a plain
+        # stencil at 1e-4 reaches 1.3e-9 at Gumbel theta = 3
+        fd = (4.0 * stencil(t, z, 1e-3) - stencil(t, z, 2e-3)) / 3.0
         assert d2pi == pytest.approx(fd, rel=1e-6, abs=1e-9)
+
+
+def _clayton_closed_form(cfg, t_grid, z):
+    """Clayton's surface from its own closed form, row by row in floats."""
+    theta = cfg.copula.theta
+    m1, m2 = cfg.marginals
+    out = np.zeros((len(t_grid), 4))
+    for i, t in enumerate(t_grid):
+        s1, s2 = float(m1.survival(t, z[0])), float(m2.survival(t, z[1]))
+        ds1, ds2 = float(m1.survival_dz(t, z[0])), float(m2.survival_dz(t, z[1]))
+        g = s1 ** -theta + s2 ** -theta - 1.0
+        if g <= 0.0:
+            continue
+        dg = g ** (-(1.0 + 1.0 / theta))
+        out[i] = (
+            g ** (-1.0 / theta),
+            s1 ** -(theta + 1.0) * dg * ds1,
+            s2 ** -(theta + 1.0) * dg * ds2,
+            (1.0 + theta) * g ** (-(2.0 + 1.0 / theta)) * (s1 * s2) ** -(theta + 1.0) * ds1 * ds2,
+        )
+    return out
+
+
+@pytest.mark.parametrize("theta", [-0.5, 0.5, 2.5, 8.0])
+def test_oracle_surface_matches_clayton_closed_form(theta):
+    cfg = default_config(10, seed=1, theta=theta)
+    t_grid = np.linspace(0.05, 5.0, 100)
+    for z in ((0.0, 0.0), (0.4, -0.3), (-0.5, 0.25)):
+        generic = oracle_surface(cfg, t_grid, z)
+        closed = _clayton_closed_form(cfg, t_grid, z)
+        np.testing.assert_array_equal(generic == 0.0, closed == 0.0)
+        np.testing.assert_allclose(generic, closed, rtol=1e-13, atol=0.0)
+
+
+def test_oracle_surface_under_independence_is_the_product_of_the_margins():
+    cfg = DgpConfig(copula=CopulaModel(CopulaFamily.INDEPENDENCE), n=10, seed=1)
+    m1, m2 = cfg.marginals
+    t_grid = np.linspace(0.05, 5.0, 50)
+    z = (0.4, -0.3)
+    s1, s2 = m1.survival(t_grid, z[0]), m2.survival(t_grid, z[1])
+    ds1, ds2 = m1.survival_dz(t_grid, z[0]), m2.survival_dz(t_grid, z[1])
+    pi, dpi1, dpi2, d2pi = oracle_surface(cfg, t_grid, z).T
+    np.testing.assert_allclose(pi, s1 * s2, rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(dpi1, ds1 * s2, rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(dpi2, s1 * ds2, rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(d2pi, ds1 * ds2, rtol=1e-14, atol=0.0)
 
 
 def test_oracle_surface_negative_theta_derivatives_and_zero_region():
@@ -1041,9 +1104,6 @@ def test_oracle_surface_limits_in_duration():
 
 
 def test_oracle_surface_rejects_bad_inputs():
-    gumbel_cfg = DgpConfig(copula=CopulaModel(CopulaFamily.GUMBEL, 2.0), n=10, seed=1)
-    with pytest.raises(ValueError):
-        oracle_surface(gumbel_cfg, [1.0], [0.0, 0.0])
     cfg = default_config(10, seed=1)
     for bad_t in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ValueError):
@@ -1053,3 +1113,6 @@ def test_oracle_surface_rejects_bad_inputs():
             oracle_surface(cfg, bad_grid, [0.0, 0.0])
     with pytest.raises(ValueError):
         oracle_surface(cfg, [1.0], [0.0, 0.0, 0.0])
+    for bad_z in ([math.nan, 0.0], [math.inf, 0.0], [0.0, -math.inf]):
+        with pytest.raises(ValueError, match="finite"):
+            oracle_surface(cfg, [1.0], bad_z)

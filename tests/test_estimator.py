@@ -150,15 +150,18 @@ def test_grid_spec_ulp_wide_duration_range_rejected():
 
 
 def test_oracle_surfaces_recover_parameter_exactly():
-    config = default_config(10, seed=1)  # carries theta = 0.5
-    t_grid = np.linspace(0.5, 3.0, 30)
+    # each family's design parameter, down to the low levels of long durations
+    t_grid = np.linspace(0.4, 3.0, 30)
     z = np.array([0.2, -0.4])
-    surface = oracle_surface(config, t_grid, z)
-    series = solve_surface(t_grid, surface, CopulaFamily.CLAYTON)
-    assert series.defined.all() and series.included.all()
-    assert np.max(np.abs(series.theta_pointwise - 0.5)) < 1e-10
-    assert abs(series.theta_hat - 0.5) < 1e-10
-    assert series.n_included == 30
+    for family, theta in (
+        (CopulaFamily.CLAYTON, 0.5), (CopulaFamily.GUMBEL, 1.25), (CopulaFamily.FRANK, 1.86)
+    ):
+        config = default_config(10, seed=1, theta=theta, family=family)
+        series = solve_surface(t_grid, oracle_surface(config, t_grid, z), family)
+        assert series.defined.all() and series.included.all()
+        assert np.max(np.abs(series.theta_pointwise - theta)) < 1e-10
+        assert abs(series.theta_hat - theta) < 1e-10
+        assert series.n_included == 30
 
 
 def test_oracle_series_average_is_trim_invariant():

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import coprisk.kernel
+from coprisk.copula import CopulaFamily
 from coprisk.data import Sample
 from coprisk.dgp import default_config, oracle_surface, simulate
 from coprisk.kernel import (
@@ -574,9 +575,14 @@ def test_cross_derivative_variance_shrinks_at_parametric_rate():
 
 
 def test_pi_hat_tracks_oracle_at_scale(bench_sample_100k):
-    cfg = default_config(100_000, seed=860_001)
     spec = KernelSpec((0.3, 0.3))
-    zbar = bench_sample_100k.mean_covariates()
-    for t in (1.0, 1.5, 2.0):
-        est = estimate_surface_grid(bench_sample_100k, spec, [t], zbar)[0]
-        assert est.pi_hat == pytest.approx(oracle_surface(cfg, [t], zbar)[0, 0], abs=0.02)
+    for family, theta in (
+        (CopulaFamily.CLAYTON, 0.5), (CopulaFamily.GUMBEL, 1.25), (CopulaFamily.FRANK, 1.86)
+    ):
+        cfg = default_config(100_000, seed=860_001, theta=theta, family=family)
+        # the fixture is the Clayton design's sample at this seed
+        sample = bench_sample_100k if family is CopulaFamily.CLAYTON else simulate(cfg)
+        zbar = sample.mean_covariates()
+        for t in (1.0, 1.5, 2.0):
+            est = estimate_surface_grid(sample, spec, [t], zbar)[0]
+            assert est.pi_hat == pytest.approx(oracle_surface(cfg, [t], zbar)[0, 0], abs=0.02)
