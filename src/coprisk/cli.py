@@ -79,6 +79,11 @@ _CONFIG_KEYS = frozenset(_DEFAULTS) | {"command", "version"}
 _SIMULATION_KEYS = frozenset({"theta", "n", "seed", "covariate_scale_is_sd"})
 
 
+def _simulates(command, settings):
+    """Whether the run draws a sample: all but oracle-check and estimate --data."""
+    return command != "oracle-check" and not (command == "estimate" and settings["data"])
+
+
 # ---------------------------------------------------------------------------
 # Value parsers (shared by config files and flags, so both error identically)
 # ---------------------------------------------------------------------------
@@ -234,8 +239,8 @@ def _resolve_settings(ns):
         elif "tau" in layer:
             settings["theta"] = None
     family = CopulaFamily(settings["family"])
-    # an ``estimate --data`` run reads no theta, so its tau is not converted
-    if settings["tau"] is not None and not (ns.command == "estimate" and settings["data"]):
+    # a run that simulates nothing reads no theta, so its tau is not converted
+    if settings["tau"] is not None and _simulates(ns.command, settings):
         try:
             settings["theta"] = theta_for_tau(family, settings["tau"])
         except ValueError as exc:
@@ -315,7 +320,9 @@ def _write_manifest(out_dir, command, settings):
         "replicates": settings["replicates"],
         "covariate_scale_is_sd": "true" if settings["covariate_scale_is_sd"] else "false",
     }
-    if command == "estimate" and settings["data"]:  # the file replaces the simulation design
+    if command == "oracle-check":  # it reads the family alone
+        fields = {key: fields[key] for key in ("command", "version", "family")}
+    elif not _simulates(command, settings):  # the file replaces the simulation design
         fields = {key: value for key, value in fields.items() if key not in _SIMULATION_KEYS}
         fields["data"] = os.path.abspath(settings["data"])
     text = "".join(
@@ -412,7 +419,7 @@ def _cmd_oracle_check(settings, out_dir):
     one array solve, then solves the exact surface at three covariate points
     with solve_surface, the solve step every estimate takes.  Prints the
     worst absolute error; a point that solves to no finite parameter is an
-    estimation failure.  Reads no theta, n or seed from the settings.  The
+    estimation failure.  Reads and records only the family.  The
     durations keep every level in [0.037, 0.96]; on [0.4, 3.0] Frank theta
     = -12 falls to 3.6e-6 and errs by 1.7e-10, the bound the rounding of its
     curvature sets on the root.

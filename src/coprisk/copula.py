@@ -49,8 +49,8 @@ __all__ = [
     "theta_from_ratio",
 ]
 
-# Search bracket for the Frank theta root, and the width of the dead zone
-# around theta = 0 inside which a solution is reported as near independence.
+# Search bracket for the Frank theta root, and the half-width of the dead
+# zone around theta = 0 that no Frank model or tau inversion enters.
 FRANK_BRACKET = (-50.0, 50.0)
 FRANK_DEAD_ZONE = 1e-6
 
@@ -118,14 +118,12 @@ class ThetaSolution:
 
     ``admissible`` is False when the solved value falls outside the family
     domain (kept as a flag, not an error, because single grid points of an
-    estimated surface may stray).  ``near_independence`` marks Frank roots
-    inside the dead zone around 0.  ``iterations`` counts the halvings of the
+    estimated surface may stray).  ``iterations`` counts the halvings of the
     Frank root search (0 for the closed-form families).
     """
 
     theta: float
     admissible: bool
-    near_independence: bool = False
     iterations: int = 0
 
 
@@ -224,7 +222,7 @@ def _solve_ratio(family: CopulaFamily, pi, ratio):
         theta = 1.0 + (1.0 - pi * ratio) * np.log(pi)
         return theta, theta > 1.0
     if family is not CopulaFamily.FRANK:
-        raise ValueError(f"cannot solve for theta in family {family!r}")
+        raise ValueError(f"family {family!r} has no dependence parameter to estimate")
     lo_end, hi_end = FRANK_BRACKET
     lo = np.full(pi.shape, lo_end)
     hi = np.full(pi.shape, hi_end)
@@ -333,8 +331,7 @@ def theta_from_ratio(family: CopulaFamily, pi: float, ratio: float) -> ThetaSolu
         Clayton: theta = pi*R - 1 (admissible when >= -1 and nonzero).
         Gumbel: theta = 1 + (1 - pi*R) log pi (admissible when > 1).
         Frank: the root of theta/(e^(-theta*pi)-1) + R over [-50, 50], by
-        64 halvings, within 1e-13 of the exact root for pi >= 0.02; roots
-        inside the dead zone (-1e-6, 1e-6) are flagged near_independence.
+        64 halvings, within 1e-13 of the exact root for pi >= 0.02.
         The same array solve the estimator runs over a grid, on one
         element, so both give the same bits.
 
@@ -354,12 +351,7 @@ def theta_from_ratio(family: CopulaFamily, pi: float, ratio: float) -> ThetaSolu
     if math.isnan(th):
         lo, hi = FRANK_BRACKET
         raise NoRootError(f"no Frank theta in [{lo}, {hi}] matches ratio {ratio!r} at pi {pi!r}")
-    return ThetaSolution(
-        th,
-        bool(admissible[0]),
-        near_independence=abs(th) < FRANK_DEAD_ZONE,
-        iterations=_FRANK_HALVINGS,
-    )
+    return ThetaSolution(th, bool(admissible[0]), iterations=_FRANK_HALVINGS)
 
 
 # 4 B_2k / ((2k + 1) (2k)!) for k = 1..30, B_2k the Bernoulli numbers: the

@@ -9,13 +9,13 @@ theta_hat(t); the reported estimator averages it over grid points inside a
 trimming window, skipping unusable points (no estimate, level outside
 (0, 1), nonfinite ratio, out-of-domain parameter, or no root).
 
-solve_surface is the one solve step and takes a given surface as that
-(G, 4) float array, the layout of ThetaSeries.surface, surface.csv and the
-exact surface dgp.oracle_surface.  theta_series is the route from a
-sample: it builds the kernel surface along the grid and hands it to
-solve_surface.  monte_carlo is the one replicate driver.  Replicates are
-independent jobs with derived seeds; aggregation is keyed by replicate
-index, so summaries are bitwise independent of worker count and scheduling.
+Every surface is that (G, 4) float array, the layout of ThetaSeries.surface,
+surface.csv and dgp.oracle_surface, and both routes end in one solve step:
+solve_surface checks a given surface first, and theta_series, the route from
+a sample, passes on the array the kernel built along its grid.  monte_carlo
+is the one replicate driver.  Replicates are independent jobs with derived
+seeds; aggregation is keyed by replicate index, so summaries are bitwise
+independent of worker count and scheduling.
 """
 
 from __future__ import annotations
@@ -42,8 +42,6 @@ __all__ = [
     "theta_series",
     "trim_series",
 ]
-
-_SOLVABLE_FAMILIES = (CopulaFamily.CLAYTON, CopulaFamily.GUMBEL, CopulaFamily.FRANK)
 
 
 class AllPointsExcludedError(RuntimeError):
@@ -177,7 +175,7 @@ def _assemble(t, surface, theta, defined, trim_lo, trim_hi) -> ThetaSeries:
         )
     theta_hat = float(np.mean(theta[included]))
     return ThetaSeries(
-        t=t.copy(),
+        t=t,
         theta_pointwise=theta,
         defined=defined,
         included=included,
@@ -201,8 +199,6 @@ def solve_surface(
     checks it (nonempty, finite, strictly increasing).  Raises
     AllPointsExcludedError when nothing survives definedness and trimming.
     """
-    if family not in _SOLVABLE_FAMILIES:
-        raise ValueError(f"family {family!r} has no dependence parameter to estimate")
     t = np.asarray(_check_t_grid(t_grid), dtype=float)
     surface = np.array(surface, dtype=float)  # a copy: the series freezes its arrays
     if surface.shape != (t.size, 4):
@@ -216,19 +212,18 @@ def theta_series(
     """Pointwise theta estimates along the duration grid of a sample, plus
     their trimmed average.
 
-    Resolves the grid against ``sample``, estimates the kernel surface along
-    it and hands that surface to solve_surface under the grid's trim window;
-    the returned series carries the surface it solved.  Raises
-    AllPointsExcludedError when the kernel window at the evaluation point is
-    empty or nothing survives definedness and trimming.
+    Resolves the grid against ``sample``, estimates the (G, 4) kernel
+    surface along it and solves that array under the grid's trim window, as
+    solve_surface does; the returned series carries the surface it solved.
+    Raises AllPointsExcludedError when the kernel window at the evaluation
+    point is empty or nothing survives definedness and trimming.
     """
     t, z = grid.resolve(sample)
     try:
-        rows, _ = _surface_rows(sample, spec, t, z)
+        surface, _ = _surface_rows(sample, spec, t, z)
     except EmptyNeighborhoodError as exc:  # no kernel mass at z: whole curve undefined
         raise AllPointsExcludedError(str(exc)) from None
-    # (pi, dpi1, dpi2, d2pi): the first two covariate derivatives
-    return solve_surface(t, rows[:, (0, 1, 2, -1)], family, grid.trim_lo, grid.trim_hi)
+    return _assemble(t, surface, *_solve_pointwise(surface, family), grid.trim_lo, grid.trim_hi)
 
 
 def trim_series(series: ThetaSeries, trim_lo: float, trim_hi: float) -> ThetaSeries:
@@ -289,9 +284,10 @@ def _replicate_job(args) -> ThetaSeries | None:
 
 
 def _worker_count(workers: int, replicates: int) -> int:
-    """Processes to start: never more than replicates or CPUs (a fork pool
-    starts every worker at once)."""
-    return min(workers, replicates, os.cpu_count() or 1)
+    """Processes to start: never more than replicates or the CPUs this
+    process may use (a fork pool starts every worker at once)."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(workers, replicates, cpus or 1)
 
 
 def summarize_replicates(
@@ -353,8 +349,8 @@ def monte_carlo(
     function of the arguments.  Each replicate series is computed untrimmed
     and kept in ``series``, so the study can be re-summarized under other
     windows without re-running it.  ``workers`` > 1 spreads replicates over
-    at most that many processes (also capped at the replicate and CPU
-    counts) without changing any value.
+    at most that many processes (also capped at the replicate count and
+    the CPUs this process may use) without changing any value.
     """
     if not isinstance(replicates, int) or replicates < 1:
         raise ValueError(f"replicates must be a positive integer, got {replicates!r}")

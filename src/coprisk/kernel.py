@@ -7,10 +7,12 @@ smoothing only in the covariates: with product Epanechnikov weights
     b(z)    = sum_i              prod_k K(u_ik) / h_k,
     u_ik    = (z_k - Z_ik) / h_k,
 
-the surface is pi_hat = a / b, its covariate derivatives follow from the
-quotient rule with the exact kernel derivative (the derivative factor in
-coordinate k is K'(u_ik) / h_k**2), and the cross derivative is taken in
-the first two covariate coordinates.
+the surface is pi_hat = a / b.  Its derivatives in the first two
+covariates, the cause-specific ones, follow from the quotient rule with the
+exact kernel derivative (the derivative factor in coordinate k is
+K'(u_ik) / h_k**2): the two first derivatives and the cross derivative.  A
+further covariate only weights the estimate.  Each grid point thus gives
+the four numbers (pi, dpi_1, dpi_2, d2pi) the parameter solve reads.
 
 Every kernel sum is accumulated exactly and rounded once, so it is the
 correctly rounded value of the exact real sum (what math.fsum returns).
@@ -21,8 +23,8 @@ and every sum of the grid is taken from them in one numpy sweep: each
 weight is split into 32-bit integer limbs, the limbs are summed exactly in
 int64 from the right end of the duration order, and each sum is rounded
 from its top 64 bits, with no Python-int arithmetic.  The surface itself
-is computed as arrays (_surface_rows, the route theta_series takes); the
-public entry point, estimate_surface_grid, packages those rows as
+is computed as one (G, 4) array (_surface_rows, the route theta_series
+takes); the public entry point, estimate_surface_grid, packages its rows as
 SurfaceEstimate objects.
 """
 
@@ -76,7 +78,7 @@ class SurfaceEstimate:
     """
 
     pi_hat: float
-    dpi_hat: tuple[float, ...]
+    dpi_hat: tuple[float, float]
     d2pi_hat: float
     b_at_z: float
 
@@ -186,14 +188,6 @@ def _suffix_sums(columns: np.ndarray, starts: np.ndarray) -> np.ndarray:
     return out.reshape(c, nseg).T[back]
 
 
-def _product(factors: list) -> np.ndarray:
-    """Elementwise product of the factors, left to right."""
-    out = factors[0]
-    for f in factors[1:]:
-        out = out * f
-    return out
-
-
 class _ZWeights:
     """All per-observation kernel weights for one covariate evaluation point.
 
@@ -202,10 +196,11 @@ class _ZWeights:
     Observations outside the product-kernel support are dropped; the rest
     are sorted by duration (ties in any order, which the exact sums do not
     see) so that the indicator sum over {T_i > t} is a suffix, located by
-    binary search.  ``columns`` holds the weight, its d covariate
-    derivatives and the cross derivative, one column each; every sum a
-    duration grid needs is taken from them in one sweep of exact int64 limb
-    sums (_suffix_sums), rounded once per sum.
+    binary search.  ``columns`` holds the weight w and its derivatives
+    dw/dz_1, dw/dz_2 and d2w/dz_1dz_2 in the two cause-specific covariates,
+    for any number of covariates; every sum a duration grid needs is taken
+    from them in one sweep of exact int64 limb sums (_suffix_sums), rounded
+    once per sum.
     """
 
     __slots__ = ("t_sorted", "columns")
@@ -224,12 +219,13 @@ class _ZWeights:
             inside = inside[np.argsort(sample.t[inside])]
             u = [(z[k] - sample.z[inside, k]) / h[k] for k in range(d)]
             factor = [0.75 * (1.0 - uk * uk) / hk for uk, hk in zip(u, h)]  # K(u_k)/h_k
-            dfactor = [-1.5 * uk / (hk * hk) for uk, hk in zip(u, h)]  # K'(u_k)/h_k^2
-            columns = np.empty((inside.size, d + 2))
-            columns[:, 0] = _product(factor)
-            for k in range(d):
-                columns[:, 1 + k] = _product([*factor[:k], dfactor[k], *factor[k + 1 :]])
-            columns[:, d + 1] = _product([dfactor[0], dfactor[1], *factor[2:]])
+            d1, d2 = (-1.5 * uk / (hk * hk) for uk, hk in zip(u[:2], h[:2]))  # K'(u_k)/h_k^2
+            f1, f2 = factor[:2]
+            columns = np.empty((inside.size, 4))  # w, dw/dz_1, dw/dz_2, d2w/dz_1dz_2
+            for k, (x, y) in enumerate(((f1, f2), (d1, f2), (f1, d2), (d1, d2))):
+                np.multiply(x, y, out=columns[:, k])
+            for f in factor[2:]:  # a further covariate only weights the four
+                columns *= f[:, None]
         if not np.all(np.isfinite(columns)):
             raise ValueError(
                 f"kernel weights overflow: bandwidths too small for floating point, got {spec.bandwidths!r}"
@@ -238,8 +234,8 @@ class _ZWeights:
         self.columns = columns
 
     def sums(self, ts) -> np.ndarray:
-        """Row 0: the b-side totals (b, b_grad..., b_cross); row 1 + i: the
-        sums over {T_i > ts[i]} (a, a_grad..., a_cross)."""
+        """Row 0: the b-side totals (b, b_1, b_2, b_12); row 1 + i: the
+        sums over {T_i > ts[i]} (a, a_1, a_2, a_12)."""
         starts = np.searchsorted(self.t_sorted, ts, side="right")
         try:
             return _suffix_sums(self.columns, np.concatenate(([0], starts)))
@@ -264,13 +260,13 @@ def _check_point(sample: Sample, spec: KernelSpec, z) -> np.ndarray:
 def _surface_rows(sample: Sample, spec: KernelSpec, t_grid, z) -> tuple[np.ndarray, float]:
     """The surface along a duration grid at one covariate point, as arrays.
 
-    Returns the (G, d + 2) rows (pi, dpi_1, ..., dpi_d, d2pi), one per grid
-    point (for d = 2 the (G, 4) layout of ThetaSeries.surface), and the
-    kernel mass b.  The quotient rule runs as elementwise numpy operations
-    in the order of the scalar formulas, so every value is the one those
-    formulas give in Python floats.  Raises EmptyNeighborhoodError when no
-    observation carries kernel weight at z; the empty window is duration
-    independent, hence raised for the grid as a whole.
+    Returns the (G, 4) rows (pi, dpi_1, dpi_2, d2pi), one per grid point,
+    the layout of ThetaSeries.surface, and the kernel mass b.  The quotient
+    rule runs as elementwise numpy operations in the order of the scalar
+    formulas, so every value is the one those formulas give in Python
+    floats.  Raises EmptyNeighborhoodError when no observation carries
+    kernel weight at z; the empty window is duration independent, hence
+    raised for the grid as a whole.
     """
     z = _check_point(sample, spec, z)
     ts = np.asarray(t_grid, dtype=float).ravel()
@@ -280,23 +276,19 @@ def _surface_rows(sample: Sample, spec: KernelSpec, t_grid, z) -> tuple[np.ndarr
     if bad.any():
         raise ValueError(f"t must be finite, got {float(ts[bad][0])!r}")
     sums = _ZWeights(sample, spec, z).sums(ts)
-    b, *b_grad, b_cross = sums[0].tolist()
+    b, b1, b2, b12 = sums[0].tolist()
     if b == 0.0:
-        raise EmptyNeighborhoodError(
-            "no kernel mass at the evaluation covariate point"
-        )
-    a, a_grad, a_cross = sums[1:, 0], sums[1:, 1:-1], sums[1:, -1]
-    b2 = b * b
-    rows = np.empty((ts.size, a_grad.shape[1] + 2))
+        raise EmptyNeighborhoodError("no kernel mass at the evaluation covariate point")
+    a, a1, a2, a12 = sums[1:].T
+    bb = b * b
     # b*b underflows for a tiny mass: the derivatives are then nonfinite
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        rows[:, 0] = a / b
-        rows[:, 1:-1] = (a_grad * b - a[:, None] * np.array(b_grad)) / b2
-        rows[:, -1] = (
-            a_cross / b
-            - (b_grad[0] * a_grad[:, 1] + a_grad[:, 0] * b_grad[1] + b_cross * a) / b2
-            + 2.0 * b_grad[0] * a * b_grad[1] / (b2 * b)
-        )
+        rows = np.column_stack((
+            a / b,
+            (a1 * b - a * b1) / bb,
+            (a2 * b - a * b2) / bb,
+            a12 / b - (b1 * a2 + a1 * b2 + b12 * a) / bb + 2.0 * b1 * a * b2 / (bb * b),
+        ))
     return rows, b
 
 
@@ -311,6 +303,6 @@ def estimate_surface_grid(sample: Sample, spec: KernelSpec, t_grid, z) -> list[S
     """
     rows, b = _surface_rows(sample, spec, t_grid, z)
     return [
-        SurfaceEstimate(pi_hat=pi, dpi_hat=tuple(dpi), d2pi_hat=d2pi, b_at_z=b)
-        for pi, *dpi, d2pi in rows.tolist()
+        SurfaceEstimate(pi_hat=pi, dpi_hat=(dpi1, dpi2), d2pi_hat=d2pi, b_at_z=b)
+        for pi, dpi1, dpi2, d2pi in rows.tolist()
     ]

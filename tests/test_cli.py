@@ -620,6 +620,27 @@ def test_oracle_check_prints_the_pinned_worst_error(tmp_path, capsys, family):
     assert out == ORACLE_CHECK_LINES[family] + "\n"
 
 
+def test_oracle_check_manifest_records_the_family_alone(tmp_path, capsys):
+    # it once recorded theta=0.5, outside Gumbel's domain, and an n, seed and
+    # bandwidth it never read
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert run_cli(["oracle-check", "--family", "gumbel", "--out", str(a)], capsys)[0] == 0
+    lines = (a / "manifest.txt").read_text().splitlines()
+    assert lines == ["command=oracle-check", f"version={coprisk.__version__}", "family=gumbel"]
+    code, out, _ = run_cli(["oracle-check", "--config", str(a / "manifest.txt"), "--out", str(b)], capsys)
+    assert code == 0
+    assert out == ORACLE_CHECK_LINES["gumbel"] + "\n"
+    assert sha(a / "manifest.txt") == sha(b / "manifest.txt")
+
+
+def test_oracle_check_does_not_convert_a_tau_it_never_reads(tmp_path, capsys):
+    # tau = -0.5 has no Gumbel parameter; a run that simulates nothing ignores it
+    code, out, err = run_cli(["oracle-check", "--family", "gumbel", "--tau", "-0.5", "--out", str(tmp_path)], capsys)
+    assert (code, err) == (0, "")
+    assert out == ORACLE_CHECK_LINES["gumbel"] + "\n"
+    assert "tau" not in (tmp_path / "manifest.txt").read_text()
+
+
 def _one_nan(solve):
     def patched(family, pi, ratio):
         theta, admissible = solve(family, pi, ratio)

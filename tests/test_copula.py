@@ -300,7 +300,6 @@ def test_frank_root_against_frozen_ratio():
     assert sol.theta == pytest.approx(3.0, abs=1e-9)
     assert sol.admissible
     assert sol.iterations > 0
-    assert not sol.near_independence
 
 
 @pytest.mark.parametrize(
@@ -344,7 +343,6 @@ def test_frank_near_independence_dead_zone():
     # a ratio of 1/pi corresponds to the theta -> 0 limit
     sol = theta_from_ratio(FRANK, 0.5, 2.0)
     assert abs(sol.theta) < 1e-6
-    assert sol.near_independence
 
 
 def test_frank_curvature_monotone_in_theta():

@@ -323,8 +323,13 @@ def test_empty_covariate_neighborhood_excludes_everything():
 
 
 def test_family_without_dependence_parameter_rejected():
-    with pytest.raises(ValueError, match="no dependence parameter"):
+    with pytest.raises(ValueError, match="no dependence parameter") as given:
         _series_from([_clayton_surface(0.5)], family=CopulaFamily.INDEPENDENCE)
+    # the sample route meets the same gate, in the solve both routes share
+    sample = simulate(default_config(2000, seed=77_000))
+    with pytest.raises(ValueError) as estimated:
+        theta_series(sample, KernelSpec((0.9, 0.9)), GridSpec(n_points=30), CopulaFamily.INDEPENDENCE)
+    assert str(estimated.value) == str(given.value)
 
 
 def test_surface_count_must_match_grid():
@@ -557,15 +562,26 @@ def test_monte_carlo_keeps_untrimmed_series_for_resummary():
 
 def test_worker_count_is_capped_by_replicates_and_cpus(monkeypatch):
     # resolves the pool size only: no process is started
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    assert _worker_count(5000, 5000) == 2
-    assert _worker_count(1, 5000) == 1
-    assert _worker_count(8, 3) == 2
-    monkeypatch.setattr(os, "cpu_count", lambda: 16)
-    assert _worker_count(8, 3) == 3
-    assert _worker_count(4, 50) == 4
-    monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown CPU count
+    def host(cpus, allowed):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        if allowed is None:  # a platform without affinity masks
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(allowed)), raising=False)
+
+    for allowed in (2, None):
+        host(2, allowed)
+        assert _worker_count(5000, 5000) == 2
+        assert _worker_count(1, 5000) == 1
+        assert _worker_count(8, 3) == 2
+    for allowed in (16, None):
+        host(16, allowed)
+        assert _worker_count(8, 3) == 3
+        assert _worker_count(4, 50) == 4
+    host(None, None)  # unknown CPU count
     assert _worker_count(8, 8) == 1
+    host(64, 2)  # a process pinned to 2 of the host's 64 CPUs
+    assert _worker_count(8, 50) == 2
 
 
 def test_theta_series_carries_its_surface():

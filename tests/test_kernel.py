@@ -1,5 +1,6 @@
 """Kernel estimator tests: closed forms, raw sums, quotient-rule derivatives."""
 
+import hashlib
 import math
 from fractions import Fraction
 from types import SimpleNamespace
@@ -357,7 +358,7 @@ def test_window_matches_the_full_mask(d):
         for z in (np.zeros(d), rng.normal(size=d)):
             weights = _ZWeights(sample, spec, z)
             assert weights.t_sorted.tolist() == _window_durations(sample, spec, z).tolist()
-            assert weights.columns.shape == (weights.t_sorted.size, d + 2)
+            assert weights.columns.shape == (weights.t_sorted.size, 4)
 
 
 def test_window_distances_that_overflow_raise_no_warning():
@@ -417,6 +418,20 @@ def test_array_quotient_rule_equals_the_scalar_formulas(d):
     ests = estimate_surface_grid(sample, spec, grid, z)
     assert [[e.pi_hat, *e.dpi_hat, e.d2pi_hat] for e in ests] == want
     assert all(e.b_at_z == b for e in ests)
+
+
+def test_third_covariate_surface_bits_are_pinned():
+    # a third covariate only weights the estimate; the digest was taken from a
+    # sweep that also carried dpi_3, so these four columns keep those bits
+    base = simulate(default_config(20_000, seed=4242))
+    z3 = np.random.default_rng(7).normal(0.0, 0.5, len(base))
+    sample = Sample(base.t, base.delta, np.column_stack((base.z, z3)))
+    spec = KernelSpec((0.3, 0.3, 0.5))
+    rows, b = _surface_rows(sample, spec, np.linspace(0.2, 3.0, 50), (0.0, 0.1, -0.2))
+    assert rows.shape == (50, 4)
+    assert b == 4189.377330358959
+    digest = hashlib.sha256(np.ascontiguousarray(rows, dtype="<f8").tobytes()).hexdigest()
+    assert digest == "adca2b0e9ef04d7963facef47ef8edd46104ae24ddfdd2fab1922b2a472932c2"
 
 
 def test_all_durations_beyond_t_give_flat_one():
