@@ -206,6 +206,12 @@ def _frank_curvature(theta, pi):
         return np.where(near, -1.0 / pi, theta / np.where(near, 1.0, np.expm1(-x)))
 
 
+def _check_solvable(family: CopulaFamily) -> None:
+    """The one family gate of the solve: no dependence parameter, no solve."""
+    if family not in (CopulaFamily.CLAYTON, CopulaFamily.GUMBEL, CopulaFamily.FRANK):
+        raise ValueError(f"family {family!r} has no dependence parameter to estimate")
+
+
 def _solve_ratio(family: CopulaFamily, pi, ratio):
     """Solve phi_theta''(pi)/phi_theta'(pi) = -ratio for theta, elementwise.
 
@@ -221,8 +227,7 @@ def _solve_ratio(family: CopulaFamily, pi, ratio):
     if family is CopulaFamily.GUMBEL:
         theta = 1.0 + (1.0 - pi * ratio) * np.log(pi)
         return theta, theta > 1.0
-    if family is not CopulaFamily.FRANK:
-        raise ValueError(f"family {family!r} has no dependence parameter to estimate")
+    _check_solvable(family)
     lo_end, hi_end = FRANK_BRACKET
     lo = np.full(pi.shape, lo_end)
     hi = np.full(pi.shape, hi_end)

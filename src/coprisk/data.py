@@ -75,8 +75,10 @@ class Sample:
         return self.t.size
 
     def mean_covariates(self) -> np.ndarray:
-        """Sample average of each covariate column."""
-        return self.z.mean(axis=0)
+        """Sample average of each covariate column, ``z.mean(axis=0)`` bit
+        for bit.  The summation order is part of the contract: row by row
+        down each column, as numpy's axis-0 reduction sums, from +0.0."""
+        return (np.cumsum(self.z, axis=0)[-1] + 0.0) / len(self)
 
 
 def _fmt(x: float) -> str:
@@ -289,8 +291,9 @@ def _column_cells(column) -> np.ndarray:
     """Each value's text as a NUL-padded row of ASCII after a byte for the separator."""
     if isinstance(column, np.ndarray) and column.dtype.kind == "f":
         return _float_cells(column)
-    if isinstance(column, np.ndarray):  # numpy writes an integer as str does; bools as 0/1
-        text = column.astype(np.int64, copy=False).astype(bytes)
+    if isinstance(column, np.ndarray):  # each distinct integer's str (bools as 0/1), looked up per row
+        values, at = np.unique(column.astype(np.int64, copy=False), return_inverse=True)
+        text = values.astype(bytes)[at]
     else:
         text = [v if isinstance(v, str) else _fmt(v) if isinstance(v, float) else str(int(v)) for v in column]
         text = np.array(text, dtype=bytes)

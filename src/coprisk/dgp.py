@@ -9,7 +9,9 @@ the array the kernel estimate and the theta solve are checked against.
 
 Draws are counter-based (Philox): unit i consumes counters 4i..4i+3 in the
 fixed order (z1, z2, s1, v2), so datasets are reproducible per unit and
-replicates can be generated independently from derived seeds.
+replicates can be generated independently from derived seeds.  They are
+drawn, computed and written a block of rows at a time, as contiguous
+columns; the stream runs on across blocks, so nothing moves a bit.
 
 The normal covariates come from the inverse normal cdf ``_ndtri``, a numpy
 port of Cephes ``ndtri`` (S. L. Moshier, *Methods and Programs for
@@ -473,30 +475,43 @@ class LatentDraws:
 _BLOCK_ROWS = 16384
 
 
-def simulate_latent(config: DgpConfig) -> LatentDraws:
-    """Both latent durations behind simulate(), before the min is taken."""
+def _latent_blocks(config: DgpConfig):
+    """(rows, u, z, s2, t1, t2) per block of rows, every array contiguous: u
+    the (4, rows) uniforms (z1, z2, s1, v2), which are those of one (n, 4)
+    draw as Philox runs on across blocks, and z the (2, rows) covariates."""
     rng = np.random.Generator(np.random.Philox(key=config.seed))
-    u = rng.random((config.n, 4))
-    np.maximum(u, _U_FLOOR, out=u)
-    z = np.empty((config.n, 2))
-    s2, t1, t2 = (np.empty(config.n) for _ in range(3))
     m1, m2 = config.marginals
     for a in range(0, config.n, _BLOCK_ROWS):
-        rows = slice(a, a + _BLOCK_ROWS)
-        z[rows] = config.covariate_sd * _ndtri(u[rows, :2])
-        s2[rows] = conditional_copula_inverse(config.copula, u[rows, 2], u[rows, 3])
-        t1[rows] = m1.invert_survival(u[rows, 2], z[rows, 0])
-        t2[rows] = m2.invert_survival(s2[rows], z[rows, 1])
-    return LatentDraws(z=z, s1=u[:, 2], s2=s2, t1=t1, t2=t2)
+        rows = slice(a, min(a + _BLOCK_ROWS, config.n))
+        u = np.empty((4, rows.stop - a))
+        np.maximum(rng.random((rows.stop - a, 4)).T, _U_FLOOR, out=u)
+        z = config.covariate_sd * _ndtri(u[:2])
+        s2 = conditional_copula_inverse(config.copula, u[2], u[3])
+        yield rows, u, z, s2, m1.invert_survival(u[2], z[0]), m2.invert_survival(s2, z[1])
+
+
+def simulate_latent(config: DgpConfig) -> LatentDraws:
+    """Both latent durations behind simulate(), before the min is taken."""
+    z = np.empty((config.n, 2))
+    s1, s2, t1, t2 = (np.empty(config.n) for _ in range(4))
+    for rows, u, zb, s2b, t1b, t2b in _latent_blocks(config):
+        z[rows], s1[rows], s2[rows], t1[rows], t2[rows] = zb.T, u[2], s2b, t1b, t2b
+    return LatentDraws(z=z, s1=s1, s2=s2, t1=t1, t2=t2)
 
 
 def simulate(config: DgpConfig) -> Sample:
     """Draw the observed sample (min duration, its cause, both covariates).
 
     Deterministic given config.seed; identical configs produce identical
-    arrays bit for bit.
+    arrays bit for bit.  It is simulate_latent(config).observed(), written
+    block by block without a full-length latent column.
     """
-    return simulate_latent(config).observed()
+    t, delta, z = np.empty(config.n), np.empty(config.n, dtype=np.int64), np.empty((config.n, 2))
+    for rows, _, zb, _, t1, t2 in _latent_blocks(config):
+        z[rows] = zb.T
+        np.minimum(t1, t2, out=t[rows])
+        delta[rows] = np.where(t2 < t1, 2, 1)  # ties resolve to cause 1
+    return Sample(t, delta, z)
 
 
 def oracle_surface(config: DgpConfig, t_grid, z) -> np.ndarray:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .copula import CopulaFamily, _solve_ratio
+from .copula import CopulaFamily, _check_solvable, _solve_ratio
 from .data import Sample
 from .dgp import DgpConfig, simulate
 from .kernel import EmptyNeighborhoodError, KernelSpec, _surface_rows
@@ -70,6 +70,20 @@ def _check_trim(trim_lo: float, trim_hi: float) -> None:
         raise ValueError(f"trim_lo must be below trim_hi, got {trim_lo!r} >= {trim_hi!r}")
 
 
+def _percentiles(x: np.ndarray, percents) -> np.ndarray:
+    """``np.percentile(x, percents)`` bit for bit, without the np.unique
+    that imports numpy.ma: numpy's "linear" method on the two order
+    statistics around each virtual index (n - 1) q, partitioned into place
+    at once, and numpy's _lerp, which switches form at a fraction of 1/2."""
+    index = (x.size - 1) * np.true_divide(percents, 100)
+    below = np.minimum(np.floor(index).astype(np.intp), x.size - 1)
+    above = np.minimum(below + 1, x.size - 1)
+    part = np.partition(x, np.concatenate((below, above)))
+    a, b, g = part[below], part[above], index - below
+    diff = b - a
+    return np.where(g >= 0.5, b - diff * (1 - g), a + diff * g)
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Duration grid, covariate evaluation point, and trimming window.
@@ -108,7 +122,7 @@ class GridSpec:
         if self.t_grid is not None:
             t = np.asarray(self.t_grid, dtype=float)
         else:
-            lo, hi = np.percentile(sample.t, (0.5, 99.5))
+            lo, hi = _percentiles(sample.t, (0.5, 99.5))
             t = np.linspace(lo, hi, self.n_points)
             # percentiles a few ulps apart give repeated points, not just lo == hi
             if not np.all(np.diff(t) > 0.0):
@@ -215,9 +229,11 @@ def theta_series(
     Resolves the grid against ``sample``, estimates the (G, 4) kernel
     surface along it and solves that array under the grid's trim window, as
     solve_surface does; the returned series carries the surface it solved.
-    Raises AllPointsExcludedError when the kernel window at the evaluation
-    point is empty or nothing survives definedness and trimming.
+    A family without a dependence parameter raises ValueError first, as in
+    solve_surface; AllPointsExcludedError means the kernel window at the
+    evaluation point is empty or nothing survives definedness and trimming.
     """
+    _check_solvable(family)
     t, z = grid.resolve(sample)
     try:
         surface, _ = _surface_rows(sample, spec, t, z)
@@ -268,10 +284,6 @@ class McSummary:
 def _nearest_rank(sorted_values: np.ndarray, percent: float) -> float:
     k = max(1, math.ceil(percent / 100.0 * sorted_values.size))
     return float(sorted_values[k - 1])
-
-
-def _untrimmed(grid: GridSpec) -> GridSpec:
-    return replace(grid, trim_lo=-math.inf, trim_hi=math.inf)
 
 
 def _replicate_job(args) -> ThetaSeries | None:
@@ -356,7 +368,7 @@ def monte_carlo(
         raise ValueError(f"replicates must be a positive integer, got {replicates!r}")
     if not isinstance(workers, int) or workers < 1:
         raise ValueError(f"workers must be a positive integer, got {workers!r}")
-    untrimmed = _untrimmed(grid)
+    untrimmed = replace(grid, trim_lo=-math.inf, trim_hi=math.inf)
     jobs = [
         (replace(dgp, seed=(dgp.seed + r) % 2**64), spec, untrimmed, family)
         for r in range(replicates)

@@ -211,8 +211,10 @@ class _ZWeights:
         # a tiny bandwidth overflows distances (those rows leave the window)
         # and weights (checked below) without a floating-point warning
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            # one coordinate at a time, each on the rows still in the window
-            inside = np.flatnonzero(np.abs((z[0] - sample.z[:, 0]) / h[0]) <= 1.0)
+            # one coordinate at a time, each on the rows still in the window,
+            # the first one's distance in a single temporary
+            dist = z[0] - sample.z[:, 0]
+            inside = np.flatnonzero(np.abs(np.divide(dist, h[0], out=dist), out=dist) <= 1.0)
             for k in range(1, d):
                 inside = inside[np.abs((z[k] - sample.z[inside, k]) / h[k]) <= 1.0]
             # by duration; the exact sums do not see the order of ties

@@ -753,6 +753,45 @@ def test_cold_import_loads_no_scipy(tmp_path):
     assert report["frank_ratio"] == 0.7614099464601756
 
 
+# np.percentile and a plain np.unique import numpy.ma (10-14 ms a process);
+# neither the estimate path nor a replicate needs it
+_NO_MASKED_ARRAY_PROBE = """
+import json, sys
+
+out = sys.argv[1]
+import coprisk.cli
+from coprisk.copula import CopulaFamily
+from coprisk.dgp import default_config
+from coprisk.estimator import GridSpec, monte_carlo
+from coprisk.kernel import KernelSpec
+report = {}
+for args in (
+    ["simulate", "--family", "frank", "--theta", "1.86", "--n", "600", "--seed", "9", "--out", out + "/sim"],
+    ["estimate", "--data", out + "/sim/dataset.csv", "--family", "frank", "--tau", "0.2",
+     "--bandwidth", "0.8", "--grid-points", "50", "--out", out + "/est"],
+):
+    assert coprisk.cli.main(args) == 0, args
+report["estimate"] = "numpy.ma" in sys.modules
+monte_carlo(default_config(600, seed=9, theta=1.25, family=CopulaFamily.GUMBEL), KernelSpec((0.8, 0.8)),
+            GridSpec(n_points=50), CopulaFamily.GUMBEL, 2, workers=1)
+report["monte_carlo"] = "numpy.ma" in sys.modules
+print(json.dumps(report))
+"""
+
+
+def test_estimate_and_replicates_leave_numpy_ma_unloaded(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run(
+        [sys.executable, "-c", _NO_MASKED_ARRAY_PROBE, str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout.splitlines()[-1]) == {"estimate": False, "monte_carlo": False}
+
+
 def test_nested_output_directory_is_created(tmp_path, capsys):
     out = tmp_path / "deep" / "nested" / "dir"
     code, _, _ = run_cli(["simulate", "--n", "50", "--out", str(out)], capsys)

@@ -40,6 +40,10 @@ def test_sample_columns_and_length():
 def test_sample_mean_covariates():
     s = _toy_sample()
     assert np.allclose(s.mean_covariates(), s.z.mean(axis=0), rtol=0, atol=0)
+    # numpy's axis-0 sum starts from +0.0, so an all -0.0 column averages to +0.0
+    z = np.array([[-0.0, -0.0], [-0.0, 1.0], [-0.0, -0.0]])
+    zbar = Sample([1.0, 2.0, 3.0], [1, 1, 2], z).mean_covariates()
+    assert np.array_equal(zbar, z.mean(axis=0)) and not np.signbit(zbar).any()
 
 
 def test_sample_arrays_are_read_only():

@@ -774,7 +774,8 @@ def _around(x: float, ulps: int) -> list[float]:
 
 
 def _covariate_uniforms(seed: int, n: int) -> np.ndarray:
-    # the strided view simulate_latent hands to the normal quantile
+    # the covariate uniforms of a design, as a strided (n, 2) view: _ndtri
+    # must give each element its own bits in any layout
     u = np.random.Generator(np.random.Philox(key=seed)).random((n, 4))
     np.maximum(u, 2.0 ** -53, out=u)
     return u[:, :2]
@@ -899,7 +900,8 @@ def test_ndtri_port_edges():
 
 
 def test_ndtri_bits_do_not_depend_on_the_array_layout():
-    # simulate_latent hands _ndtri strided (rows, 2) views of blocks of rows
+    # simulate hands _ndtri contiguous (2, rows) blocks; a strided view, a
+    # split into blocks, a flat array or a scalar must give the same bits
     view = _covariate_uniforms(4, 20_000)
     edges = np.array([0.0, 2.0 ** -1074, 2.0 ** -53, EXP_M32, EXP_M2, 0.5, 1.0 - EXP_M2, 1.0 - 2.0 ** -53, 1.0])
     view[: edges.size, 0] = edges
@@ -927,6 +929,27 @@ def test_observed_is_the_minimum_with_its_cause(bench_latent_100k):
     assert np.array_equal(obs.t, np.minimum(lat.t1, lat.t2))
     assert np.array_equal(obs.delta == 2, lat.t2 < lat.t1)
     assert np.array_equal(obs.z, lat.z)
+
+
+@pytest.mark.parametrize("n", [1, dgp._BLOCK_ROWS - 1, dgp._BLOCK_ROWS, dgp._BLOCK_ROWS + 1])
+def test_uniform_blocks_are_one_draw(n):
+    # Philox continues its stream across blocks: the blocks are the rows of
+    # one (n, 4) draw, lifted to the floor
+    cfg = default_config(n, seed=2_026)
+    want = np.random.Generator(np.random.Philox(key=cfg.seed)).random((n, 4))
+    np.maximum(want, 2.0 ** -53, out=want)
+    blocks = [(rows, u) for rows, u, *_ in dgp._latent_blocks(cfg)]
+    assert len(blocks) == -(-n // dgp._BLOCK_ROWS)
+    assert [rows.stop for rows, _ in blocks][-1] == n
+    for rows, u in blocks:
+        assert u.flags.c_contiguous and u.shape == (4, rows.stop - rows.start)
+        assert np.array_equal(u, want[rows].T)
+    lat = simulate_latent(cfg)
+    assert np.array_equal(lat.s1, want[:, 2])
+    observed = lat.observed()
+    sample = simulate(cfg)
+    for got, ref in ((sample.t, observed.t), (sample.delta, observed.delta), (sample.z, observed.z)):
+        assert np.array_equal(got, ref)
 
 
 def test_simulate_equals_latent_observed():

@@ -28,6 +28,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from coprisk.copula import CopulaFamily, CopulaModel, NoRootError, kendalls_tau, theta_from_ratio
 from coprisk.data import Sample, write_mc_replicates_csv, write_theta_series_csv
@@ -37,6 +39,7 @@ from coprisk.estimator import (
     GridSpec,
     McSummary,
     ThetaSeries,
+    _percentiles,
     _worker_count,
     monte_carlo,
     solve_surface,
@@ -115,6 +118,38 @@ def test_grid_spec_default_grid_uses_duration_percentiles():
     assert t[0] == lo and t[-1] == hi
     assert np.array_equal(t, np.linspace(lo, hi, 41))
     assert np.array_equal(z, sample.z.mean(axis=0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 3000),
+    d=st.integers(2, 4),
+    distinct=st.integers(1, 3000),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=1, d=2, distinct=1, seed=0)
+@example(n=2, d=3, distinct=2, seed=1)
+@example(n=201, d=4, distinct=5, seed=2)
+def test_grid_spec_resolve_is_numpy_percentile_and_mean_bit_for_bit(n, d, distinct, seed):
+    # resolve takes its percentiles from one partition and its mean as a
+    # sequential column sum; both must be numpy's values, ties included
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.uniform(-3.0, 3.0)
+    t = rng.choice(scale * (1.0 + rng.exponential(size=distinct)), size=n)
+    z = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-3.0, 3.0, size=d)
+    sample = Sample(t=t, delta=np.ones(n, dtype=np.int8), z=z)
+    lo, hi = np.percentile(sample.t, (0.5, 99.5))
+    _, zbar = GridSpec(t_grid=(1.0,)).resolve(sample)
+    assert np.array_equal(zbar, z.mean(axis=0))
+    assert np.array_equal(np.signbit(zbar), np.signbit(z.mean(axis=0)))
+    assert np.array_equal(sample.mean_covariates(), z.mean(axis=0))
+    try:
+        grid, _ = GridSpec(n_points=2).resolve(sample)
+    except ValueError:  # equal percentiles: a degenerate range
+        assert lo == hi
+    else:
+        assert grid.tolist() == [lo, hi]
+    assert np.array_equal(_percentiles(sample.t, (0.5, 99.5)), [lo, hi])
 
 
 def test_grid_spec_degenerate_durations_rejected():
@@ -330,6 +365,13 @@ def test_family_without_dependence_parameter_rejected():
     with pytest.raises(ValueError) as estimated:
         theta_series(sample, KernelSpec((0.9, 0.9)), GridSpec(n_points=30), CopulaFamily.INDEPENDENCE)
     assert str(estimated.value) == str(given.value)
+    # the gate comes before the kernel: an empty window at z changes nothing
+    small, far = simulate(default_config(50, seed=77_001)), GridSpec(n_points=30, z_eval=(50.0, 50.0))
+    with pytest.raises(ValueError) as empty_window:
+        theta_series(small, KernelSpec((0.9, 0.9)), far, CopulaFamily.INDEPENDENCE)
+    assert str(empty_window.value) == str(given.value)
+    with pytest.raises(AllPointsExcludedError):  # a family with a parameter meets the empty window
+        theta_series(small, KernelSpec((0.9, 0.9)), far, CopulaFamily.CLAYTON)
 
 
 def test_surface_count_must_match_grid():
