@@ -9,14 +9,10 @@ surface's curvature ratio using a covariate exclusion restriction.
 from .copula import (
     CopulaFamily,
     CopulaModel,
-    GeneratorValue,
     NoRootError,
     ThetaSolution,
     check_ordering_condition,
-    generator,
-    joint_survival,
     kendalls_tau,
-    phi_log_deriv_ratio,
     theta_for_tau,
     theta_from_ratio,
 )
@@ -58,7 +54,6 @@ __all__ = [
     "CopulaModel",
     "DgpConfig",
     "EmptyNeighborhoodError",
-    "GeneratorValue",
     "GridSpec",
     "KernelSpec",
     "LatentDraws",
@@ -73,12 +68,9 @@ __all__ = [
     "conditional_copula_inverse",
     "default_config",
     "estimate_surface_grid",
-    "generator",
-    "joint_survival",
     "kendalls_tau",
     "monte_carlo",
     "oracle_surface",
-    "phi_log_deriv_ratio",
     "read_dataset_csv",
     "simulate",
     "simulate_latent",

@@ -17,6 +17,7 @@ codes: 0 success, 2 configuration error, 3 estimation failure at runtime
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import os
 import sys
@@ -548,6 +549,12 @@ def main(argv=None):
     except KeyboardInterrupt:
         print("error: interrupted", file=sys.stderr)
         return 130
+    finally:
+        if argv is None:
+            # run as the program, which exits next: collect once, then freeze
+            # what is left so the interpreter's exit does not walk it again
+            gc.collect()
+            gc.freeze()
 
 
 if __name__ == "__main__":

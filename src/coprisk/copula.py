@@ -1,9 +1,9 @@
 """Archimedean copula families for dependent competing-risks durations.
 
-Generator algebra (phi, its first two derivatives, and its inverse), joint
-survival composition, Kendall's tau, and recovery of the dependence
-parameter theta from the curvature ratio of a conditional joint survival
-surface.  The identification step inverts
+Generator algebra on arrays (phi, its first two derivatives, and its
+inverse), Kendall's tau, and recovery of the dependence parameter theta
+from the curvature ratio of a conditional joint survival surface.  The
+identification step inverts
 
     phi_theta''(pi) / phi_theta'(pi) = -R,
 
@@ -35,16 +35,12 @@ import numpy as np
 __all__ = [
     "CopulaFamily",
     "CopulaModel",
-    "GeneratorValue",
     "NoRootError",
     "ThetaSolution",
     "FRANK_BRACKET",
     "FRANK_DEAD_ZONE",
     "check_ordering_condition",
-    "generator",
-    "joint_survival",
     "kendalls_tau",
-    "phi_log_deriv_ratio",
     "theta_for_tau",
     "theta_from_ratio",
 ]
@@ -101,15 +97,6 @@ class CopulaModel:
             raise ValueError(f"Gumbel theta must exceed 1, got {theta}")
         if fam is CopulaFamily.FRANK and abs(theta) < FRANK_DEAD_ZONE:
             raise ValueError(f"Frank |theta| must be at least {FRANK_DEAD_ZONE}, got {theta!r}")
-
-
-@dataclass(frozen=True)
-class GeneratorValue:
-    """Generator phi(s) with its first two derivatives at one point."""
-
-    phi: float
-    dphi: float
-    d2phi: float
 
 
 @dataclass(frozen=True)
@@ -247,75 +234,15 @@ def _solve_ratio(family: CopulaFamily, pi, ratio):
 
 
 # ----------------------------------------------------------------------
-# public scalar operations
+# the scalar solve
 # ----------------------------------------------------------------------
 
 
-def _check_scalar(name: str, x, lo_open: float, hi: float, *, include_hi: bool) -> float:
+def _check_scalar(name: str, x, lo: float, hi: float) -> float:
     x = float(x)
-    if not math.isfinite(x) or x <= lo_open or (x > hi if include_hi else x >= hi):
-        bound = "]" if include_hi else ")"
-        raise ValueError(f"{name} must lie in ({lo_open}, {hi}{bound}, got {x!r}")
+    if not lo < x < hi:  # NaN fails too
+        raise ValueError(f"{name} must lie in ({lo}, {hi}), got {x!r}")
     return x
-
-
-def generator(model: CopulaModel, s: float) -> GeneratorValue:
-    """Evaluate phi, phi', phi'' at s in (0, 1].
-
-    phi(1) = 0 exactly; phi is strictly decreasing and convex on (0, 1).
-    At s = 1 the Gumbel derivatives are one-sided limits (phi'' is +inf for
-    theta < 2).
-    """
-    s = _check_scalar("s", s, 0.0, 1.0, include_hi=True)
-    fam, theta = model.family, model.theta
-    if fam is CopulaFamily.GUMBEL and s == 1.0:
-        if theta < 2.0:
-            d2 = math.inf
-        elif theta == 2.0:
-            d2 = theta * (theta - 1.0)
-        else:
-            d2 = 0.0
-        return GeneratorValue(0.0, 0.0, d2)
-    return GeneratorValue(
-        float(_phi(fam, theta, s)),
-        float(_dphi(fam, theta, s)),
-        float(_d2phi(fam, theta, s)),
-    )
-
-
-def joint_survival(model: CopulaModel, s1: float, s2: float) -> float:
-    """Joint survival probability phi_inv(phi(s1) + phi(s2)).
-
-    Couples two marginal survival probabilities in (0, 1]; the result obeys
-    the Frechet bounds, in particular 0 <= result <= min(s1, s2).  The
-    inverse is 0 from phi(0) on, which is finite only for Clayton with
-    theta < 0 (phi(0) = -1/theta): the joint survival is exactly 0 there.
-    """
-    s1 = _check_scalar("s1", s1, 0.0, 1.0, include_hi=True)
-    s2 = _check_scalar("s2", s2, 0.0, 1.0, include_hi=True)
-    fam, theta = model.family, model.theta
-    if fam is CopulaFamily.INDEPENDENCE:
-        return s1 * s2
-    total = float(_phi(fam, theta, s1)) + float(_phi(fam, theta, s2))
-    return float(_phi_inv(fam, theta, total))
-
-
-def phi_log_deriv_ratio(model: CopulaModel, pi: float) -> float:
-    """Curvature ratio phi''(pi) / phi'(pi) of the generator, in closed form.
-
-    Per family: Clayton -(theta+1)/pi, Gumbel -(1 + (theta-1)/(-log pi))/pi,
-    Frank theta/(e^(-theta*pi) - 1), independence -1/pi.  Always negative on
-    pi in (0, 1).
-    """
-    pi = _check_scalar("pi", pi, 0.0, 1.0, include_hi=False)
-    fam, theta = model.family, model.theta
-    if fam is CopulaFamily.CLAYTON:
-        return -(theta + 1.0) / pi
-    if fam is CopulaFamily.GUMBEL:
-        return -(1.0 + (theta - 1.0) / (-math.log(pi))) / pi
-    if fam is CopulaFamily.FRANK:
-        return float(_frank_curvature(theta, pi))
-    return -1.0 / pi
 
 
 def theta_from_ratio(family: CopulaFamily, pi: float, ratio: float) -> ThetaSolution:
@@ -345,7 +272,7 @@ def theta_from_ratio(family: CopulaFamily, pi: float, ratio: float) -> ThetaSolu
     NoRootError
         Frank only, when the bracket shows no sign change.
     """
-    pi = _check_scalar("pi", pi, 0.0, 1.0, include_hi=False)
+    pi = _check_scalar("pi", pi, 0.0, 1.0)
     ratio = float(ratio)
     if not math.isfinite(ratio):
         raise ValueError(f"ratio must be finite, got {ratio!r}")

@@ -72,15 +72,17 @@ def _check_trim(trim_lo: float, trim_hi: float) -> None:
 
 def _percentiles(x: np.ndarray, percents) -> np.ndarray:
     """``np.percentile(x, percents)`` bit for bit, without the np.unique
-    that imports numpy.ma: numpy's "linear" method on the two order
-    statistics around each virtual index (n - 1) q, partitioned into place
-    at once, and numpy's _lerp, which switches form at a fraction of 1/2."""
+    that imports numpy.ma: numpy's "linear" method on the order statistics
+    k and k + 1 around each virtual index (n - 1) q, as one copy partitioned
+    at k alone and the minimum above k, and numpy's _lerp (switch at 1/2)."""
     index = (x.size - 1) * np.true_divide(percents, 100)
-    below = np.minimum(np.floor(index).astype(np.intp), x.size - 1)
-    above = np.minimum(below + 1, x.size - 1)
-    part = np.partition(x, np.concatenate((below, above)))
-    a, b, g = part[below], part[above], index - below
-    diff = b - a
+    below = np.floor(index).astype(np.intp)
+    a, b = np.empty((2, below.size))
+    part = x.copy()
+    for i, k in enumerate(below.tolist()):
+        part.partition(k)  # one kth at a time: several at once cost far more
+        a[i], b[i] = part[k], part[min(k + 1, x.size - 1) :].min()
+    g, diff = index - below, b - a
     return np.where(g >= 0.5, b - diff * (1 - g), a + diff * g)
 
 

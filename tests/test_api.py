@@ -10,7 +10,6 @@ PUBLIC_NAMES = [
     "CopulaModel",
     "DgpConfig",
     "EmptyNeighborhoodError",
-    "GeneratorValue",
     "GridSpec",
     "KernelSpec",
     "LatentDraws",
@@ -26,12 +25,9 @@ PUBLIC_NAMES = [
     "conditional_copula_inverse",
     "default_config",
     "estimate_surface_grid",
-    "generator",
-    "joint_survival",
     "kendalls_tau",
     "monte_carlo",
     "oracle_surface",
-    "phi_log_deriv_ratio",
     "read_dataset_csv",
     "simulate",
     "simulate_latent",

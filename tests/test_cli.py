@@ -7,6 +7,7 @@ reproducibility (same settings, same bytes) is part of the contract.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import os
@@ -684,6 +685,28 @@ def test_module_entry_point_runs(tmp_path):
     )
     assert result.returncode == 0
     assert result.stdout.startswith("max_abs_theta_error=")
+
+
+def test_only_a_run_as_the_program_freezes_the_heap(tmp_path, capsys):
+    # an explicit argv (tests, embedding callers) leaves the collector as it was
+    before = gc.get_freeze_count()
+    code, _, _ = run_cli(["oracle-check", "--out", str(tmp_path / "argv")], capsys)
+    assert code == 0
+    assert gc.get_freeze_count() == before
+    # argv None reads sys.argv, as the console script and python -m do, and
+    # freezes what is left for the exit that follows
+    probe = (
+        "import gc, sys, coprisk.cli\n"
+        "sys.argv = ['coprisk', 'oracle-check', '--out', sys.argv[1]]\n"
+        "assert coprisk.cli.main() == 0 and gc.get_freeze_count() > 0\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe, str(tmp_path / "program")],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
 
 
 # Run in a fresh interpreter: every test module here already imports scipy,

@@ -6,10 +6,11 @@ expressions, curvature ratios from high-precision central differences at
 step 1e-6, Frank taus from the closed form pi^2/6 + x log(1 - e^-x) -
 Li2(e^-x) of the Debye integral, checked against mpmath's quadrature of the
 integrand, and Frank theta(tau) roots by mpmath's findroot on that closed
-form.  Runtime oracles (bisection, quotient identities) only use the public
-generator values, never the code paths they are checking.  The Frank roots,
-of the curvature equation and of the tau curve, are checked against roots
-of the exact equations found in 50-digit ``decimal`` arithmetic.
+form.  Runtime oracles (bisection, quotient identities) only use the
+generator values of the array routes _phi, _dphi and _d2phi, never the
+code paths they are checking.  The Frank roots, of the curvature equation
+and of the tau curve, are checked against roots of the exact equations
+found in 50-digit ``decimal`` arithmetic.
 """
 
 from __future__ import annotations
@@ -32,10 +33,7 @@ from coprisk import (
     CopulaModel,
     NoRootError,
     check_ordering_condition,
-    generator,
-    joint_survival,
     kendalls_tau,
-    phi_log_deriv_ratio,
     theta_for_tau,
     theta_from_ratio,
 )
@@ -43,7 +41,11 @@ from coprisk.copula import (
     _FRANK_TAU_SERIES,
     FRANK_BRACKET,
     FRANK_DEAD_ZONE,
+    _d2phi,
+    _dphi,
     _frank_curvature,
+    _phi,
+    _phi_inv,
 )
 
 CLAYTON = CopulaFamily.CLAYTON
@@ -108,22 +110,42 @@ def theta_strategy(family):
 # ----------------------------------------------------------------------
 
 
+def _generator(model, s):
+    """phi, phi', phi'' at s through the array routes the solve, oracle-check
+    and oracle_surface evaluate."""
+    fam, th = model.family, model.theta
+    s = np.asarray(s, dtype=float)
+    return _phi(fam, th, s), _dphi(fam, th, s), _d2phi(fam, th, s)
+
+
+def _joint(model, s1, s2):
+    """pi = phi_inv(phi(s1) + phi(s2)), composed as oracle_surface composes it."""
+    fam, th = model.family, model.theta
+    s1, s2 = np.asarray(s1, dtype=float), np.asarray(s2, dtype=float)
+    return _phi_inv(fam, th, _phi(fam, th, s1) + _phi(fam, th, s2))
+
+
+def _ratio(model, pi):
+    """The curvature phi''/phi' at pi, the quotient oracle-check inverts."""
+    _, dphi, d2phi = _generator(model, pi)
+    return d2phi / dphi
+
+
 def test_generator_at_one_is_zero():
     for fam, th in [(CLAYTON, 0.5), (GUMBEL, 2.0), (FRANK, 1.0), (INDEP, None)]:
-        assert generator(CopulaModel(fam, th), 1.0).phi == 0.0
+        assert _phi(fam, th, 1.0) == 0.0
 
 
 def test_gumbel_unit_e_inverse():
     # phi(s) = (-log s)^theta, so s = 1/e gives exactly 1
-    val = generator(CopulaModel(GUMBEL, 2.0), math.exp(-1.0))
-    assert val.phi == pytest.approx(1.0, abs=1e-14)
+    assert _phi(GUMBEL, 2.0, math.exp(-1.0)) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_clayton_half_against_frozen_oracle():
-    val = generator(CopulaModel(CLAYTON, 0.5), 0.5)
-    assert val.phi == pytest.approx(CLAYTON_HALF_PHI, rel=1e-14)
-    assert val.dphi == pytest.approx(CLAYTON_HALF_DPHI_FD, rel=1e-6)
-    assert val.d2phi == pytest.approx(CLAYTON_HALF_D2PHI_FD, rel=1e-6)
+    phi, dphi, d2phi = _generator(CopulaModel(CLAYTON, 0.5), 0.5)
+    assert phi == pytest.approx(CLAYTON_HALF_PHI, rel=1e-14)
+    assert dphi == pytest.approx(CLAYTON_HALF_DPHI_FD, rel=1e-6)
+    assert d2phi == pytest.approx(CLAYTON_HALF_D2PHI_FD, rel=1e-6)
 
 
 @pytest.mark.parametrize(
@@ -134,54 +156,52 @@ def test_derivatives_match_runtime_finite_differences(family, theta):
     # dphi via 5-point stencil at 1e-4 keeps float roundoff below 1e-8 rel
     model = CopulaModel(family, theta)
     h = 1e-4
-    for s in (0.2, 0.5, 0.8):
-        f = lambda x: generator(model, x).phi
-        d1 = (f(s - 2 * h) - 8 * f(s - h) + 8 * f(s + h) - f(s + 2 * h)) / (12 * h)
-        d2 = (f(s + h) - 2 * f(s) + f(s - h)) / (h * h)
-        val = generator(model, s)
-        assert val.dphi == pytest.approx(d1, rel=1e-8)
-        assert val.d2phi == pytest.approx(d2, rel=1e-5)
+    s = np.array([0.2, 0.5, 0.8])
+    f = lambda x: _phi(family, theta, x)
+    d1 = (f(s - 2 * h) - 8 * f(s - h) + 8 * f(s + h) - f(s + 2 * h)) / (12 * h)
+    d2 = (f(s + h) - 2 * f(s) + f(s - h)) / (h * h)
+    _, dphi, d2phi = _generator(model, s)
+    np.testing.assert_allclose(dphi, d1, rtol=1e-8)
+    np.testing.assert_allclose(d2phi, d2, rtol=1e-5)
 
 
 @pytest.mark.parametrize("family", [CLAYTON, GUMBEL, FRANK, INDEP])
 def test_generator_shape(family):
     theta = {CLAYTON: 0.7, GUMBEL: 1.8, FRANK: -2.0, INDEP: None}[family]
-    model = CopulaModel(family, theta)
-    for s in np.linspace(0.01, 0.99, 25):
-        val = generator(model, float(s))
-        assert val.phi > 0.0
-        assert val.dphi < 0.0
-        assert val.d2phi >= 0.0
+    phi, dphi, d2phi = _generator(CopulaModel(family, theta), np.linspace(0.01, 0.99, 25))
+    assert np.all(phi > 0.0)
+    assert np.all(dphi < 0.0)
+    assert np.all(d2phi >= 0.0)
 
 
 @given(st.floats(min_value=1e-4, max_value=1.0))
 @settings(max_examples=120, deadline=None)
 def test_generator_decreasing_convex_clayton_edge(s):
     # theta = -1 is the domain edge: linear generator 1 - s
-    val = generator(CopulaModel(CLAYTON, -1.0), s)
-    assert val.phi == pytest.approx(1.0 - s, rel=1e-12, abs=1e-15)
-    assert val.dphi == pytest.approx(-1.0, rel=1e-12)
-    assert val.d2phi == pytest.approx(0.0, abs=1e-12)
+    phi, dphi, d2phi = _generator(CopulaModel(CLAYTON, -1.0), s)
+    assert phi == pytest.approx(1.0 - s, rel=1e-12, abs=1e-15)
+    assert dphi == pytest.approx(-1.0, rel=1e-12)
+    assert d2phi == pytest.approx(0.0, abs=1e-12)
 
 
 # ----------------------------------------------------------------------
-# inverse generator, through joint_survival = phi_inv(phi(s1) + phi(s2))
+# inverse generator, through the joint survival phi_inv(phi(s1) + phi(s2))
 # ----------------------------------------------------------------------
 
 
 def test_inverse_at_zero_is_one():
     # phi(1) = 0, so C(1, 1) is phi_inv(0)
     for fam, th in [(CLAYTON, 0.5), (CLAYTON, -0.5), (GUMBEL, 2.0), (FRANK, 3.0), (INDEP, None)]:
-        assert joint_survival(CopulaModel(fam, th), 1.0, 1.0) == 1.0
+        assert _joint(CopulaModel(fam, th), 1.0, 1.0) == 1.0
 
 
 def test_clayton_negative_theta_convention():
     # phi(0) = -1/theta = 2: at and past it the inverse is exactly 0
     model = CopulaModel(CLAYTON, -0.5)
-    assert generator(model, 0.25).phi == 1.0
-    assert joint_survival(model, 0.25, 0.25) == 0.0  # phi sum 2
-    assert joint_survival(model, 0.2, 0.2) == 0.0  # phi sum about 2.21
-    assert joint_survival(model, 0.2500001, 0.2500001) > 0.0  # phi sum just below 2
+    assert _phi(CLAYTON, -0.5, 0.25) == 1.0
+    assert _joint(model, 0.25, 0.25) == 0.0  # phi sum 2
+    assert _joint(model, 0.2, 0.2) == 0.0  # phi sum about 2.21
+    assert _joint(model, 0.2500001, 0.2500001) > 0.0  # phi sum just below 2
 
 
 @pytest.mark.parametrize("family", [CLAYTON, GUMBEL, FRANK])
@@ -191,14 +211,13 @@ def test_generator_round_trip(family, data, s):
     # C(s, 1) = phi_inv(phi(s) + 0)
     theta = data.draw(theta_strategy(family))
     model = CopulaModel(family, theta)
-    assert generator(model, 1.0).phi == 0.0
-    assert joint_survival(model, s, 1.0) == pytest.approx(s, abs=1e-10)
+    assert _phi(family, theta, 1.0) == 0.0
+    assert _joint(model, s, 1.0) == pytest.approx(s, abs=1e-10)
 
 
 def test_round_trip_independence():
-    model = CopulaModel(INDEP)
-    for s in (1e-4, 0.3, 0.99, 1.0):
-        assert joint_survival(model, s, 1.0) == pytest.approx(s, abs=1e-12)
+    s = np.array([1e-4, 0.3, 0.99, 1.0])
+    np.testing.assert_allclose(_joint(CopulaModel(INDEP), s, 1.0), s, rtol=0.0, atol=1e-12)
 
 
 # ----------------------------------------------------------------------
@@ -209,26 +228,26 @@ def test_round_trip_independence():
 def test_joint_survival_unit_margin_is_identity():
     for fam, th in [(CLAYTON, 0.5), (GUMBEL, 2.0), (FRANK, -3.0), (INDEP, None)]:
         model = CopulaModel(fam, th)
-        assert joint_survival(model, 1.0, 0.7) == pytest.approx(0.7, abs=1e-12)
-        assert joint_survival(model, 0.7, 1.0) == pytest.approx(0.7, abs=1e-12)
+        assert _joint(model, 1.0, 0.7) == pytest.approx(0.7, abs=1e-12)
+        assert _joint(model, 0.7, 1.0) == pytest.approx(0.7, abs=1e-12)
 
 
 def test_clayton_joint_survival_closed_form():
     model = CopulaModel(CLAYTON, 0.5)
     expected = (0.8 ** -0.5 + 0.8 ** -0.5 - 1.0) ** -2.0
-    assert joint_survival(model, 0.8, 0.8) == pytest.approx(expected, rel=1e-13)
+    assert _joint(model, 0.8, 0.8) == pytest.approx(expected, rel=1e-13)
 
 
 def test_frank_joint_survival_against_frozen_and_bisection():
     model = CopulaModel(FRANK, 2.0)
-    got = joint_survival(model, 0.6, 0.9)
+    got = _joint(model, 0.6, 0.9)
     assert got == pytest.approx(FRANK2_JOINT_06_09, abs=1e-12)
-    # runtime oracle: invert phi by plain bisection on the public generator
-    total = generator(model, 0.6).phi + generator(model, 0.9).phi
+    # runtime oracle: invert phi by plain bisection on the generator values
+    total = _phi(FRANK, 2.0, 0.6) + _phi(FRANK, 2.0, 0.9)
     lo, hi = 1e-12, 1.0
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if generator(model, mid).phi > total:  # phi decreasing: too far left
+        if _phi(FRANK, 2.0, mid) > total:  # phi decreasing: too far left
             lo = mid
         else:
             hi = mid
@@ -244,7 +263,7 @@ def test_frank_joint_survival_against_frozen_and_bisection():
 @settings(max_examples=200, deadline=None)
 def test_joint_survival_frechet_bounds(family, data, s1, s2):
     theta = data.draw(theta_strategy(family))
-    pi = joint_survival(CopulaModel(family, theta), s1, s2)
+    pi = _joint(CopulaModel(family, theta), s1, s2)
     assert 0.0 <= pi <= min(s1, s2) + 1e-12
 
 
@@ -253,33 +272,41 @@ def test_joint_survival_frechet_bounds(family, data, s1, s2):
 # ----------------------------------------------------------------------
 
 
+def _ratio_closed_form(model, pi):
+    """phi''/phi' per family: Clayton -(theta+1)/pi, Gumbel
+    -(1 + (theta-1)/(-log pi))/pi, Frank theta/(e^(-theta*pi) - 1) and
+    independence -1/pi."""
+    fam, th = model.family, model.theta
+    if fam is CLAYTON:
+        return -(th + 1.0) / pi
+    if fam is GUMBEL:
+        return -(1.0 + (th - 1.0) / (-np.log(pi))) / pi
+    if fam is FRANK:
+        return _curvature(th, pi)  # the curvature the Frank halvings evaluate
+    return -1.0 / pi
+
+
 def test_ratio_closed_forms_against_frozen_fd():
-    assert phi_log_deriv_ratio(CopulaModel(CLAYTON, 0.5), 0.5) == -3.0
-    assert phi_log_deriv_ratio(CopulaModel(GUMBEL, 2.0), 0.5) == pytest.approx(
-        GUMBEL2_RATIO_HALF_FD, rel=1e-6
-    )
-    assert phi_log_deriv_ratio(CopulaModel(FRANK, 1.0), 0.5) == pytest.approx(
-        FRANK1_RATIO_HALF_FD, rel=1e-6
-    )
-    assert phi_log_deriv_ratio(CopulaModel(INDEP), 0.25) == -4.0
+    assert _ratio(CopulaModel(CLAYTON, 0.5), 0.5) == -3.0
+    assert _ratio(CopulaModel(GUMBEL, 2.0), 0.5) == pytest.approx(GUMBEL2_RATIO_HALF_FD, rel=1e-6)
+    assert _ratio(CopulaModel(FRANK, 1.0), 0.5) == pytest.approx(FRANK1_RATIO_HALF_FD, rel=1e-6)
+    assert _ratio(CopulaModel(INDEP), 0.25) == -4.0
 
 
 @pytest.mark.parametrize("family", [CLAYTON, GUMBEL, FRANK])
 @given(data=st.data(), pi=st.floats(min_value=0.05, max_value=0.95))
 @settings(max_examples=150, deadline=None)
 def test_ratio_equals_generator_quotient(family, data, pi):
+    # the quotient of the array derivatives is the closed form the solve inverts
     theta = data.draw(theta_strategy(family))
     model = CopulaModel(family, theta)
-    val = generator(model, pi)
-    assert phi_log_deriv_ratio(model, pi) == pytest.approx(
-        val.d2phi / val.dphi, rel=1e-10
-    )
+    assert _ratio(model, pi) == pytest.approx(_ratio_closed_form(model, pi), rel=1e-10)
 
 
 def test_ratio_is_negative():
+    pis = np.array([0.05, 0.5, 0.95])
     for fam, th in [(CLAYTON, 3.0), (GUMBEL, 5.0), (FRANK, 8.0), (FRANK, -8.0)]:
-        for pi in (0.05, 0.5, 0.95):
-            assert phi_log_deriv_ratio(CopulaModel(fam, th), pi) < 0.0
+        assert np.all(_ratio(CopulaModel(fam, th), pis) < 0.0)
 
 
 # ----------------------------------------------------------------------
@@ -314,7 +341,7 @@ def test_theta_round_trip_through_ratio(family, thetas):
     for theta in thetas:
         model = CopulaModel(family, theta)
         for pi in (0.1, 0.3, 0.5, 0.7, 0.9):
-            ratio = -phi_log_deriv_ratio(model, pi)
+            ratio = -_ratio(model, pi)
             sol = theta_from_ratio(family, pi, ratio)
             assert sol.theta == pytest.approx(theta, abs=1e-8)
             assert sol.admissible
@@ -350,8 +377,7 @@ def test_frank_curvature_monotone_in_theta():
     pis = (0.2, 0.5, 0.8)
     grid = np.linspace(-50.0, 50.0, 401)
     for pi in pis:
-        vals = [phi_log_deriv_ratio(CopulaModel(FRANK, t), pi) if t != 0 else -1.0 / pi for t in grid]
-        assert np.all(np.diff(vals) < 0.0)
+        assert np.all(np.diff(_frank_curvature(grid, pi)) < 0.0)
 
 
 # ----------------------------------------------------------------------
@@ -648,16 +674,7 @@ def test_model_domain_rejections():
 
 
 def test_argument_domain_rejections():
-    model = CopulaModel(CLAYTON, 0.5)
-    for bad in (0.0, -0.1, 1.5, math.nan):
-        with pytest.raises(ValueError):
-            generator(model, bad)
-    for bad in (0.0, 1.0 + 1e-9):
-        with pytest.raises(ValueError):
-            joint_survival(model, bad, 0.5)
-    for bad in (0.0, 1.0):
-        with pytest.raises(ValueError):
-            phi_log_deriv_ratio(model, bad)
+    for bad in (0.0, 1.0, -0.1, 1.5, math.nan):
         with pytest.raises(ValueError):
             theta_from_ratio(CLAYTON, bad, 1.0)
     with pytest.raises(ValueError):

@@ -20,8 +20,6 @@ from coprisk.copula import (
     _dphi,
     _phi,
     _phi_inv,
-    generator,
-    joint_survival,
     kendalls_tau,
     theta_from_ratio,
 )
@@ -154,13 +152,15 @@ def test_single_observation_sample_works():
 
 def _bisect_conditional(model: CopulaModel, s1: float, v2: float) -> float:
     """Independent scalar oracle: bisect the conditional cdf built from the
-    public generator API, dphi(s1) / dphi(C(s1, s2)) = v2."""
-    dphi_s1 = generator(model, s1).dphi
+    generator's array routes, dphi(s1) / dphi(C(s1, s2)) = v2 with
+    C(s1, s2) = phi_inv(phi(s1) + phi(s2))."""
+    fam, theta = model.family, model.theta
+    dphi_s1, phi_s1 = _dphi(fam, theta, s1), _phi(fam, theta, s1)
     lo, hi = 0.0, 1.0
     for _ in range(100):
         mid = 0.5 * (lo + hi)
-        c = joint_survival(model, s1, mid)
-        cdf = 0.0 if c == 0.0 else dphi_s1 / generator(model, c).dphi
+        c = _phi_inv(fam, theta, phi_s1 + _phi(fam, theta, mid))
+        cdf = 0.0 if c == 0.0 else dphi_s1 / _dphi(fam, theta, c)
         if cdf < v2:
             lo = mid
         else:

@@ -131,8 +131,9 @@ def test_grid_spec_default_grid_uses_duration_percentiles():
 @example(n=2, d=3, distinct=2, seed=1)
 @example(n=201, d=4, distinct=5, seed=2)
 def test_grid_spec_resolve_is_numpy_percentile_and_mean_bit_for_bit(n, d, distinct, seed):
-    # resolve takes its percentiles from one partition and its mean as a
-    # sequential column sum; both must be numpy's values, ties included
+    # resolve takes each percentile from a partition at one rank and the
+    # minimum above it, and its mean as a sequential column sum; both must
+    # be numpy's values, ties included
     rng = np.random.default_rng(seed)
     scale = 10.0 ** rng.uniform(-3.0, 3.0)
     t = rng.choice(scale * (1.0 + rng.exponential(size=distinct)), size=n)
