@@ -9,6 +9,11 @@ Carlo replicates and summary) go through one column-wise writer.
 A float's text is ``repr``'s, byte for byte, but found for a whole block of
 values at once: a vectorised shortest round-trip formatter in long double,
 with ``repr`` itself for each value it cannot decide within its error bound.
+
+Working set: the writer and the covariate mean work ``_BLOCK_ROWS`` rows at
+a time, so each temporary is block-sized, its columns under glibc's 128 KiB
+mmap threshold, and the heap reuses it block after block instead of mapping
+fresh pages.  The one row-sized temporary is the percentiles' duration copy.
 """
 
 from __future__ import annotations
@@ -30,6 +35,10 @@ __all__ = [
     "write_mc_replicates_csv",
     "write_theta_series_csv",
 ]
+
+
+# rows per block of the CSV writer and of the covariate mean
+_BLOCK_ROWS = 2048
 
 
 class Sample:
@@ -55,11 +64,12 @@ class Sample:
             raise ValueError("z must be (n, d) with one row per observation")
         if z.shape[1] < 2:
             raise ValueError("need at least two covariate columns")
-        if not np.all(np.isfinite(t)) or np.any(t <= 0.0):
+        # min and max propagate NaN, which fails every test, with no row-sized mask
+        if not (t.min() > 0.0 and t.max() < np.inf):
             raise ValueError("durations must be finite and positive")
-        if not np.all((delta == 1) | (delta == 2)):
+        if not (delta.min() >= 1 and delta.max() <= 2):
             raise ValueError("delta must be 1 or 2")
-        if not np.all(np.isfinite(z)):
+        if not (z.min() > -np.inf and z.max() < np.inf):
             raise ValueError("covariates must be finite")
         for arr in (t, delta, z):
             arr.setflags(write=False)
@@ -76,9 +86,12 @@ class Sample:
 
     def mean_covariates(self) -> np.ndarray:
         """Sample average of each covariate column, ``z.mean(axis=0)`` bit
-        for bit.  The summation order is part of the contract: row by row
-        down each column, as numpy's axis-0 reduction sums, from +0.0."""
-        return (np.cumsum(self.z, axis=0)[-1] + 0.0) / len(self)
+        for bit: row by row down each column from +0.0, as numpy's axis-0
+        reduction sums, each block's cumsum running on from the total."""
+        total = np.zeros(self.d)
+        for lo in range(0, len(self), _BLOCK_ROWS):
+            total = np.cumsum(np.vstack((total, self.z[lo : lo + _BLOCK_ROWS])), axis=0)[-1]
+        return total / len(self)
 
 
 def _fmt(x: float) -> str:
@@ -183,8 +196,8 @@ def _tables() -> _Tables:
 
 def _digits17(c: np.ndarray):
     """The 17 decimal digits of integers below 1e17: the leading digit in
-    ASCII, the four 4-digit groups after it, and those 16 digits in ASCII as
-    two words."""
+    ASCII, the 16 after it in ASCII as two words, and the count of
+    significant digits (17 less the trailing zeros)."""
     hi = c // 10**8
     lo = c - hi * 10**8
     lead = hi // 10**8
@@ -194,8 +207,10 @@ def _digits17(c: np.ndarray):
     quads[:, 1] = hi - quads[:, 0] * 10**4
     quads[:, 2] = lo // 10**4
     quads[:, 3] = lo - quads[:, 2] * 10**4
-    words = _tables().ascii4[quads].view(np.uint64)
-    return lead.astype(np.uint8) + ord("0"), quads, words
+    zeros = _tables().zeros4[quads]
+    trailing = zeros[:, 2] + (quads[:, 2] == 0) * (zeros[:, 1] + (quads[:, 1] == 0) * zeros[:, 0])
+    n = 17 - (zeros[:, 3] + (quads[:, 3] == 0) * trailing).astype(np.int64)
+    return lead.astype(np.uint8) + ord("0"), _tables().ascii4[quads].view(np.uint64), n
 
 
 def _keep16(count: np.ndarray, tables: _Tables) -> tuple[np.ndarray, np.ndarray]:
@@ -212,23 +227,9 @@ def _fallback(cells: np.ndarray, x: np.ndarray, keep: np.ndarray) -> None:
         cells[rest, 1:] = text.view(np.uint8).reshape(rest.size, width)
 
 
-def _float_cells(x) -> np.ndarray:
-    """``repr(float(v))`` of each value as a NUL-padded cell of ASCII.
-
-    A cell is six 8-byte words, read left to right with the NULs dropped:
-    the sign, "0" for a value below 1, the lead digit, and the point after
-    it in exponent form; two words of the next 16 digits where they come
-    before the point, or all of them in exponent form; the point, the zeros
-    after it and the lead digit for a value below 1, ".0" for an integral
-    value, or the exponent; two words of the digits after the point.
-    Zeros, subnormals, non-finite values, exact powers of two (whose
-    rounding interval is lopsided) and values with a rounding decision
-    within ``_DIGIT_BAND`` of a tie or an interval end go through repr.
-    This assumes that long-double arithmetic rounds to nearest at its own
-    precision; where long double is no wider than double, every value goes
-    through repr.
-    """
-    x = np.ascontiguousarray(x, dtype=float)
+def _scaled(x: np.ndarray):
+    """The fast-path mask, the decade k of |x|, and |x| * 10**(16 - k) as
+    its integer part, its fraction and half an ulp of x in those units."""
     t = _tables()
     bits = x.view(np.uint64)
     biased = (bits >> 52) & 0x7FF
@@ -242,7 +243,13 @@ def _float_cells(x) -> np.ndarray:
     whole = y.astype(np.uint64)
     frac = (y - whole).astype(float)
     half_ulp = y.astype(float) / (mantissa | (1023 << 52)).view(float) * 2.0**-53
+    return fast, k, whole, frac, half_ulp
 
+
+def _shortest(x: np.ndarray):
+    """The mask of values decided, k, and the shortest digits as a 17-digit
+    integer padded with zeros (10**16 where not decided)."""
+    fast, k, whole, frac, half_ulp = _scaled(x)
     mod10 = whole - whole // 10 * 10
     mod100 = whole - whole // 100 * 100
     d10 = mod10 + frac  # distance down to the multiple of 10 below
@@ -260,11 +267,30 @@ def _float_cells(x) -> np.ndarray:
     near = (np.abs(dist100 - half_ulp) < _DIGIT_BAND) | (np.abs(dist10 - half_ulp) < _DIGIT_BAND)
     near |= np.abs(np.where(at16, d10 - 5.0, frac - 0.5)) < _DIGIT_BAND
     keep = fast & ~near & (digits - 10**16 < 9 * 10**16)  # a misjudged decade leaves [1e16, 1e17)
+    return keep, k, np.where(keep, digits, 10**16)
 
-    lead, quads, words = _digits17(np.where(keep, digits, 10**16))
-    zeros = t.zeros4[quads]
-    trailing = zeros[:, 2] + (quads[:, 2] == 0) * (zeros[:, 1] + (quads[:, 1] == 0) * zeros[:, 0])
-    n = 17 - (zeros[:, 3] + (quads[:, 3] == 0) * trailing).astype(np.int64)  # significant digits
+
+def _float_cells(x, cells: np.ndarray) -> None:
+    """Write ``repr(float(v))`` of each value over its row of ``cells``, a
+    (len(x), 48) uint8 array or a view of one, as NUL-padded ASCII.
+
+    A cell is six 8-byte words, read left to right with the NULs dropped:
+    the sign, "0" for a value below 1, the lead digit, and the point after
+    it in exponent form; two words of the next 16 digits where they come
+    before the point, or all of them in exponent form; the point, the zeros
+    after it and the lead digit for a value below 1, ".0" for an integral
+    value, or the exponent; two words of the digits after the point.
+    Zeros, subnormals, non-finite values, exact powers of two (whose
+    rounding interval is lopsided) and values with a rounding decision
+    within ``_DIGIT_BAND`` of a tie or an interval end go through repr.
+    This assumes that long-double arithmetic rounds to nearest at its own
+    precision; where long double is no wider than double, every value goes
+    through repr.  Each step's temporaries are freed before the next's.
+    """
+    x = np.ascontiguousarray(x, dtype=float)
+    t = _tables()
+    keep, k, digits = _shortest(x)
+    lead, words, n = _digits17(digits)
     point = k + 1  # |x| = 0.d1d2... * 10**point
     sci = (point < -3) | (point > 16)
     small = ~sci & (point <= 0)
@@ -272,7 +298,6 @@ def _float_cells(x) -> np.ndarray:
     shown1, shown2 = _keep16(n - 1, t)
     ahead1, ahead2 = _keep16(np.where(sci, n - 1, np.clip(point - 1, 0, 16)), t)
 
-    cells = np.empty((x.size, _FLOAT_CELL), dtype=np.uint8)
     cell_words = cells.view(np.uint64)
     cell_words[:, 0] = t.head[(x < 0) * 4 + small * 2 + (sci & (n > 1))]
     cell_words[:, 1] = words[:, 0] & ahead1
@@ -284,25 +309,18 @@ def _float_cells(x) -> np.ndarray:
     cells[:, 6] = np.where(small, 0, lead)
     cells[:, 31] = np.where(small, lead, 0)
     _fallback(cells, x, keep)
-    return cells
 
 
-def _column_cells(column) -> np.ndarray:
-    """Each value's text as a NUL-padded row of ASCII after a byte for the separator."""
-    if isinstance(column, np.ndarray) and column.dtype.kind == "f":
-        return _float_cells(column)
-    if isinstance(column, np.ndarray):  # each distinct integer's str (bools as 0/1), looked up per row
+def _text_cells(column) -> np.ndarray:
+    """Each value of an integer or bool (as 0/1) array, or of a plain
+    sequence (strings as they are), as a NUL-padded row of ASCII."""
+    if isinstance(column, np.ndarray):  # each distinct integer's str, looked up per row
         values, at = np.unique(column.astype(np.int64, copy=False), return_inverse=True)
         text = values.astype(bytes)[at]
     else:
         text = [v if isinstance(v, str) else _fmt(v) if isinstance(v, float) else str(int(v)) for v in column]
         text = np.array(text, dtype=bytes)
-    cells = np.zeros((text.size, text.itemsize + 1), dtype=np.uint8)
-    cells[:, 1:] = text.view(np.uint8).reshape(text.size, text.itemsize)
-    return cells
-
-
-_BLOCK_ROWS = 8192
+    return text.view(np.uint8).reshape(text.size, text.itemsize)
 
 
 def _write_csv(path, header, columns) -> None:
@@ -310,21 +328,29 @@ def _write_csv(path, header, columns) -> None:
 
     A float array becomes ``repr`` of each value, byte for byte: shortest
     round-trip decimals, found in bulk with a ``repr`` fallback (see
-    ``_float_cells``).  An integer or bool array becomes integers (bools as
-    0/1); a plain sequence is formatted value by value the same way, with
-    strings passed through.  Each block of rows is laid out as one byte
-    matrix of NUL-padded cells, so that a large sample never exists as text
-    all at once.
+    ``_float_cells``).  Any other column goes through ``_text_cells``.
+    Each block of rows is laid out in one byte matrix, reused from block to
+    block, of NUL-padded cells with their separators, and written with the
+    NULs dropped, so that a large sample never exists as text all at once.
     """
-    n = len(columns[0])
+    cells = np.empty((0, 0), dtype=np.uint8)
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
-        for lo in range(0, n, _BLOCK_ROWS):
-            cells = [_column_cells(col[lo : lo + _BLOCK_ROWS]) for col in columns]
-            for c in cells[1:]:
-                c[:, 0] = ord(",")
-            newline = np.full((cells[0].shape[0], 1), ord("\n"), dtype=np.uint8)
-            fh.write(np.concatenate([*cells, newline], axis=1).tobytes().translate(None, b"\0"))
+        for lo in range(0, len(columns[0]), _BLOCK_ROWS):
+            block = [col[lo : lo + _BLOCK_ROWS] for col in columns]
+            text = [None if isinstance(c, np.ndarray) and c.dtype.kind == "f" else _text_cells(c) for c in block]
+            ends = np.cumsum([_FLOAT_CELL if c is None else 1 + c.shape[1] for c in text])
+            if cells.shape != (len(block[0]), ends[-1] + 1):
+                raw = bytearray(len(block[0]) * int(ends[-1] + 1))
+                cells = np.frombuffer(raw, dtype=np.uint8).reshape(len(block[0]), -1)
+                cells[:, -1] = ord("\n")
+            for col, txt, end in zip(block, text, ends):
+                if txt is None:
+                    _float_cells(col, cells[:, end - _FLOAT_CELL : end])
+                else:
+                    cells[:, end - txt.shape[1] : end] = txt
+            cells[:, ends[:-1]] = ord(",")  # each cell but the first starts with its separator
+            fh.write(raw.translate(None, b"\0"))
 
 
 def write_dataset_csv(sample: Sample, path) -> None:

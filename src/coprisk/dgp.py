@@ -11,7 +11,9 @@ Draws are counter-based (Philox): unit i consumes counters 4i..4i+3 in the
 fixed order (z1, z2, s1, v2), so datasets are reproducible per unit and
 replicates can be generated independently from derived seeds.  They are
 drawn, computed and written a block of rows at a time, as contiguous
-columns; the stream runs on across blocks, so nothing moves a bit.
+columns; the stream runs on across blocks, so nothing moves a bit.  Apart
+from the sample it returns, every temporary is block-sized, its columns
+under glibc's 128 KiB mmap threshold (``_BLOCK_ROWS``).
 
 The normal covariates come from the inverse normal cdf ``_ndtri``, a numpy
 port of Cephes ``ndtri`` (S. L. Moshier, *Methods and Programs for
@@ -471,8 +473,8 @@ class LatentDraws:
 
 
 # rows drawn per block: every step of a draw is elementwise, so blocking
-# leaves its bits alone and keeps its chains of temporaries in cache
-_BLOCK_ROWS = 16384
+# leaves its bits alone; a block's column is 64 KiB, under the mmap threshold
+_BLOCK_ROWS = 8192
 
 
 def _latent_blocks(config: DgpConfig):
@@ -488,6 +490,7 @@ def _latent_blocks(config: DgpConfig):
         z = config.covariate_sd * _ndtri(u[:2])
         s2 = conditional_copula_inverse(config.copula, u[2], u[3])
         yield rows, u, z, s2, m1.invert_survival(u[2], z[0]), m2.invert_survival(s2, z[1])
+        del u, z, s2  # the next block's arrays replace this one's, not add to them
 
 
 def simulate_latent(config: DgpConfig) -> LatentDraws:
@@ -507,10 +510,11 @@ def simulate(config: DgpConfig) -> Sample:
     block by block without a full-length latent column.
     """
     t, delta, z = np.empty(config.n), np.empty(config.n, dtype=np.int64), np.empty((config.n, 2))
-    for rows, _, zb, _, t1, t2 in _latent_blocks(config):
+    for rows, u, zb, s2, t1, t2 in _latent_blocks(config):
         z[rows] = zb.T
         np.minimum(t1, t2, out=t[rows])
         delta[rows] = np.where(t2 < t1, 2, 1)  # ties resolve to cause 1
+        del u, zb, s2, t1, t2
     return Sample(t, delta, z)
 
 

@@ -26,6 +26,10 @@ from its top 64 bits, with no Python-int arithmetic.  The surface itself
 is computed as one (G, 4) array (_surface_rows, the route theta_series
 takes); the public entry point, estimate_surface_grid, packages its rows as
 SurfaceEstimate objects.
+
+Working set: the window search and the limb sums run in blocks of rows
+(``_BLOCK_ROWS``), their columns under glibc's 128 KiB mmap threshold, so
+no temporary grows with the sample, only with the window.
 """
 
 from __future__ import annotations
@@ -83,10 +87,10 @@ class SurfaceEstimate:
     b_at_z: float
 
 
-# Rows per block of the limb sums: a bincount bin then adds at most 2**12
-# limbs of magnitude below 2**32, so its float64 sums stay exact integers
-# (below 2**53), and the block's temporaries stay small.
-_BLOCK_ROWS = 1 << 12
+# Rows per block of the window search and of the limb sums: a bincount bin
+# then adds at most 2**11 limbs of magnitude below 2**32, so its float64 sums
+# stay exact integers (below 2**53), and a (rows, 4) block is 64 KiB.
+_BLOCK_ROWS = 1 << 11
 _LIMB_MASK = (1 << 32) - 1
 
 
@@ -188,15 +192,26 @@ def _suffix_sums(columns: np.ndarray, starts: np.ndarray) -> np.ndarray:
     return out.reshape(c, nseg).T[back]
 
 
+def _window(sample: Sample, h: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Ascending indices of the rows inside the kernel support at z, found a
+    block of rows and one coordinate at a time on the rows still inside."""
+    parts = []
+    for lo in range(0, len(sample), _BLOCK_ROWS):
+        dist = z[0] - sample.z[lo : lo + _BLOCK_ROWS, 0]
+        at = np.flatnonzero(np.abs(np.divide(dist, h[0], out=dist), out=dist) <= 1.0) + lo
+        for k in range(1, sample.d):
+            at = at[np.abs((z[k] - sample.z[at, k]) / h[k]) <= 1.0]
+        parts.append(at)
+    return np.concatenate(parts)
+
+
 class _ZWeights:
     """All per-observation kernel weights for one covariate evaluation point.
 
-    The window is found one coordinate at a time, each distance computed
-    only on the rows still inside, so no (n, d) distance array is built.
-    Observations outside the product-kernel support are dropped; the rest
-    are sorted by duration (ties in any order, which the exact sums do not
-    see) so that the indicator sum over {T_i > t} is a suffix, located by
-    binary search.  ``columns`` holds the weight w and its derivatives
+    Observations outside the product-kernel support (_window) are dropped;
+    the rest are sorted by duration (ties in any order, which the exact sums
+    do not see) so that the indicator sum over {T_i > t} is a suffix,
+    located by binary search.  ``columns`` holds the weight w and its derivatives
     dw/dz_1, dw/dz_2 and d2w/dz_1dz_2 in the two cause-specific covariates,
     for any number of covariates; every sum a duration grid needs is taken
     from them in one sweep of exact int64 limb sums (_suffix_sums), rounded
@@ -211,12 +226,7 @@ class _ZWeights:
         # a tiny bandwidth overflows distances (those rows leave the window)
         # and weights (checked below) without a floating-point warning
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            # one coordinate at a time, each on the rows still in the window,
-            # the first one's distance in a single temporary
-            dist = z[0] - sample.z[:, 0]
-            inside = np.flatnonzero(np.abs(np.divide(dist, h[0], out=dist), out=dist) <= 1.0)
-            for k in range(1, d):
-                inside = inside[np.abs((z[k] - sample.z[inside, k]) / h[k]) <= 1.0]
+            inside = _window(sample, h, z)
             # by duration; the exact sums do not see the order of ties
             inside = inside[np.argsort(sample.t[inside])]
             u = [(z[k] - sample.z[inside, k]) / h[k] for k in range(d)]

@@ -46,6 +46,17 @@ def test_sample_mean_covariates():
     assert np.array_equal(zbar, z.mean(axis=0)) and not np.signbit(zbar).any()
 
 
+@pytest.mark.parametrize("n", [_BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 3 * _BLOCK_ROWS + 5])
+def test_blocked_mean_is_one_pass_bit_for_bit(n):
+    # each block's cumulative sum runs on from the total of the blocks before
+    # it: the additions of one pass down each column, signs of zero included
+    rng = np.random.default_rng(n)
+    z = np.column_stack([rng.normal(size=n) * 1e3, rng.normal(size=n) * 1e-3, np.full(n, -0.0)])
+    zbar = Sample(np.ones(n), np.ones(n, dtype=np.int64), z).mean_covariates()
+    assert np.array_equal(zbar, z.mean(axis=0))
+    assert np.array_equal(np.signbit(zbar), np.signbit(z.mean(axis=0)))
+
+
 def test_sample_arrays_are_read_only():
     s = _toy_sample()
     with pytest.raises(ValueError):
@@ -172,21 +183,29 @@ def test_csv_writer_matches_a_csv_writer_reference(tmp_path):
         )
     ]
 
-    # a float32 column, strided views with random magnitudes, and int64's extremes
+
+@pytest.mark.parametrize("n", [_BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 3 * _BLOCK_ROWS + 5])
+def test_csv_writer_block_edges_match_the_reference(tmp_path, n):
+    # a float32 column, strided views with random magnitudes, int64's
+    # extremes and flags, at the edges of the writer's blocks
     rng = np.random.default_rng(2718)
     wide = rng.standard_normal((n, 2)) * 10.0 ** rng.uniform(-8, 20, (n, 2))
     single = (rng.standard_normal(n) * 10.0 ** rng.integers(-40, 38, n)).astype(np.float32)
     big = np.resize(np.array([-(2**63), 2**63 - 1, 10**17, 10**17 - 1, -(10**17) + 1, 10**16], dtype=np.int64), n)
-    columns = [wide[:, 1], single, big, wide[:, 0]]
+    flags = rng.random(n) < 0.5
+    columns = [wide[:, 1], single, big, flags, wide[:, 0]]
     assert not wide[:, 1].flags.contiguous
-    path = tmp_path / "more.csv"
-    _write_csv(path, ["a", "b", "c", "d"], columns)
-    _reference_csv(reference, ["a", "b", "c", "d"], columns)
+    path, reference = tmp_path / "written.csv", tmp_path / "reference.csv"
+    _write_csv(path, list("abcde"), columns)
+    _reference_csv(reference, list("abcde"), columns)
     assert path.read_bytes() == reference.read_bytes()
 
 
 def _cell_text(values) -> list[str]:
-    return [bytes(row[1:]).replace(b"\0", b"").decode() for row in _float_cells(np.asarray(values, dtype=float))]
+    x = np.asarray(values, dtype=float)
+    cells = np.empty((x.size, 48), dtype=np.uint8)
+    _float_cells(x, cells)
+    return [bytes(row[1:]).replace(b"\0", b"").decode() for row in cells]
 
 
 _BIT_PATTERNS = st.integers(0, 2**64 - 1).map(lambda b: float(np.array(b, dtype=np.uint64).view(float)))

@@ -153,6 +153,22 @@ def test_grid_spec_resolve_is_numpy_percentile_and_mean_bit_for_bit(n, d, distin
     assert np.array_equal(_percentiles(sample.t, (0.5, 99.5)), [lo, hi])
 
 
+def test_percentiles_take_the_least_value_above_the_partition():
+    # a partition at k leaves the values above k in no set order, so the
+    # upper order statistic is their minimum, not whatever sits at k + 1.
+    # A tie across the middle ranks makes a selection split right above k
+    # and leave the larger values where they came; random columns at
+    # interior ranks catch selections that split elsewhere
+    rng = np.random.default_rng(7)
+    small, big = np.sort(rng.uniform(0.0, 1.0, 250)), np.sort(rng.uniform(3.0, 4.0, 250))
+    tie = np.full(500, 2.0)
+    columns = [np.concatenate([big, tie, small]), np.concatenate([small, tie, big])[::-1]]
+    columns += [rng.normal(size=n) for n in rng.integers(500, 5000, 40)]
+    for x in columns:
+        percents = (10.3, 100 * 249.5 / (x.size - 1), 37.9, 50.1)
+        assert np.array_equal(_percentiles(x, percents), np.percentile(x, percents))
+
+
 def test_grid_spec_degenerate_durations_rejected():
     sample = Sample(
         t=np.ones(50),

@@ -361,6 +361,27 @@ def test_window_matches_the_full_mask(d):
             assert weights.columns.shape == (weights.t_sorted.size, 4)
 
 
+_B = coprisk.kernel._BLOCK_ROWS
+
+
+@pytest.mark.parametrize("n", [_B - 1, _B, _B + 1, 3 * _B + 5])
+def test_blocked_window_is_one_unblocked_pass(n):
+    # the window search and the limb sums run a block of rows at a time: the
+    # rows inside, in their order, and every surface bit are one pass's
+    rng = np.random.default_rng(n)
+    sample = Sample(0.1 + rng.exponential(size=n), rng.integers(1, 3, n), rng.normal(size=(n, 3)))
+    spec, z = KernelSpec((0.8, 0.8, 1.5)), np.array([0.1, -0.2, 0.3])
+    h = np.asarray(spec.bandwidths)
+    want = np.flatnonzero(np.all(np.abs((z - sample.z) / h) <= 1.0, axis=1))
+    grid = np.quantile(sample.t, np.linspace(0.05, 0.95, 40))
+    assert np.array_equal(coprisk.kernel._window(sample, h, z), want)
+    rows, _ = _surface_rows(sample, spec, grid, z)
+    with mock.patch.object(coprisk.kernel, "_BLOCK_ROWS", n):
+        assert np.array_equal(coprisk.kernel._window(sample, h, z), want)
+        one_pass, _ = _surface_rows(sample, spec, grid, z)
+    assert rows.tobytes() == one_pass.tobytes()
+
+
 def test_window_distances_that_overflow_raise_no_warning():
     # (z - Z) / h overflows for the far rows of the first and of the second
     # coordinate; the rows at z keep finite distances and overflowing weights
