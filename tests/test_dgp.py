@@ -931,10 +931,12 @@ def test_observed_is_the_minimum_with_its_cause(bench_latent_100k):
     assert np.array_equal(obs.z, lat.z)
 
 
-@pytest.mark.parametrize("n", [1, dgp._BLOCK_ROWS - 1, dgp._BLOCK_ROWS, dgp._BLOCK_ROWS + 1])
+@pytest.mark.parametrize(
+    "n", [1] + [k * dgp._BLOCK_ROWS + e for k in (1, 2) for e in (-1, 0, 1)]
+)
 def test_uniform_blocks_are_one_draw(n):
     # Philox continues its stream across blocks: the blocks are the rows of
-    # one (n, 4) draw, lifted to the floor
+    # one (n, 4) draw, lifted to the floor, at the first and second block edge
     cfg = default_config(n, seed=2_026)
     want = np.random.Generator(np.random.Philox(key=cfg.seed)).random((n, 4))
     np.maximum(want, 2.0 ** -53, out=want)
