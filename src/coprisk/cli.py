@@ -21,11 +21,12 @@ import gc
 import math
 import os
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__
-from .copula import CopulaFamily, _d2phi, _dphi, _solve_ratio, theta_for_tau
+from .copula import _SOLVABLE, CopulaFamily, _d2phi, _dphi, _solve_ratio, theta_for_tau
 from .data import (
     _fmt,
     _write_mc_summary_csv,
@@ -58,33 +59,6 @@ class EstimationFailure(Exception):
     """The data admit no estimate under the requested settings (exit code 3)."""
 
 
-_FAMILIES = ("clayton", "gumbel", "frank")
-
-_DEFAULTS = {
-    "family": "clayton",
-    "theta": 0.5,
-    "tau": None,
-    "n": 100_000,
-    "seed": 0,
-    "bandwidth": (0.3, 0.3),
-    "grid_points": 500,
-    "trim": (1.3, 2.5),
-    "replicates": 50,
-    "covariate_scale_is_sd": False,
-    "data": None,
-}
-
-_CONFIG_KEYS = frozenset(_DEFAULTS) | {"command", "version"}
-
-# settings that only a simulation reads; an ``estimate --data`` manifest omits them
-_SIMULATION_KEYS = frozenset({"theta", "n", "seed", "covariate_scale_is_sd"})
-
-
-def _simulates(command, settings):
-    """Whether the run draws a sample: all but oracle-check and estimate --data."""
-    return command != "oracle-check" and not (command == "estimate" and settings["data"])
-
-
 # ---------------------------------------------------------------------------
 # Value parsers (shared by config files and flags, so both error identically)
 # ---------------------------------------------------------------------------
@@ -100,7 +74,7 @@ def _parse_int(raw, key, minimum):
     return value
 
 
-def _parse_seed(raw, key="seed"):
+def _parse_seed(raw, key):
     value = _parse_int(raw, key, 0)
     if value >= 2**64:
         raise ConfigError(f"{key}: must fit in 64 bits, got {value}")
@@ -117,14 +91,15 @@ def _parse_float(raw, key):
     return value
 
 
-def _parse_family(raw, key="family"):
+def _parse_family(raw, key):
+    names = [family.value for family in _SOLVABLE]
     value = str(raw).strip().lower()
-    if value not in _FAMILIES:
-        raise ConfigError(f"{key}: expected one of {', '.join(_FAMILIES)}, got {raw!r}")
-    return value
+    if value not in names:
+        raise ConfigError(f"{key}: expected one of {', '.join(names)}, got {raw!r}")
+    return CopulaFamily(value)
 
 
-def _parse_bandwidth(raw, key="bandwidth"):
+def _parse_bandwidth(raw, key):
     parts = [p.strip() for p in str(raw).split(",")]
     if len(parts) == 1:
         parts = parts * 2
@@ -136,7 +111,7 @@ def _parse_bandwidth(raw, key="bandwidth"):
     return values
 
 
-def _parse_trim(raw, key="trim"):
+def _parse_trim(raw, key):
     text = str(raw).strip().lower()
     if text == "none":
         return (-INF, INF)
@@ -149,28 +124,64 @@ def _parse_trim(raw, key="trim"):
     return (lo_v, hi_v)
 
 
-def _parse_bool(raw, key):
+def _parse_covariate_sd(raw, key):
+    """The covariate SD: the paper's scale 0.5 read as an SD if true, else as a variance."""
     text = str(raw).strip().lower()
     if text in ("true", "1", "yes"):
-        return True
+        return 0.5
     if text in ("false", "0", "no"):
-        return False
+        return math.sqrt(0.5)
     raise ConfigError(f"{key}: expected true or false, got {raw!r}")
 
 
-_PARSERS = {
-    "family": _parse_family,
-    "theta": lambda raw: _parse_float(raw, "theta"),
-    "tau": lambda raw: _parse_float(raw, "tau"),
-    "n": lambda raw: _parse_int(raw, "n", 1),
-    "seed": _parse_seed,
-    "bandwidth": _parse_bandwidth,
-    "grid_points": lambda raw: _parse_int(raw, "grid_points", 2),
-    "trim": _parse_trim,
-    "replicates": lambda raw: _parse_int(raw, "replicates", 1),
-    "covariate_scale_is_sd": lambda raw: _parse_bool(raw, "covariate_scale_is_sd"),
-    "data": lambda raw: str(raw),
+class _Setting(NamedTuple):
+    default: object
+    parse: Callable  # (flag or config-file text, key) -> value
+    text: Callable | None  # value -> manifest text; None: not recorded
+    help: str
+
+
+# Every run setting, once: a config key, a --flag with "-" for "_", and, in
+# this order, a manifest line.  Parsers run in this order too.
+_SETTINGS = {
+    "family": _Setting(
+        CopulaFamily.CLAYTON, _parse_family, lambda v: v.value, "copula family: clayton, gumbel, or frank"
+    ),
+    "theta": _Setting(0.5, _parse_float, _fmt, "copula dependence parameter"),
+    # recorded as the theta it converts to
+    "tau": _Setting(None, _parse_float, None, "dependence as a rank correlation instead of theta"),
+    "n": _Setting(100_000, lambda raw, key: _parse_int(raw, key, 1), str, "sample size per dataset"),
+    "seed": _Setting(0, _parse_seed, str, "base RNG seed (64-bit unsigned)"),
+    "bandwidth": _Setting(
+        (0.3, 0.3), _parse_bandwidth, lambda v: ",".join(map(_fmt, v)),
+        "kernel bandwidths h1,h2 (one value is shared)",
+    ),
+    "grid_points": _Setting(500, lambda raw, key: _parse_int(raw, key, 2), str, "duration grid size"),
+    "trim": _Setting(
+        (1.3, 2.5), _parse_trim, lambda v: "none" if v == (-INF, INF) else ":".join(map(_fmt, v)),
+        "duration window lo:hi for the averaged estimate",
+    ),
+    "replicates": _Setting(
+        50, lambda raw, key: _parse_int(raw, key, 1), str, "number of Monte Carlo replicates"
+    ),
+    "covariate_scale_is_sd": _Setting(
+        math.sqrt(0.5), _parse_covariate_sd, lambda v: "true" if v == 0.5 else "false",
+        "read the covariate scale 0.5 as a standard deviation instead of a variance",
+    ),
+    "data": _Setting(
+        None, lambda raw, key: raw, os.path.abspath, "existing dataset CSV to estimate from"
+    ),
 }
+
+_CONFIG_KEYS = frozenset(_SETTINGS) | {"command", "version"}
+
+# settings that only a simulation reads; an ``estimate --data`` manifest omits them
+_SIMULATION_KEYS = frozenset({"theta", "n", "seed", "covariate_scale_is_sd"})
+
+
+def _simulates(command, settings):
+    """Whether the run draws a sample: all but oracle-check and estimate --data."""
+    return command != "oracle-check" and not (command == "estimate" and settings["data"])
 
 
 # ---------------------------------------------------------------------------
@@ -179,11 +190,12 @@ _PARSERS = {
 
 
 def _load_config_file(path, command):
-    """Parse a flat key=value UTF-8 file; ``#`` lines are comments."""
+    """Parse a flat key=value UTF-8 file (a leading byte-order mark is
+    dropped); ``#`` lines are comments."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             lines = fh.read().splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the path
         raise ConfigError(f"config file: {exc}") from None
     layer = {}
     for lineno, raw in enumerate(lines, start=1):
@@ -220,33 +232,26 @@ def _load_config_file(path, command):
 
 def _resolve_settings(ns):
     """Fold defaults < config file < flags into one typed settings dict."""
-    settings = dict(_DEFAULTS)
+    settings = {key: setting.default for key, setting in _SETTINGS.items()}
     layers = []
     if ns.config is not None:
         layers.append(_load_config_file(ns.config, ns.command))
-    flag_layer = {}
-    for key in _PARSERS:
-        value = getattr(ns, key, None)
-        if value is not None:
-            flag_layer[key] = value
-    layers.append(flag_layer)
+    layers.append({key: getattr(ns, key) for key in _SETTINGS if getattr(ns, key, None) is not None})
     for layer in layers:
         for key, raw in layer.items():
-            settings[key] = _PARSERS[key](raw)
+            settings[key] = _SETTINGS[key].parse(raw, key)
         # within one layer theta/tau exclusivity is already enforced; across
         # layers the later layer's choice silences the earlier one's
         if "theta" in layer:
             settings["tau"] = None
         elif "tau" in layer:
             settings["theta"] = None
-    family = CopulaFamily(settings["family"])
     # a run that simulates nothing reads no theta, so its tau is not converted
     if settings["tau"] is not None and _simulates(ns.command, settings):
         try:
-            settings["theta"] = theta_for_tau(family, settings["tau"])
+            settings["theta"] = theta_for_tau(settings["family"], settings["tau"])
         except ValueError as exc:
             raise ConfigError(f"tau: {exc}") from None
-    settings["family"] = family
     return settings
 
 
@@ -257,19 +262,19 @@ def _dgp_config(settings):
             seed=settings["seed"],
             theta=settings["theta"],
             family=settings["family"],
-            scale_is_sd=settings["covariate_scale_is_sd"],
+            covariate_sd=settings["covariate_scale_is_sd"],
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
 
-def _degenerate_range_failure(settings):
+def _degenerate_range_message(settings):
     """The grid error in the terms a command-line user controls."""
     if settings["data"]:
         durations, remedy = f"the durations in {settings['data']}", "lower --grid-points"
     else:
         durations, remedy = "the simulated durations", "raise --n or lower --grid-points"
-    return EstimationFailure(
+    return (
         f"degenerate duration range: {durations} between their 0.5th and 99.5th "
         f"percentiles are too close together for {settings['grid_points']} distinct "
         f"grid points; {remedy}"
@@ -306,29 +311,14 @@ def _atomic_write(out_dir, name, write_fn):
 
 
 def _write_manifest(out_dir, command, settings):
-    trim_lo, trim_hi = settings["trim"]
-    trim = "none" if math.isinf(trim_lo) and math.isinf(trim_hi) else f"{_fmt(trim_lo)}:{_fmt(trim_hi)}"
-    fields = {
-        "command": command,
-        "version": __version__,
-        "family": settings["family"].value,
-        "theta": settings["theta"],
-        "n": settings["n"],
-        "seed": settings["seed"],
-        "bandwidth": f"{_fmt(settings['bandwidth'][0])},{_fmt(settings['bandwidth'][1])}",
-        "grid_points": settings["grid_points"],
-        "trim": trim,
-        "replicates": settings["replicates"],
-        "covariate_scale_is_sd": "true" if settings["covariate_scale_is_sd"] else "false",
-    }
     if command == "oracle-check":  # it reads the family alone
-        fields = {key: fields[key] for key in ("command", "version", "family")}
-    elif not _simulates(command, settings):  # the file replaces the simulation design
-        fields = {key: value for key, value in fields.items() if key not in _SIMULATION_KEYS}
-        fields["data"] = os.path.abspath(settings["data"])
-    text = "".join(
-        f"{key}={_fmt(value) if isinstance(value, float) else value}\n"
-        for key, value in fields.items()
+        keys = ["family"]
+    elif _simulates(command, settings):
+        keys = [key for key in _SETTINGS if key != "data"]
+    else:  # the file replaces the simulation design
+        keys = [key for key in _SETTINGS if key not in _SIMULATION_KEYS]
+    text = f"command={command}\nversion={__version__}\n" + "".join(
+        f"{key}={_SETTINGS[key].text(settings[key])}\n" for key in keys if _SETTINGS[key].text
     )
 
     def write(path):
@@ -362,12 +352,7 @@ def _cmd_estimate(settings, out_dir):
     else:
         sample = simulate(_dgp_config(settings))
         _atomic_write(out_dir, "dataset.csv", lambda p: write_dataset_csv(sample, p))
-    try:
-        series = theta_series(sample, spec, _grid_spec(settings), settings["family"])
-    except _DegenerateRangeError:
-        raise _degenerate_range_failure(settings) from None
-    except ValueError as exc:  # a grid or surface the library rejects for this sample
-        raise EstimationFailure(str(exc)) from None
+    series = theta_series(sample, spec, _grid_spec(settings), settings["family"])
     _atomic_write(out_dir, "surface.csv", lambda p: _write_surface_csv(series, p))
     _atomic_write(out_dir, "theta_series.csv", lambda p: write_theta_series_csv(series, p))
     _write_manifest(out_dir, "estimate", settings)
@@ -386,10 +371,6 @@ def _cmd_montecarlo(settings, out_dir, threads):
             dgp, spec, grid, settings["family"], settings["replicates"], workers=threads
         )
     except BrokenProcessPool as exc:  # a worker process died
-        raise EstimationFailure(str(exc)) from None
-    except _DegenerateRangeError:
-        raise _degenerate_range_failure(settings) from None
-    except ValueError as exc:  # a grid or surface the library rejects for a replicate
         raise EstimationFailure(str(exc)) from None
     untrimmed = summarize_replicates(trimmed.series, -INF, INF)
     _atomic_write(out_dir, "mc_replicates.csv", lambda p: write_mc_replicates_csv(trimmed, p))
@@ -474,38 +455,31 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
+def _add_flag(parser, key, **kwargs):
+    parser.add_argument(f"--{key.replace('_', '-')}", dest=key, help=_SETTINGS[key].help, **kwargs)
+
+
 def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="flat key=value settings file (# comments)")
-    common.add_argument("--n", help="sample size per dataset")
-    common.add_argument("--seed", help="base RNG seed (64-bit unsigned)")
-    dependence = common.add_mutually_exclusive_group()
-    dependence.add_argument("--theta", help="copula dependence parameter")
-    dependence.add_argument("--tau", help="dependence as a rank correlation instead of theta")
-    common.add_argument("--family", help="copula family: clayton, gumbel, or frank")
-    common.add_argument("--bandwidth", help="kernel bandwidths h1,h2 (one value is shared)")
-    common.add_argument("--grid-points", dest="grid_points", help="duration grid size")
-    trim = common.add_mutually_exclusive_group()
-    trim.add_argument("--trim", help="duration window lo:hi for the averaged estimate")
-    trim.add_argument(
-        "--no-trim",
-        dest="trim",
-        action="store_const",
-        const="none",
-        help="average over the whole duration grid",
-    )
-    common.add_argument("--replicates", help="number of Monte Carlo replicates")
+    dependence, trim = common.add_mutually_exclusive_group(), common.add_mutually_exclusive_group()
+    for key in _SETTINGS:
+        if key == "covariate_scale_is_sd":  # a switch: the flag sets it true
+            _add_flag(common, key, action="store_const", const="true")
+        elif key != "data":  # estimate alone offers --data
+            _add_flag({"theta": dependence, "tau": dependence, "trim": trim}.get(key, common), key)
+        if key == "trim":
+            trim.add_argument(
+                "--no-trim",
+                dest="trim",
+                action="store_const",
+                const="none",
+                help="average over the whole duration grid",
+            )
     common.add_argument(
         "--threads",
         help="montecarlo worker processes, at most one per CPU and replicate; other commands "
         "start none (outputs do not depend on it)",
-    )
-    common.add_argument(
-        "--covariate-scale-is-sd",
-        dest="covariate_scale_is_sd",
-        action="store_const",
-        const="true",
-        help="read the covariate scale 0.5 as a standard deviation instead of a variance",
     )
     common.add_argument("--out", help="output directory (default: current directory)")
 
@@ -515,7 +489,7 @@ def _build_parser():
     estimate = sub.add_parser(
         "estimate", parents=[common], help="estimate the surface and dependence parameter"
     )
-    estimate.add_argument("--data", help="existing dataset CSV to estimate from")
+    _add_flag(estimate, "data")
     sub.add_parser("montecarlo", parents=[common], help="replicate the estimate across seeds")
     sub.add_parser("oracle-check", parents=[common], help="verify the closed-form identities")
     return parser
@@ -532,7 +506,7 @@ def main(argv=None):
         out_dir = ns.out if ns.out is not None else "."
         try:
             os.makedirs(out_dir, exist_ok=True)
-        except OSError as exc:
+        except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
             raise ConfigError(f"out: {exc}") from None
         if ns.command == "montecarlo":
             return _cmd_montecarlo(settings, out_dir, threads)
@@ -540,7 +514,11 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return 2
-    except (AllPointsExcludedError, EstimationFailure) as exc:
+    except _DegenerateRangeError:
+        print(f"error: estimation: {_degenerate_range_message(settings)}", file=sys.stderr)
+        return 3
+    # a ValueError here is a grid or surface the library rejects for a sample
+    except (AllPointsExcludedError, EstimationFailure, ValueError) as exc:
         print(f"error: estimation: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

@@ -193,9 +193,12 @@ def _frank_curvature(theta, pi):
         return np.where(near, -1.0 / pi, theta / np.where(near, 1.0, np.expm1(-x)))
 
 
+_SOLVABLE = (CopulaFamily.CLAYTON, CopulaFamily.GUMBEL, CopulaFamily.FRANK)
+
+
 def _check_solvable(family: CopulaFamily) -> None:
     """The one family gate of the solve: no dependence parameter, no solve."""
-    if family not in (CopulaFamily.CLAYTON, CopulaFamily.GUMBEL, CopulaFamily.FRANK):
+    if family not in _SOLVABLE:
         raise ValueError(f"family {family!r} has no dependence parameter to estimate")
 
 

@@ -206,17 +206,17 @@ DEFAULT_MARGINALS = (WeibullMarginal(0.5, 1.0, 1.0), WeibullMarginal(1.0, 1.0, 1
 class DgpConfig:
     """Full simulation design.
 
-    ``covariate_scale`` is the second parameter of the centered normal
-    covariate law; by default it is read as the variance, set
-    ``scale_is_sd=True`` to read it as the standard deviation.
+    ``covariate_sd`` is the standard deviation of the centered normal
+    covariates.  The paper's N(0, 0.5) does not say whether 0.5 is the
+    variance or the standard deviation; the default reads it as the
+    variance.
     """
 
     copula: CopulaModel
     n: int
     seed: int
     marginals: tuple[WeibullMarginal, WeibullMarginal] = DEFAULT_MARGINALS
-    covariate_scale: float = 0.5
-    scale_is_sd: bool = False
+    covariate_sd: float = math.sqrt(0.5)
 
     def __post_init__(self) -> None:
         if not isinstance(self.n, int) or self.n < 1:
@@ -225,14 +225,8 @@ class DgpConfig:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
         if len(self.marginals) != 2:
             raise ValueError("exactly two cause margins are required")
-        if not (math.isfinite(self.covariate_scale) and self.covariate_scale > 0.0):
-            raise ValueError(f"covariate_scale must be positive, got {self.covariate_scale!r}")
-
-    @property
-    def covariate_sd(self) -> float:
-        if self.scale_is_sd:
-            return self.covariate_scale
-        return math.sqrt(self.covariate_scale)
+        if not (math.isfinite(self.covariate_sd) and self.covariate_sd > 0.0):
+            raise ValueError(f"covariate_sd must be positive, got {self.covariate_sd!r}")
 
 
 def default_config(
@@ -241,17 +235,10 @@ def default_config(
     *,
     theta: float | None = 0.5,
     family: CopulaFamily = CopulaFamily.CLAYTON,
-    covariate_scale: float = 0.5,
-    scale_is_sd: bool = False,
+    covariate_sd: float = math.sqrt(0.5),
 ) -> DgpConfig:
     """Benchmark design: margins (0.5, 1) and (1, 1), unit covariate effects."""
-    return DgpConfig(
-        copula=CopulaModel(family, theta),
-        n=n,
-        seed=seed,
-        covariate_scale=covariate_scale,
-        scale_is_sd=scale_is_sd,
-    )
+    return DgpConfig(copula=CopulaModel(family, theta), n=n, seed=seed, covariate_sd=covariate_sd)
 
 
 def conditional_copula_inverse(model: CopulaModel, s1, v2):

@@ -7,6 +7,7 @@ reproducibility (same settings, same bytes) is part of the contract.
 
 from __future__ import annotations
 
+import argparse
 import gc
 import hashlib
 import json
@@ -86,6 +87,20 @@ def test_covariate_scale_reading_flag_changes_data_and_is_recorded(tmp_path, cap
     assert sha(tmp_path / "var" / "dataset.csv") != sha(tmp_path / "sd" / "dataset.csv")
     assert "covariate_scale_is_sd=false" in (tmp_path / "var" / "manifest.txt").read_text()
     assert "covariate_scale_is_sd=true" in (tmp_path / "sd" / "manifest.txt").read_text()
+
+
+# sha256 of the artifacts of `simulate --n 2000 --seed 3 --covariate-scale-is-sd`,
+# computed at version 0.4.0 while the flag set two DgpConfig fields
+SD_READING_DIGESTS = {
+    "dataset.csv": "f8901b7fd9bc0a7f5b1a2457b46e924abd2f70ef7e903b7ae8a1103668b7ea65",
+    "manifest.txt": "f835b9945d908292276186e3004fe66bcbb47d99ff9f89e3605dd303392b02e8",
+}
+
+
+def test_covariate_scale_is_sd_artifacts_match_golden_digests(tmp_path, capsys):
+    args = ["simulate", "--n", "2000", "--seed", "3", "--covariate-scale-is-sd"]
+    assert run_cli([*args, "--out", str(tmp_path)], capsys)[0] == 0
+    assert {name: sha(tmp_path / name) for name in SD_READING_DIGESTS} == SD_READING_DIGESTS
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +355,56 @@ def test_no_trim_includes_every_defined_point(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
+# the settings table: one row per setting serves flags, config files and manifests
+# ---------------------------------------------------------------------------
+
+
+def test_every_setting_but_tau_has_a_manifest_text_its_default_reads_back_from():
+    for key, setting in coprisk.cli._SETTINGS.items():
+        if key == "tau":  # recorded as the theta it converts to
+            assert setting.text is None
+            continue
+        assert setting.text is not None, key
+        if setting.default is not None:  # data has no default to record
+            assert setting.parse(setting.text(setting.default), key) == setting.default, key
+
+
+@pytest.mark.parametrize("command", ["simulate", "estimate", "montecarlo", "oracle-check"])
+def test_every_subcommand_offers_exactly_the_table_flags(command):
+    parser = coprisk.cli._build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    offered = {
+        flag: action.dest
+        for action in sub.choices[command]._actions
+        for flag in action.option_strings
+        if flag not in ("-h", "--help")
+    }
+    expected = {f"--{key.replace('_', '-')}": key for key in coprisk.cli._SETTINGS}
+    expected.update({"--config": "config", "--threads": "threads", "--out": "out", "--no-trim": "trim"})
+    if command != "estimate":
+        del expected["--data"]
+    assert offered == expected
+
+
+def test_manifests_record_every_setting_but_tau_under_config_keys(tmp_path, capsys):
+    runs = {
+        "sim": ["simulate", *SMALL],
+        "est": ["estimate", *SMALL],
+        "data": ["estimate", "--data", str(tmp_path / "sim" / "dataset.csv"), *SMALL[4:]],
+        "mc": ["montecarlo", *SMALL, "--replicates", "1", "--threads", "1"],
+        "oracle": ["oracle-check"],
+    }
+    recorded = set()
+    for name, args in runs.items():
+        assert run_cli([*args, "--out", str(tmp_path / name)], capsys)[0] == 0, name
+        lines = (tmp_path / name / "manifest.txt").read_text().splitlines()
+        keys = {line.partition("=")[0] for line in lines}
+        assert keys <= coprisk.cli._CONFIG_KEYS, name
+        recorded |= keys
+    assert recorded == coprisk.cli._CONFIG_KEYS - {"tau"}
+
+
+# ---------------------------------------------------------------------------
 # config file handling
 # ---------------------------------------------------------------------------
 
@@ -394,6 +459,16 @@ def test_config_file_tau_is_overridden_by_theta_flag(tmp_path, capsys):
     assert "theta=1.25" in (out / "manifest.txt").read_text().splitlines()
 
 
+def test_config_file_with_a_byte_order_mark_replays(tmp_path, capsys):
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert run_cli(["simulate", "--n", "300", "--seed", "4", "--out", str(a)], capsys)[0] == 0
+    cfg = tmp_path / "bom.txt"
+    cfg.write_bytes(b"\xef\xbb\xbf" + (a / "manifest.txt").read_bytes())
+    assert run_cli(["simulate", "--config", str(cfg), "--out", str(b)], capsys)[0] == 0
+    for name in ("dataset.csv", "manifest.txt"):
+        assert sha(a / name) == sha(b / name), name
+
+
 @pytest.mark.parametrize(
     "content, message_part",
     [
@@ -439,6 +514,13 @@ def test_config_violations_exit_2(tmp_path, capsys, args):
     assert code == 2
     assert err.startswith("error: config:")
     assert err.count("\n") == 1
+
+
+def test_a_path_with_a_nul_byte_exits_2(tmp_path, capsys):
+    # no command line can hold a NUL, but main's argv can; a path is a setting
+    for args, key in ((["--config", "a\0b"], "config file"), (["--out", str(tmp_path / "a\0b")], "out")):
+        code, _, err = run_cli(["simulate", "--n", "10", *args], capsys)
+        assert (code, err) == (2, f"error: config: {key}: embedded null byte\n")
 
 
 def test_empty_kernel_window_exits_3_with_the_reason(tmp_path, capsys):

@@ -105,10 +105,15 @@ def test_default_config_is_the_benchmark_design():
 
 
 def test_covariate_scale_readings():
-    as_variance = default_config(10, 1, covariate_scale=0.25)
-    as_sd = default_config(10, 1, covariate_scale=0.25, scale_is_sd=True)
-    assert as_variance.covariate_sd == 0.5
-    assert as_sd.covariate_sd == 0.25
+    # the paper's scale 0.5 read as the variance (the default) and as the SD
+    as_variance = default_config(200, 1)
+    as_sd = default_config(200, 1, covariate_sd=0.5)
+    assert as_variance.covariate_sd == math.sqrt(0.5)
+    assert as_sd.covariate_sd == 0.5
+    # the field scales the same standard normal draws
+    np.testing.assert_allclose(
+        simulate_latent(as_sd).z / 0.5, simulate_latent(as_variance).z / math.sqrt(0.5), rtol=1e-15
+    )
 
 
 @pytest.mark.parametrize(
@@ -118,8 +123,10 @@ def test_covariate_scale_readings():
         {"n": -5},
         {"seed": -1},
         {"seed": 2**64},
-        {"covariate_scale": 0.0},
-        {"covariate_scale": -1.0},
+        {"covariate_sd": 0.0},
+        {"covariate_sd": -1.0},
+        {"covariate_sd": math.nan},
+        {"covariate_sd": math.inf},
     ],
 )
 def test_config_validation_rejects(kwargs):
@@ -976,7 +983,7 @@ def test_latent_margins_are_the_weibull_laws():
     # With a vanishing covariate scale the observed margins reduce to fixed
     # Weibull laws; the empirical cdfs must stay inside a 99.9% DKW band.
     n = 20_000
-    cfg = default_config(n, seed=31_415, covariate_scale=1e-12)
+    cfg = default_config(n, seed=31_415, covariate_sd=math.sqrt(1e-12))
     lat = simulate_latent(cfg)
     band = math.sqrt(math.log(2.0 / 0.001) / (2.0 * n))  # ~0.0138
 
