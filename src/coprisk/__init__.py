@@ -40,9 +40,7 @@ from .estimator import (
     ThetaSeries,
     monte_carlo,
     solve_surface,
-    summarize_replicates,
     theta_series,
-    trim_series,
 )
 from .kernel import EmptyNeighborhoodError, KernelSpec, SurfaceEstimate, estimate_surface_grid
 
@@ -75,11 +73,9 @@ __all__ = [
     "simulate",
     "simulate_latent",
     "solve_surface",
-    "summarize_replicates",
     "theta_for_tau",
     "theta_from_ratio",
     "theta_series",
-    "trim_series",
     "write_dataset_csv",
     "write_mc_replicates_csv",
     "write_theta_series_csv",

@@ -10,8 +10,8 @@ Four subcommands cover the full workflow:
 Every run writes a ``manifest.txt`` with the fully resolved configuration;
 feeding that file back through ``--config`` replays the run byte-for-byte.
 Setting precedence is defaults < config file < command-line flags.  Exit
-codes: 0 success, 2 configuration error, 3 estimation failure at runtime
-(including a crashed worker process), 130 interrupted.
+codes: 0 success, 2 configuration error or out of memory, 3 estimation
+failure at runtime (including a crashed worker process), 130 interrupted.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from .estimator import (
     _DegenerateRangeError,
     monte_carlo,
     solve_surface,
-    summarize_replicates,
     theta_series,
 )
 from .kernel import KernelSpec
@@ -100,12 +99,10 @@ def _parse_family(raw, key):
 
 
 def _parse_bandwidth(raw, key):
-    parts = [p.strip() for p in str(raw).split(",")]
-    if len(parts) == 1:
-        parts = parts * 2
-    if len(parts) != 2:
-        raise ConfigError(f"{key}: expected h1,h2 (or one shared value), got {raw!r}")
-    values = tuple(_parse_float(p, key) for p in parts)
+    """One bandwidth per covariate; one value is h,h for the two a simulation draws."""
+    values = tuple(_parse_float(p, key) for p in str(raw).split(","))
+    if len(values) == 1:
+        values *= 2
     if any(v <= 0.0 for v in values):
         raise ConfigError(f"{key}: bandwidths must be positive, got {raw!r}")
     return values
@@ -134,6 +131,14 @@ def _parse_covariate_sd(raw, key):
     raise ConfigError(f"{key}: expected true or false, got {raw!r}")
 
 
+def _parse_data(raw, key):
+    """A dataset path whose manifest line reads back the same: the config
+    reader strips each value and splits lines."""
+    if raw and any(p != p.strip() or len(p.splitlines()) > 1 for p in (raw, os.path.abspath(raw))):
+        raise ConfigError(f"{key}: a path with edge whitespace or a line break does not replay, got {raw!r}")
+    return raw
+
+
 class _Setting(NamedTuple):
     default: object
     parse: Callable  # (flag or config-file text, key) -> value
@@ -154,7 +159,7 @@ _SETTINGS = {
     "seed": _Setting(0, _parse_seed, str, "base RNG seed (64-bit unsigned)"),
     "bandwidth": _Setting(
         (0.3, 0.3), _parse_bandwidth, lambda v: ",".join(map(_fmt, v)),
-        "kernel bandwidths h1,h2 (one value is shared)",
+        "kernel bandwidths h1,h2,..., one per covariate (one value is shared by two)",
     ),
     "grid_points": _Setting(500, lambda raw, key: _parse_int(raw, key, 2), str, "duration grid size"),
     "trim": _Setting(
@@ -169,7 +174,7 @@ _SETTINGS = {
         "read the covariate scale 0.5 as a standard deviation instead of a variance",
     ),
     "data": _Setting(
-        None, lambda raw, key: raw, os.path.abspath, "existing dataset CSV to estimate from"
+        None, _parse_data, os.path.abspath, "existing dataset CSV to estimate from"
     ),
 }
 
@@ -256,6 +261,8 @@ def _resolve_settings(ns):
 
 
 def _dgp_config(settings):
+    if len(settings["bandwidth"]) != 2:
+        raise ConfigError(f"bandwidth: {len(settings['bandwidth'])} values for the 2 simulated covariates")
     try:
         return default_config(
             settings["n"],
@@ -367,20 +374,17 @@ def _cmd_montecarlo(settings, out_dir, threads):
     from concurrent.futures.process import BrokenProcessPool  # loads multiprocessing: only a study needs it
 
     try:
-        trimmed = monte_carlo(
+        summary = monte_carlo(
             dgp, spec, grid, settings["family"], settings["replicates"], workers=threads
         )
     except BrokenProcessPool as exc:  # a worker process died
         raise EstimationFailure(str(exc)) from None
-    untrimmed = summarize_replicates(trimmed.series, -INF, INF)
-    _atomic_write(out_dir, "mc_replicates.csv", lambda p: write_mc_replicates_csv(trimmed, p))
-    _atomic_write(
-        out_dir, "mc_summary.csv", lambda p: _write_mc_summary_csv(untrimmed, trimmed, p)
-    )
+    _atomic_write(out_dir, "mc_replicates.csv", lambda p: write_mc_replicates_csv(summary, p))
+    _atomic_write(out_dir, "mc_summary.csv", lambda p: _write_mc_summary_csv(summary, p))
     _write_manifest(out_dir, "montecarlo", settings)
     print(
-        f"mean_no_trimming={_fmt(untrimmed.mean)} mean_trimming={_fmt(trimmed.mean)} "
-        f"n_failed={trimmed.n_failed}"
+        f"mean_no_trimming={_fmt(summary.untrimmed.mean)} mean_trimming={_fmt(summary.mean)} "
+        f"n_failed={summary.n_failed}"
     )
     return 0
 
@@ -523,6 +527,10 @@ def main(argv=None):
         return 3
     except OSError as exc:
         print(f"error: config: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # a size no host can hold
+        why = " ".join(str(exc).split()) or "out of memory"
+        print(f"error: config: {why}; lower --n, --grid-points or --replicates", file=sys.stderr)
         return 2
     except KeyboardInterrupt:
         print("error: interrupted", file=sys.stderr)

@@ -378,11 +378,11 @@ def write_mc_replicates_csv(summary: McSummary, path) -> None:
     )
 
 
-def _write_mc_summary_csv(untrimmed: McSummary, trimmed: McSummary, path) -> None:
-    """Write ``statistic,no_trimming,trimming`` rows for two summaries of one study."""
+def _write_mc_summary_csv(summary: McSummary, path) -> None:
+    """Write ``statistic,no_trimming,trimming`` rows: the study over the whole grid, then trimmed."""
     columns = [
         (s.mean, s.p05, s.p95, s.p95 - s.p05, s.replicate_thetas.size, s.n_failed)
-        for s in (untrimmed, trimmed)
+        for s in (summary.untrimmed, summary)
     ]
     names = ("mean", "p05", "p95", "spread", "n_replicates", "n_failed")
     _write_csv(path, ["statistic", "no_trimming", "trimming"], [names, *columns])

@@ -14,7 +14,8 @@ surface.csv and dgp.oracle_surface, and both routes end in one solve step:
 solve_surface checks a given surface first, and theta_series, the route from
 a sample, passes on the array the kernel built along its grid.  monte_carlo
 is the one replicate driver.  Replicates are independent jobs with derived
-seeds; aggregation is keyed by replicate index, so summaries are bitwise
+seeds, each returning its average under the trim window and over the whole
+grid; aggregation is keyed by replicate index, so both summaries are bitwise
 independent of worker count and scheduling.
 """
 
@@ -38,9 +39,7 @@ __all__ = [
     "ThetaSeries",
     "monte_carlo",
     "solve_surface",
-    "summarize_replicates",
     "theta_series",
-    "trim_series",
 ]
 
 
@@ -244,15 +243,6 @@ def theta_series(
     return _assemble(t, surface, *_solve_pointwise(surface, family), grid.trim_lo, grid.trim_hi)
 
 
-def trim_series(series: ThetaSeries, trim_lo: float, trim_hi: float) -> ThetaSeries:
-    """Re-average an existing series under a different trim window.
-
-    Pointwise values and definedness are reused unchanged; only the
-    inclusion mask and the average move.
-    """
-    return _assemble(series.t, series.surface, series.theta_pointwise, series.defined, trim_lo, trim_hi)
-
-
 # ----------------------------------------------------------------------
 # Monte Carlo harness
 # ----------------------------------------------------------------------
@@ -262,11 +252,9 @@ def trim_series(series: ThetaSeries, trim_lo: float, trim_hi: float) -> ThetaSer
 class McSummary:
     """Replicate-level estimates with mean and nearest-rank percentiles.
 
-    ``replicate_thetas`` is NaN at failed replicates; ``mean``/``p05``/
-    ``p95`` summarize the successes.  ``series`` holds the replicate series
-    the summary was trimmed from (None where a replicate produced none;
-    untrimmed when built by monte_carlo), so one study can be summarized
-    again under another window.
+    ``replicate_thetas`` is NaN and ``n_included`` 0 at failed replicates;
+    ``mean``/``p05``/``p95`` summarize the successes.  ``untrimmed`` is the
+    same study summarized over the whole grid, and None on that summary.
     """
 
     replicate_thetas: np.ndarray
@@ -276,7 +264,7 @@ class McSummary:
     p05: float
     p95: float
     n_failed: int
-    series: tuple[ThetaSeries | None, ...]
+    untrimmed: McSummary | None = None
 
     def __post_init__(self) -> None:
         for arr in (self.replicate_thetas, self.n_included, self.failed):
@@ -288,13 +276,22 @@ def _nearest_rank(sorted_values: np.ndarray, percent: float) -> float:
     return float(sorted_values[k - 1])
 
 
-def _replicate_job(args) -> ThetaSeries | None:
+def _replicate_job(args) -> tuple[float, int, float, int]:
+    """One replicate's (theta_hat, n_included) under the grid's trim window,
+    then over the whole grid: both averages of one untrimmed series, and
+    (NaN, 0) where there is none."""
     dgp, spec, grid, family = args
-    sample = simulate(dgp)
     try:
-        return theta_series(sample, spec, grid, family)
+        series = theta_series(simulate(dgp), spec, replace(grid, trim_lo=-math.inf, trim_hi=math.inf), family)
     except AllPointsExcludedError:
-        return None
+        return math.nan, 0, math.nan, 0
+    try:
+        trimmed = _assemble(
+            series.t, series.surface, series.theta_pointwise, series.defined, grid.trim_lo, grid.trim_hi
+        )
+    except AllPointsExcludedError:
+        return math.nan, 0, series.theta_hat, series.n_included
+    return trimmed.theta_hat, trimmed.n_included, series.theta_hat, series.n_included
 
 
 def _worker_count(workers: int, replicates: int) -> int:
@@ -304,34 +301,11 @@ def _worker_count(workers: int, replicates: int) -> int:
     return min(workers, replicates, cpus or 1)
 
 
-def summarize_replicates(
-    series_list: list[ThetaSeries | None],
-    trim_lo: float,
-    trim_hi: float,
-) -> McSummary:
-    """Trim each replicate series, then aggregate the replicate averages.
-
-    A replicate fails (recorded, never raised) when it produced no series
-    at all or trimming empties its mask; the summary raises
-    AllPointsExcludedError only when every replicate failed.
-    """
-    n = len(series_list)
-    if n == 0:
-        raise ValueError("need at least one replicate series")
-    thetas = np.full(n, np.nan)
-    n_included = np.zeros(n, dtype=np.int64)
-    failed = np.zeros(n, dtype=bool)
-    for r, series in enumerate(series_list):
-        if series is None:
-            failed[r] = True
-            continue
-        try:
-            trimmed = trim_series(series, trim_lo, trim_hi)
-        except AllPointsExcludedError:
-            failed[r] = True
-            continue
-        thetas[r] = trimmed.theta_hat
-        n_included[r] = trimmed.n_included
+def _summarize(thetas, n_included) -> McSummary:
+    """Aggregate replicate averages; a replicate with no included point
+    failed.  Raises AllPointsExcludedError when every replicate failed."""
+    thetas, n_included = np.array(thetas, dtype=float), np.array(n_included, dtype=np.int64)
+    failed = n_included == 0
     ok = np.sort(thetas[~failed])
     if ok.size == 0:
         raise AllPointsExcludedError("every replicate failed under this trim window")
@@ -343,7 +317,6 @@ def summarize_replicates(
         p05=_nearest_rank(ok, 5.0),
         p95=_nearest_rank(ok, 95.0),
         n_failed=int(np.count_nonzero(failed)),
-        series=tuple(series_list),
     )
 
 
@@ -357,33 +330,31 @@ def monte_carlo(
     workers: int = 1,
 ) -> McSummary:
     """Simulate-and-estimate ``replicates`` times and summarize under the
-    grid's trim window.
+    grid's trim window, and in ``untrimmed`` over the whole grid.
 
     Replicate r uses seed (dgp.seed + r) mod 2**64, so the summary is a pure
-    function of the arguments.  Each replicate series is computed untrimmed
-    and kept in ``series``, so the study can be re-summarized under other
-    windows without re-running it.  ``workers`` > 1 spreads replicates over
-    at most that many processes (also capped at the replicate count and
-    the CPUs this process may use) without changing any value.
+    function of the arguments.  A replicate fails (recorded, never raised)
+    where no grid point survives definedness and the window; the study
+    raises AllPointsExcludedError only when every replicate failed.
+    ``workers`` > 1 spreads replicates over at most that many processes
+    (also capped at the replicate count and the CPUs this process may use)
+    without changing any value.
     """
     if not isinstance(replicates, int) or replicates < 1:
         raise ValueError(f"replicates must be a positive integer, got {replicates!r}")
     if not isinstance(workers, int) or workers < 1:
         raise ValueError(f"workers must be a positive integer, got {workers!r}")
-    untrimmed = replace(grid, trim_lo=-math.inf, trim_hi=math.inf)
-    jobs = [
-        (replace(dgp, seed=(dgp.seed + r) % 2**64), spec, untrimmed, family)
-        for r in range(replicates)
-    ]
+    jobs = [(replace(dgp, seed=(dgp.seed + r) % 2**64), spec, grid, family) for r in range(replicates)]
     n_workers = _worker_count(workers, replicates)
     if n_workers == 1:
-        series = [_replicate_job(job) for job in jobs]
+        records = [_replicate_job(job) for job in jobs]
     else:
         from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing: only a pool needs it
 
         pool = ProcessPoolExecutor(max_workers=n_workers)
         try:
-            series = list(pool.map(_replicate_job, jobs))
+            records = list(pool.map(_replicate_job, jobs))
         finally:
             pool.shutdown(cancel_futures=True)  # an interrupt drops the queued replicates
-    return summarize_replicates(series, grid.trim_lo, grid.trim_hi)
+    thetas, n_included, whole_thetas, whole_n_included = zip(*records)
+    return replace(_summarize(thetas, n_included), untrimmed=_summarize(whole_thetas, whole_n_included))

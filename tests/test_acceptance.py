@@ -16,7 +16,6 @@ measured values so the gap stays visible in every run.
 from __future__ import annotations
 
 import hashlib
-import math
 import statistics
 import time
 from pathlib import Path
@@ -38,7 +37,6 @@ from coprisk.estimator import (
     GridSpec,
     monte_carlo,
     solve_surface,
-    summarize_replicates,
 )
 from coprisk.kernel import KernelSpec, estimate_surface_grid
 
@@ -267,11 +265,9 @@ def test_acceptance_5_derivatives_match_finite_differences(fd_clean_points):
 
 
 @pytest.fixture(scope="module")
-def benchmark_distribution(mc50_series):
+def benchmark_distribution(mc50_study):
     """Trimmed and untrimmed summaries of the 50-replicate benchmark."""
-    trimmed = summarize_replicates(mc50_series, 1.3, 2.5)
-    untrimmed = summarize_replicates(mc50_series, -math.inf, math.inf)
-    return trimmed, untrimmed
+    return mc50_study, mc50_study.untrimmed
 
 
 @pytest.fixture(scope="module")
@@ -298,7 +294,7 @@ def test_acceptance_6_trimming_concentrates_replicates(
     trimmed, untrimmed = benchmark_distribution
     spread_trimmed = trimmed.p95 - trimmed.p05
     spread_untrimmed = untrimmed.p95 - untrimmed.p05
-    runtime = fixture_runtimes["mc50_series"]
+    runtime = fixture_runtimes["mc50_study"]
     ok = spread_untrimmed >= 3.0 * spread_trimmed and runtime < 1800.0
     _report(
         6,

@@ -32,11 +32,9 @@ PUBLIC_NAMES = [
     "simulate",
     "simulate_latent",
     "solve_surface",
-    "summarize_replicates",
     "theta_for_tau",
     "theta_from_ratio",
     "theta_series",
-    "trim_series",
     "write_dataset_csv",
     "write_mc_replicates_csv",
     "write_theta_series_csv",

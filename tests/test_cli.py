@@ -25,8 +25,10 @@ import coprisk.cli
 import coprisk.estimator
 from coprisk.cli import main
 from coprisk.copula import CopulaFamily
-from coprisk.data import Sample, write_dataset_csv, write_theta_series_csv
-from coprisk.estimator import solve_surface
+from coprisk.data import Sample, read_dataset_csv, write_dataset_csv, write_theta_series_csv
+from coprisk.dgp import default_config, simulate
+from coprisk.estimator import GridSpec, solve_surface, theta_series
+from coprisk.kernel import KernelSpec
 
 
 def run_cli(args, capsys):
@@ -261,6 +263,42 @@ def test_data_manifest_replay_reproduces_every_artifact(tmp_path, capsys):
     assert sorted(p.name for p in b.iterdir()) == names
     for name in names:
         assert sha(a / name) == sha(b / name), name
+
+
+def _assert_replays(run_dir, command, capsys):
+    """Replaying run_dir's manifest writes the same files, byte for byte."""
+    again = run_dir.parent / f"{run_dir.name}-replay"
+    code, _, _ = run_cli([command, "--config", str(run_dir / "manifest.txt"), "--out", str(again)], capsys)
+    assert code == 0
+    names = sorted(p.name for p in run_dir.iterdir())
+    assert sorted(p.name for p in again.iterdir()) == names
+    for name in names:
+        assert sha(run_dir / name) == sha(again / name), name
+
+
+def test_a_data_path_with_an_inner_space_replays(tmp_path, capsys):
+    data = _simulate_gumbel_dataset(tmp_path, capsys)
+    spaced = tmp_path / "with space" / "data set.csv"
+    spaced.parent.mkdir()
+    spaced.write_bytes(data.read_bytes())
+    out = tmp_path / "run"
+    run = ["estimate", "--data", str(spaced), "--family", "gumbel", "--bandwidth", "0.8", "--grid-points", "50"]
+    assert run_cli([*run, "--out", str(out)], capsys)[0] == 0
+    assert f"data={spaced}" in (out / "manifest.txt").read_text().splitlines()
+    _assert_replays(out, "estimate", capsys)
+
+
+def test_a_data_path_that_would_not_replay_exits_2(tmp_path, capsys, monkeypatch):
+    # each file exists, but the config reader strips each value and splits
+    # lines, so a manifest could not record its path for replay
+    data = _simulate_gumbel_dataset(tmp_path, capsys)
+    monkeypatch.chdir(tmp_path)
+    for name in ("data.csv ", " data.csv", "data.csv\n", "data.csv\t", "a\nb.csv", "data.csv\u2028"):
+        Path(name).write_bytes(data.read_bytes())
+        code, _, err = run_cli(["estimate", "--data", name, "--grid-points", "50", "--out", "run"], capsys)
+        assert code == 2, repr(name)
+        assert err.startswith("error: config: data:") and "does not replay" in err and err.count("\n") == 1
+        assert not Path("run").exists()
 
 
 def test_manifest_replay_reproduces_every_artifact(tmp_path, capsys):
@@ -560,6 +598,22 @@ def test_dataset_wider_than_the_bandwidths_exits_3(tmp_path, capsys):
     assert code == 3
     assert err.startswith("error: estimation:") and "3 covariates" in err
     assert err.count("\n") == 1
+
+
+def test_a_bandwidth_per_covariate_estimates_a_wider_dataset(tmp_path, capsys):
+    base = simulate(default_config(3000, seed=21))
+    third = np.random.default_rng(21).normal(0.0, 0.5, base.t.size)
+    data = tmp_path / "d3.csv"
+    write_dataset_csv(Sample(base.t, base.delta, np.column_stack([base.z, third])), data)
+    out = tmp_path / "run"
+    run = ["estimate", "--data", str(data), "--bandwidth", "0.6,0.6,1.5", "--grid-points", "50"]
+    code, printed, _ = run_cli([*run, "--out", str(out)], capsys)
+    assert code == 0
+    grid = GridSpec(trim_lo=1.3, trim_hi=2.5, n_points=50)
+    series = theta_series(read_dataset_csv(data), KernelSpec((0.6, 0.6, 1.5)), grid, CopulaFamily.CLAYTON)
+    assert printed == f"theta_hat={series.theta_hat!r} n_included={series.n_included}\n"
+    assert "bandwidth=0.6,0.6,1.5" in (out / "manifest.txt").read_text().splitlines()
+    _assert_replays(out, "estimate", capsys)
 
 
 def test_ulp_wide_duration_range_exits_3_as_degenerate(tmp_path, capsys):
@@ -922,6 +976,35 @@ def test_broken_worker_pool_exits_3(tmp_path, capsys, monkeypatch):
     assert err.startswith("error: estimation:") and "terminated abruptly" in err
     assert err.count("\n") == 1
     assert [p.name for p in out.iterdir() if ".tmp" in p.name] == []
+
+
+def test_out_of_memory_exits_2_with_one_line(tmp_path, capsys, monkeypatch):
+    # nothing is allocated for real: each stub raises what numpy raises for a
+    # size no host can hold, or a bare MemoryError after a partial write
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000000000000,) and data type float64")
+
+    def half_written(sample, path):
+        with open(path, "w") as fh:
+            fh.write("t,delta")
+        raise MemoryError
+
+    stubs = [
+        ("simulate", "simulate", no_memory),
+        ("estimate", "simulate", no_memory),
+        ("estimate", "write_dataset_csv", half_written),
+        ("montecarlo", "monte_carlo", no_memory),
+    ]
+    for command, name, stub in stubs:
+        out = tmp_path / f"{command}-{name}"
+        with monkeypatch.context() as patch:
+            patch.setattr(coprisk.cli, name, stub)
+            code, _, err = run_cli([command, "--n", "50", "--out", str(out)], capsys)
+        assert code == 2, (command, name)
+        assert err.startswith("error: config:") and err.count("\n") == 1
+        assert err.endswith("; lower --n, --grid-points or --replicates\n")
+        assert ("Unable to allocate 7.28 TiB" in err) == (stub is no_memory)
+        assert [p.name for p in out.iterdir() if ".tmp" in p.name] == []
 
 
 def test_interrupt_exits_130_and_removes_partial_files(tmp_path, capsys, monkeypatch):

@@ -40,12 +40,11 @@ from coprisk.estimator import (
     McSummary,
     ThetaSeries,
     _percentiles,
+    _summarize,
     _worker_count,
     monte_carlo,
     solve_surface,
-    summarize_replicates,
     theta_series,
-    trim_series,
 )
 from coprisk.kernel import KernelSpec, estimate_surface_grid
 
@@ -223,7 +222,7 @@ def test_oracle_series_average_is_trim_invariant():
     surface = oracle_surface(config, t_grid, z)
     series = solve_surface(t_grid, surface, CopulaFamily.CLAYTON)
     for lo, hi in [(0.6, 2.9), (1.0, 1.5), (-INF, INF)]:
-        trimmed = trim_series(series, lo, hi)
+        trimmed = solve_surface(t_grid, surface, CopulaFamily.CLAYTON, lo, hi)
         assert trimmed.theta_hat == pytest.approx(series.theta_hat, abs=1e-12)
 
 
@@ -431,23 +430,26 @@ def test_solve_surface_copies_the_given_array():
         series.surface[0, 0] = 0.5
 
 
-def test_trim_series_revalidates_window():
-    series = _series_from([_clayton_surface(0.5)] * 3)
+def test_solve_surface_revalidates_window():
+    rows = [_clayton_surface(0.5)] * 3
+    assert _series_from(rows).n_included == 3  # the surface solves without a window
     with pytest.raises(ValueError):
-        trim_series(series, 2.0, 1.0)
+        _series_from(rows, trim=(2.0, 1.0))
     with pytest.raises(ValueError):
-        trim_series(series, float("nan"), 2.0)
+        _series_from(rows, trim=(float("nan"), 2.0))
 
 
-def test_trim_series_reaverages_within_window():
+def test_solve_surface_averages_within_window():
     thetas = [0.1, 0.2, 0.3, 0.4, 0.5]
-    series = _series_from([_clayton_surface(th) for th in thetas])
-    trimmed = trim_series(series, 2.0, 4.0)  # grid is 1..5, keeps indices 1..3
+    rows = [_clayton_surface(th) for th in thetas]
+    series = _series_from(rows)
+    trimmed = _series_from(rows, trim=(2.0, 4.0))  # grid is 1..5, keeps indices 1..3
     assert np.array_equal(trimmed.included, [False, True, True, True, False])
     assert trimmed.theta_hat == pytest.approx(0.3, abs=1e-12)
     assert trimmed.trim_lo == 2.0 and trimmed.trim_hi == 4.0
-    # pointwise diagnostics are reused unchanged
+    # pointwise values do not depend on the window
     assert np.array_equal(trimmed.theta_pointwise, series.theta_pointwise)
+    assert np.array_equal(trimmed.defined, series.defined)
 
 
 # ---------------------------------------------------------------------------
@@ -462,50 +464,55 @@ def _small_design():
     return dgp, spec, grid
 
 
-def replicate_series(dgp, spec, grid, family, replicates, **kwargs):
-    return monte_carlo(dgp, spec, grid, family, replicates, **kwargs).series
+def _records(summary):
+    """Per replicate: theta_hat and n_included under the window, then over
+    the whole grid."""
+    whole = summary.untrimmed
+    columns = (summary.replicate_thetas, summary.n_included, whole.replicate_thetas, whole.n_included)
+    return np.column_stack(columns)
+
+
+def _direct_record(dgp, spec, grid):
+    """The same record from theta_series on the dataset of ``dgp``'s seed."""
+    sample, record = simulate(dgp), []
+    for window in (grid, replace(grid, trim_lo=-INF, trim_hi=INF)):
+        try:
+            series = theta_series(sample, spec, window, CopulaFamily.CLAYTON)
+            record += [series.theta_hat, series.n_included]
+        except AllPointsExcludedError:
+            record += [math.nan, 0]
+    return record
+
+
+def _check_replicates(dgp, replicates, seeds):
+    """Replicate r of a windowed study on 1 and on 2 workers is theta_series
+    on seeds[r], bit for bit, under the window and over the whole grid."""
+    _, spec, grid = _small_design()
+    grid = replace(grid, trim_lo=0.9, trim_hi=1.9)
+    expected = np.array([_direct_record(replace(dgp, seed=seed), spec, grid) for seed in seeds])
+    for workers in (1, 2):
+        summary = monte_carlo(dgp, spec, grid, CopulaFamily.CLAYTON, replicates, workers=workers)
+        assert np.array_equal(_records(summary), expected, equal_nan=True), workers
 
 
 def test_single_replicate_equals_direct_estimation():
-    dgp, spec, grid = _small_design()
-    runs = replicate_series(dgp, spec, grid, CopulaFamily.CLAYTON, replicates=1)
-    direct = theta_series(simulate(dgp), spec, grid, CopulaFamily.CLAYTON)
-    assert len(runs) == 1
-    assert np.array_equal(
-        runs[0].theta_pointwise, direct.theta_pointwise, equal_nan=True
-    )
-    assert runs[0].theta_hat == direct.theta_hat
+    dgp, _, _ = _small_design()
+    _check_replicates(dgp, 1, [dgp.seed])
 
 
 def test_replicates_advance_seed_by_one():
-    dgp, spec, grid = _small_design()
-    runs = replicate_series(dgp, spec, grid, CopulaFamily.CLAYTON, replicates=3)
-    for r, run in enumerate(runs):
-        direct = theta_series(
-            simulate(replace(dgp, seed=dgp.seed + r)), spec, grid, CopulaFamily.CLAYTON
-        )
-        assert np.array_equal(run.theta_pointwise, direct.theta_pointwise, equal_nan=True)
+    dgp, _, _ = _small_design()
+    _check_replicates(dgp, 3, [dgp.seed + r for r in range(3)])
 
 
 def test_replicate_seed_wraps_at_word_boundary():
-    dgp, spec, grid = _small_design()
-    dgp = replace(dgp, seed=2**64 - 1)
-    runs = replicate_series(dgp, spec, grid, CopulaFamily.CLAYTON, replicates=2)
-    direct0 = theta_series(simulate(dgp), spec, grid, CopulaFamily.CLAYTON)
-    direct1 = theta_series(simulate(replace(dgp, seed=0)), spec, grid, CopulaFamily.CLAYTON)
-    assert np.array_equal(runs[0].theta_pointwise, direct0.theta_pointwise, equal_nan=True)
-    assert np.array_equal(runs[1].theta_pointwise, direct1.theta_pointwise, equal_nan=True)
+    dgp = replace(_small_design()[0], seed=2**64 - 1)
+    _check_replicates(dgp, 2, [2**64 - 1, 0])
 
 
 def test_worker_count_does_not_change_results():
-    dgp, spec, grid = _small_design()
-    seq = replicate_series(dgp, spec, grid, CopulaFamily.CLAYTON, replicates=4, workers=1)
-    par = replicate_series(dgp, spec, grid, CopulaFamily.CLAYTON, replicates=4, workers=2)
-    assert len(seq) == len(par) == 4
-    for a, b in zip(seq, par):
-        assert np.array_equal(a.theta_pointwise, b.theta_pointwise, equal_nan=True)
-        assert a.theta_hat == b.theta_hat
-        assert a.n_included == b.n_included
+    dgp, _, _ = _small_design()
+    _check_replicates(dgp, 4, [dgp.seed + r for r in range(4)])
 
 
 @pytest.mark.parametrize("kwargs", [{"replicates": 0}, {"replicates": -1}, {"workers": 0}])
@@ -513,9 +520,7 @@ def test_replicate_argument_validation(kwargs):
     dgp, spec, grid = _small_design()
     call = {"replicates": 1, **kwargs}
     with pytest.raises(ValueError):
-        replicate_series(
-            dgp, spec, grid, CopulaFamily.CLAYTON, call["replicates"], workers=call.get("workers", 1)
-        )
+        monte_carlo(dgp, spec, grid, CopulaFamily.CLAYTON, call["replicates"], workers=call.get("workers", 1))
 
 
 # ---------------------------------------------------------------------------
@@ -523,18 +528,29 @@ def test_replicate_argument_validation(kwargs):
 # ---------------------------------------------------------------------------
 
 
-def _oracle_series_for_theta(theta):
-    config = default_config(10, seed=1, theta=theta)
-    t_grid = (1.0, 1.5, 2.0)
-    z = np.array([0.1, -0.2])
-    surface = oracle_surface(config, t_grid, z)
-    return solve_surface(t_grid, surface, CopulaFamily.CLAYTON)
+ORACLE_T = (1.0, 1.5, 2.0)
 
 
-def test_nearest_rank_percentiles_on_ten_known_values():
+def _oracle_surface_for_theta(theta):
+    return oracle_surface(default_config(10, seed=1, theta=theta), ORACLE_T, np.array([0.1, -0.2]))
+
+
+def _study_of(monkeypatch, surfaces, trim=(-INF, INF)):
+    """monte_carlo on one worker, replicate r solving surfaces[r] on ORACLE_T
+    in place of the kernel surface of its sample."""
+    rows = iter(surfaces)
+
+    def solved(sample, spec, grid, family):
+        return solve_surface(ORACLE_T, next(rows), family, grid.trim_lo, grid.trim_hi)
+
+    monkeypatch.setattr("coprisk.estimator.theta_series", solved)
+    grid, dgp = GridSpec(trim_lo=trim[0], trim_hi=trim[1]), default_config(10, seed=1)
+    return monte_carlo(dgp, KernelSpec((0.3, 0.3)), grid, CopulaFamily.CLAYTON, len(surfaces))
+
+
+def test_nearest_rank_percentiles_on_ten_known_values(monkeypatch):
     thetas = [(r + 1) / 10 for r in range(10)]
-    series = [_oracle_series_for_theta(th) for th in thetas]
-    summary = summarize_replicates(series, -INF, INF)
+    summary = _study_of(monkeypatch, [_oracle_surface_for_theta(th) for th in thetas])
     values = np.sort(summary.replicate_thetas)
     # ceil(0.05*10) = 1 -> smallest value; ceil(0.95*10) = 10 -> largest
     assert summary.p05 == values[0]
@@ -544,43 +560,45 @@ def test_nearest_rank_percentiles_on_ten_known_values():
     assert not summary.failed.any()
 
 
-def test_summary_records_failed_replicates_as_nan():
-    ok = _oracle_series_for_theta(0.5)
-    summary = summarize_replicates([ok, None], -INF, INF)
-    assert summary.n_failed == 1
-    assert np.array_equal(summary.failed, [False, True])
-    assert math.isnan(summary.replicate_thetas[1])
-    assert summary.mean == pytest.approx(ok.theta_hat, abs=1e-12)
-    assert summary.p05 == summary.p95 == summary.replicate_thetas[0]
+def test_summary_records_failed_replicates_as_nan(monkeypatch):
+    summary = _study_of(monkeypatch, [_oracle_surface_for_theta(0.5), [NO_ESTIMATE] * 3])
+    for s in (summary, summary.untrimmed):
+        assert s.n_failed == 1
+        assert np.array_equal(s.failed, [False, True])
+        assert math.isnan(s.replicate_thetas[1]) and s.n_included[1] == 0
+        assert s.mean == pytest.approx(0.5, abs=1e-12)
+        assert s.p05 == s.p95 == s.replicate_thetas[0]
 
 
-def test_summary_trim_failure_is_recorded_not_raised():
+def test_summary_trim_failure_is_recorded_not_raised(monkeypatch):
     # the window excludes every defined point of one replicate: that replicate
-    # fails inside the summary instead of aborting the whole study
-    ok = _oracle_series_for_theta(0.5)  # defined at t = 1.0, 1.5, 2.0
-    sparse = solve_surface(
-        (1.0, 1.5, 2.0),
+    # fails under the window instead of aborting the whole study, and still
+    # counts over the whole grid
+    surfaces = [
+        _oracle_surface_for_theta(0.5),  # defined at t = 1.0, 1.5, 2.0
         [_clayton_surface(0.5), NO_ESTIMATE, NO_ESTIMATE],  # defined only at t = 1.0
-        CopulaFamily.CLAYTON,
-    )
-    summary = summarize_replicates([ok, sparse], 1.9, 2.1)  # window keeps t = 2.0
+    ]
+    summary = _study_of(monkeypatch, surfaces, trim=(1.9, 2.1))  # window keeps t = 2.0
     assert summary.n_failed == 1
     assert np.array_equal(summary.failed, [False, True])
     assert math.isnan(summary.replicate_thetas[1])
     assert summary.mean == pytest.approx(0.5, abs=1e-10)
+    assert summary.untrimmed.n_failed == 0
+    assert summary.untrimmed.n_included.tolist() == [3, 1]
+    assert summary.untrimmed.replicate_thetas[1] == pytest.approx(0.5, abs=1e-10)
 
 
-def test_summary_raises_when_every_replicate_fails():
+def test_summary_raises_when_every_replicate_fails(monkeypatch):
     with pytest.raises(AllPointsExcludedError, match="every replicate failed"):
-        summarize_replicates([None, None], -INF, INF)
-    ok = _oracle_series_for_theta(0.5)
-    with pytest.raises(AllPointsExcludedError):
-        summarize_replicates([ok], 100.0, 200.0)  # window beyond the grid
+        _study_of(monkeypatch, [[NO_ESTIMATE] * 3] * 2)
+    with pytest.raises(AllPointsExcludedError):  # window beyond the grid
+        _study_of(monkeypatch, [_oracle_surface_for_theta(0.5)], trim=(100.0, 200.0))
 
 
 def test_summary_rejects_empty_input():
-    with pytest.raises(ValueError):
-        summarize_replicates([], -INF, INF)
+    # no replicate, no summary: monte_carlo refuses replicates=0 first
+    with pytest.raises(AllPointsExcludedError):
+        _summarize([], [])
 
 
 # ---------------------------------------------------------------------------
@@ -606,17 +624,18 @@ def test_monte_carlo_is_deterministic():
     assert a.mean == b.mean and a.p05 == b.p05 and a.p95 == b.p95
 
 
-def test_monte_carlo_keeps_untrimmed_series_for_resummary():
+def test_monte_carlo_untrimmed_equals_a_study_without_window():
     dgp, spec, grid = _small_design()
-    trimmed = replace(grid, trim_lo=0.9, trim_hi=1.9)
-    summary = monte_carlo(dgp, spec, trimmed, CopulaFamily.CLAYTON, replicates=2)
-    assert len(summary.series) == 2
-    assert all(s.trim_lo == -INF and s.trim_hi == INF for s in summary.series)
-    again = summarize_replicates(summary.series, 0.9, 1.9)
-    assert np.array_equal(again.replicate_thetas, summary.replicate_thetas, equal_nan=True)
-    untrimmed = monte_carlo(dgp, spec, grid, CopulaFamily.CLAYTON, replicates=2)
-    resummary = summarize_replicates(summary.series, -INF, INF)
-    assert np.array_equal(resummary.replicate_thetas, untrimmed.replicate_thetas, equal_nan=True)
+    window = replace(grid, trim_lo=0.9, trim_hi=1.9)
+    windowed = monte_carlo(dgp, spec, window, CopulaFamily.CLAYTON, replicates=2)
+    whole = monte_carlo(dgp, spec, grid, CopulaFamily.CLAYTON, replicates=2)
+    assert windowed.untrimmed.untrimmed is None
+    for summary in (windowed.untrimmed, whole.untrimmed):
+        for name in ("replicate_thetas", "n_included", "failed"):
+            assert np.array_equal(getattr(summary, name), getattr(whole, name), equal_nan=True), name
+        for name in ("mean", "p05", "p95", "n_failed"):
+            assert getattr(summary, name) == getattr(whole, name), name
+    assert not np.array_equal(windowed.n_included, whole.n_included)  # the window did drop points
 
 
 def test_worker_count_is_capped_by_replicates_and_cpus(monkeypatch):
@@ -737,8 +756,8 @@ def test_theta_series_csv_round_trips(tmp_path):
 
 
 def test_mc_replicates_csv_round_trips(tmp_path):
-    ok = _oracle_series_for_theta(0.5)
-    summary = summarize_replicates([ok, None], -INF, INF)
+    ok = solve_surface(ORACLE_T, _oracle_surface_for_theta(0.5), CopulaFamily.CLAYTON)
+    summary = _summarize([ok.theta_hat, math.nan], [ok.n_included, 0])
     path = tmp_path / "reps.csv"
     write_mc_replicates_csv(summary, path)
     raw = path.read_bytes()
@@ -757,10 +776,8 @@ def test_mc_replicates_csv_round_trips(tmp_path):
 
 
 @pytest.fixture(scope="module")
-def benchmark_summaries(mc50_series):
-    trimmed = summarize_replicates(mc50_series, 1.3, 2.5)
-    untrimmed = summarize_replicates(mc50_series, -INF, INF)
-    return trimmed, untrimmed
+def benchmark_summaries(mc50_study):
+    return mc50_study, mc50_study.untrimmed
 
 
 def test_trimming_tightens_the_replicate_spread(benchmark_summaries):
