@@ -16,13 +16,7 @@ from .copula import (
     theta_for_tau,
     theta_from_ratio,
 )
-from .data import (
-    Sample,
-    read_dataset_csv,
-    write_dataset_csv,
-    write_mc_replicates_csv,
-    write_theta_series_csv,
-)
+from .data import Sample, read_dataset_csv, write_dataset_csv
 from .dgp import (
     DgpConfig,
     LatentDraws,
@@ -42,7 +36,7 @@ from .estimator import (
     solve_surface,
     theta_series,
 )
-from .kernel import EmptyNeighborhoodError, KernelSpec, SurfaceEstimate, estimate_surface_grid
+from .kernel import KernelSpec, SurfaceEstimate, estimate_surface_grid
 
 __version__ = "0.4.0"
 
@@ -51,7 +45,6 @@ __all__ = [
     "CopulaFamily",
     "CopulaModel",
     "DgpConfig",
-    "EmptyNeighborhoodError",
     "GridSpec",
     "KernelSpec",
     "LatentDraws",
@@ -77,7 +70,5 @@ __all__ = [
     "theta_from_ratio",
     "theta_series",
     "write_dataset_csv",
-    "write_mc_replicates_csv",
-    "write_theta_series_csv",
     "__version__",
 ]

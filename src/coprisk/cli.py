@@ -27,15 +27,7 @@ import numpy as np
 
 from . import __version__
 from .copula import _SOLVABLE, CopulaFamily, _d2phi, _dphi, _solve_ratio, theta_for_tau
-from .data import (
-    _fmt,
-    _write_mc_summary_csv,
-    _write_surface_csv,
-    read_dataset_csv,
-    write_dataset_csv,
-    write_mc_replicates_csv,
-    write_theta_series_csv,
-)
+from .data import _fmt, _write_csv, read_dataset_csv, write_dataset_csv
 from .dgp import default_config, oracle_surface, simulate
 from .estimator import (
     AllPointsExcludedError,
@@ -134,7 +126,9 @@ def _parse_covariate_sd(raw, key):
 def _parse_data(raw, key):
     """A dataset path whose manifest line reads back the same: the config
     reader strips each value and splits lines."""
-    if raw and any(p != p.strip() or len(p.splitlines()) > 1 for p in (raw, os.path.abspath(raw))):
+    if not raw:  # an empty flag or config-file value would simulate instead
+        raise ConfigError(f"{key}: the path is empty")
+    if any(p != p.strip() or len(p.splitlines()) > 1 for p in (raw, os.path.abspath(raw))):
         raise ConfigError(f"{key}: a path with edge whitespace or a line break does not replay, got {raw!r}")
     return raw
 
@@ -317,6 +311,11 @@ def _atomic_write(out_dir, name, write_fn):
     return final
 
 
+def _write_table(out_dir, name, header, columns):
+    """Write a CSV artifact, a header row and its columns, as _atomic_write does."""
+    return _atomic_write(out_dir, name, lambda path: _write_csv(path, header, columns))
+
+
 def _write_manifest(out_dir, command, settings):
     if command == "oracle-check":  # it reads the family alone
         keys = ["family"]
@@ -356,12 +355,16 @@ def _cmd_estimate(settings, out_dir):
             sample = read_dataset_csv(settings["data"])
         except (OSError, ValueError) as exc:
             raise ConfigError(f"data: {exc}") from None
+        if spec.d != sample.d:
+            raise ConfigError(f"bandwidth: {spec.d} values for the {sample.d} covariates in {settings['data']}")
     else:
         sample = simulate(_dgp_config(settings))
         _atomic_write(out_dir, "dataset.csv", lambda p: write_dataset_csv(sample, p))
     series = theta_series(sample, spec, _grid_spec(settings), settings["family"])
-    _atomic_write(out_dir, "surface.csv", lambda p: _write_surface_csv(series, p))
-    _atomic_write(out_dir, "theta_series.csv", lambda p: write_theta_series_csv(series, p))
+    _write_table(out_dir, "surface.csv", ["t", "pi", "dpi1", "dpi2", "d2pi"], [series.t, *series.surface.T])
+    _write_table(
+        out_dir, "theta_series.csv", ["t", "theta", "included"], [series.t, series.theta_pointwise, series.included]
+    )
     _write_manifest(out_dir, "estimate", settings)
     print(f"theta_hat={_fmt(series.theta_hat)} n_included={series.n_included}")
     return 0
@@ -379,8 +382,18 @@ def _cmd_montecarlo(settings, out_dir, threads):
         )
     except BrokenProcessPool as exc:  # a worker process died
         raise EstimationFailure(str(exc)) from None
-    _atomic_write(out_dir, "mc_replicates.csv", lambda p: write_mc_replicates_csv(summary, p))
-    _atomic_write(out_dir, "mc_summary.csv", lambda p: _write_mc_summary_csv(summary, p))
+    _write_table(
+        out_dir,
+        "mc_replicates.csv",
+        ["replicate", "theta_hat", "n_included", "failed"],
+        [np.arange(summary.replicate_thetas.size), summary.replicate_thetas, summary.n_included, summary.failed],
+    )
+    studies = [
+        (s.mean, s.p05, s.p95, s.p95 - s.p05, s.replicate_thetas.size, s.n_failed)
+        for s in (summary.untrimmed, summary)
+    ]
+    statistics = ("mean", "p05", "p95", "spread", "n_replicates", "n_failed")
+    _write_table(out_dir, "mc_summary.csv", ["statistic", "no_trimming", "trimming"], [statistics, *studies])
     _write_manifest(out_dir, "montecarlo", settings)
     print(
         f"mean_no_trimming={_fmt(summary.untrimmed.mean)} mean_trimming={_fmt(summary.mean)} "

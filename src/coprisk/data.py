@@ -1,10 +1,11 @@
-"""The column-store Sample and every CSV artifact the package writes.
+"""The column-store Sample and the CSV writer behind every artifact.
 
 The CSV dialect is fixed: a header row, LF line endings, floats written as
 shortest round-trip decimals so that write -> read reproduces the in-memory
 arrays bit for bit, integers and flags as integers.  Datasets use the header
-``t,delta,z1,...``.  All five writers (dataset, surface, theta series, Monte
-Carlo replicates and summary) go through one column-wise writer.
+``t,delta,z1,...``.  write_dataset_csv and the command line's four artifact
+layouts (surface, theta series, Monte Carlo replicates and summary) go
+through one column-wise writer, _write_csv, which takes plain columns.
 
 A float's text is ``repr``'s, byte for byte, but found for a whole block of
 values at once: a vectorised shortest round-trip formatter in long double,
@@ -21,20 +22,10 @@ from __future__ import annotations
 import functools
 import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-if TYPE_CHECKING:
-    from .estimator import McSummary, ThetaSeries
-
-__all__ = [
-    "Sample",
-    "read_dataset_csv",
-    "write_dataset_csv",
-    "write_mc_replicates_csv",
-    "write_theta_series_csv",
-]
+__all__ = ["Sample", "read_dataset_csv", "write_dataset_csv"]
 
 
 # rows per block of the CSV writer and of the covariate mean
@@ -357,35 +348,6 @@ def write_dataset_csv(sample: Sample, path) -> None:
     """Write a sample using the ``t,delta,z1,...`` schema with LF endings."""
     header = ["t", "delta"] + [f"z{j + 1}" for j in range(sample.d)]
     _write_csv(path, header, [sample.t, sample.delta, *sample.z.T])
-
-
-def write_theta_series_csv(series: ThetaSeries, path) -> None:
-    """Write ``t,theta,included`` rows; theta is NaN at undefined points."""
-    _write_csv(path, ["t", "theta", "included"], [series.t, series.theta_pointwise, series.included])
-
-
-def _write_surface_csv(series: ThetaSeries, path) -> None:
-    """Write the ``t,pi,dpi1,dpi2,d2pi`` surface a theta series was solved from."""
-    _write_csv(path, ["t", "pi", "dpi1", "dpi2", "d2pi"], [series.t, *series.surface.T])
-
-
-def write_mc_replicates_csv(summary: McSummary, path) -> None:
-    """Write ``replicate,theta_hat,n_included,failed`` rows."""
-    _write_csv(
-        path,
-        ["replicate", "theta_hat", "n_included", "failed"],
-        [np.arange(summary.replicate_thetas.size), summary.replicate_thetas, summary.n_included, summary.failed],
-    )
-
-
-def _write_mc_summary_csv(summary: McSummary, path) -> None:
-    """Write ``statistic,no_trimming,trimming`` rows: the study over the whole grid, then trimmed."""
-    columns = [
-        (s.mean, s.p05, s.p95, s.p95 - s.p05, s.replicate_thetas.size, s.n_failed)
-        for s in (summary.untrimmed, summary)
-    ]
-    names = ("mean", "p05", "p95", "spread", "n_replicates", "n_failed")
-    _write_csv(path, ["statistic", "no_trimming", "trimming"], [names, *columns])
 
 
 def read_dataset_csv(path) -> Sample:

@@ -10,12 +10,14 @@ trimming window, skipping unusable points (no estimate, level outside
 (0, 1), nonfinite ratio, out-of-domain parameter, or no root).
 
 Every surface is that (G, 4) float array, the layout of ThetaSeries.surface,
-surface.csv and dgp.oracle_surface, and both routes end in one solve step:
-solve_surface checks a given surface first, and theta_series, the route from
-a sample, passes on the array the kernel built along its grid.  monte_carlo
-is the one replicate driver.  Replicates are independent jobs with derived
-seeds, each returning its average under the trim window and over the whole
-grid; aggregation is keyed by replicate index, so both summaries are bitwise
+surface.csv and dgp.oracle_surface.  solve_surface checks one, solves it and
+builds the series; theta_series, the route from a sample, ends by calling it
+on the array the kernel built along its grid.  A grid without a usable point,
+whether the kernel window is empty or nothing survives definedness and
+trimming, raises AllPointsExcludedError.  monte_carlo is the one replicate
+harness.  Replicates are independent jobs with derived seeds, each returning
+its average under the trim window and over the whole grid from one series;
+aggregation is keyed by replicate index, so both summaries are bitwise
 independent of worker count and scheduling.
 """
 
@@ -30,7 +32,7 @@ import numpy as np
 from .copula import CopulaFamily, _check_solvable, _solve_ratio
 from .data import Sample
 from .dgp import DgpConfig, simulate
-from .kernel import EmptyNeighborhoodError, KernelSpec, _surface_rows
+from .kernel import AllPointsExcludedError, KernelSpec, _surface_rows
 
 __all__ = [
     "AllPointsExcludedError",
@@ -41,10 +43,6 @@ __all__ = [
     "solve_surface",
     "theta_series",
 ]
-
-
-class AllPointsExcludedError(RuntimeError):
-    """No usable grid point survived definedness and trimming."""
 
 
 class _DegenerateRangeError(ValueError):
@@ -179,27 +177,13 @@ def _solve_pointwise(surface, family):
     return theta, defined
 
 
-def _assemble(t, surface, theta, defined, trim_lo, trim_hi) -> ThetaSeries:
+def _window_mean(t, theta, defined, trim_lo, trim_hi) -> tuple[np.ndarray, float, int]:
+    """The points defined and inside the trim window, the mean of their
+    values (NaN where there is none) and their count."""
     _check_trim(trim_lo, trim_hi)
     included = defined & (t >= trim_lo) & (t <= trim_hi)
     n_included = int(np.count_nonzero(included))
-    if n_included == 0:
-        raise AllPointsExcludedError(
-            f"no grid point is both defined ({int(np.count_nonzero(defined))} defined)"
-            f" and inside the trim window [{trim_lo}, {trim_hi}]"
-        )
-    theta_hat = float(np.mean(theta[included]))
-    return ThetaSeries(
-        t=t,
-        theta_pointwise=theta,
-        defined=defined,
-        included=included,
-        surface=surface,
-        theta_hat=theta_hat,
-        n_included=n_included,
-        trim_lo=float(trim_lo),
-        trim_hi=float(trim_hi),
-    )
+    return included, float(np.mean(theta[included])) if n_included else math.nan, n_included
 
 
 def solve_surface(
@@ -218,7 +202,24 @@ def solve_surface(
     surface = np.array(surface, dtype=float)  # a copy: the series freezes its arrays
     if surface.shape != (t.size, 4):
         raise ValueError(f"surface must have shape ({t.size}, 4), got {surface.shape}")
-    return _assemble(t, surface, *_solve_pointwise(surface, family), trim_lo, trim_hi)
+    theta, defined = _solve_pointwise(surface, family)
+    included, theta_hat, n_included = _window_mean(t, theta, defined, trim_lo, trim_hi)
+    if n_included == 0:
+        raise AllPointsExcludedError(
+            f"no grid point is both defined ({int(np.count_nonzero(defined))} defined)"
+            f" and inside the trim window [{trim_lo}, {trim_hi}]"
+        )
+    return ThetaSeries(
+        t=t,
+        theta_pointwise=theta,
+        defined=defined,
+        included=included,
+        surface=surface,
+        theta_hat=theta_hat,
+        n_included=n_included,
+        trim_lo=float(trim_lo),
+        trim_hi=float(trim_hi),
+    )
 
 
 def theta_series(
@@ -228,19 +229,16 @@ def theta_series(
     their trimmed average.
 
     Resolves the grid against ``sample``, estimates the (G, 4) kernel
-    surface along it and solves that array under the grid's trim window, as
-    solve_surface does; the returned series carries the surface it solved.
-    A family without a dependence parameter raises ValueError first, as in
-    solve_surface; AllPointsExcludedError means the kernel window at the
+    surface along it and solves that array under the grid's trim window
+    with solve_surface; the returned series carries the surface it solved.
+    A family without a dependence parameter raises ValueError before the
+    kernel runs; AllPointsExcludedError means the kernel window at the
     evaluation point is empty or nothing survives definedness and trimming.
     """
     _check_solvable(family)
     t, z = grid.resolve(sample)
-    try:
-        surface, _ = _surface_rows(sample, spec, t, z)
-    except EmptyNeighborhoodError as exc:  # no kernel mass at z: whole curve undefined
-        raise AllPointsExcludedError(str(exc)) from None
-    return _assemble(t, surface, *_solve_pointwise(surface, family), grid.trim_lo, grid.trim_hi)
+    surface, _ = _surface_rows(sample, spec, t, z)
+    return solve_surface(t, surface, family, grid.trim_lo, grid.trim_hi)
 
 
 # ----------------------------------------------------------------------
@@ -285,13 +283,10 @@ def _replicate_job(args) -> tuple[float, int, float, int]:
         series = theta_series(simulate(dgp), spec, replace(grid, trim_lo=-math.inf, trim_hi=math.inf), family)
     except AllPointsExcludedError:
         return math.nan, 0, math.nan, 0
-    try:
-        trimmed = _assemble(
-            series.t, series.surface, series.theta_pointwise, series.defined, grid.trim_lo, grid.trim_hi
-        )
-    except AllPointsExcludedError:
-        return math.nan, 0, series.theta_hat, series.n_included
-    return trimmed.theta_hat, trimmed.n_included, series.theta_hat, series.n_included
+    _, theta_hat, n_included = _window_mean(
+        series.t, series.theta_pointwise, series.defined, grid.trim_lo, grid.trim_hi
+    )
+    return theta_hat, n_included, series.theta_hat, series.n_included
 
 
 def _worker_count(workers: int, replicates: int) -> int:

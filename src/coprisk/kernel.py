@@ -25,7 +25,9 @@ int64 from the right end of the duration order, and each sum is rounded
 from its top 64 bits, with no Python-int arithmetic.  The surface itself
 is computed as one (G, 4) array (_surface_rows, the route theta_series
 takes); the public entry point, estimate_surface_grid, packages its rows as
-SurfaceEstimate objects.
+SurfaceEstimate objects.  A z with no observation in its window raises
+AllPointsExcludedError, the one error of a grid without a usable point,
+which the estimator raises as well.
 
 Working set: the window search and the limb sums run in blocks of rows
 (``_BLOCK_ROWS``), their columns under glibc's 128 KiB mmap threshold, so
@@ -42,15 +44,17 @@ import numpy as np
 from .data import Sample
 
 __all__ = [
-    "EmptyNeighborhoodError",
+    "AllPointsExcludedError",
     "KernelSpec",
     "SurfaceEstimate",
     "estimate_surface_grid",
 ]
 
 
-class EmptyNeighborhoodError(RuntimeError):
-    """No observation carries kernel weight at the evaluation covariate point."""
+class AllPointsExcludedError(RuntimeError):
+    """No usable grid point: no observation carries kernel weight at the
+    evaluation covariate point, or no point survives definedness and
+    trimming."""
 
 
 @dataclass(frozen=True)
@@ -276,7 +280,7 @@ def _surface_rows(sample: Sample, spec: KernelSpec, t_grid, z) -> tuple[np.ndarr
     the layout of ThetaSeries.surface, and the kernel mass b.  The quotient
     rule runs as elementwise numpy operations in the order of the scalar
     formulas, so every value is the one those formulas give in Python
-    floats.  Raises EmptyNeighborhoodError when no observation carries
+    floats.  Raises AllPointsExcludedError when no observation carries
     kernel weight at z; the empty window is duration independent, hence
     raised for the grid as a whole.
     """
@@ -290,7 +294,7 @@ def _surface_rows(sample: Sample, spec: KernelSpec, t_grid, z) -> tuple[np.ndarr
     sums = _ZWeights(sample, spec, z).sums(ts)
     b, b1, b2, b12 = sums[0].tolist()
     if b == 0.0:
-        raise EmptyNeighborhoodError("no kernel mass at the evaluation covariate point")
+        raise AllPointsExcludedError("no kernel mass at the evaluation covariate point")
     a, a1, a2, a12 = sums[1:].T
     bb = b * b
     # b*b underflows for a tiny mass: the derivatives are then nonfinite
@@ -310,7 +314,7 @@ def estimate_surface_grid(sample: Sample, spec: KernelSpec, t_grid, z) -> list[S
     The kernel weights depend on z only, so they are built once and shared
     by all grid points; each returned entry is bitwise identical to a
     one-point grid at the same duration.  The entries package the rows of
-    the array route theta_series takes.  Raises EmptyNeighborhoodError when
+    the array route theta_series takes.  Raises AllPointsExcludedError when
     no observation carries kernel weight at z.
     """
     rows, b = _surface_rows(sample, spec, t_grid, z)

@@ -9,7 +9,6 @@ PUBLIC_NAMES = [
     "CopulaFamily",
     "CopulaModel",
     "DgpConfig",
-    "EmptyNeighborhoodError",
     "GridSpec",
     "KernelSpec",
     "LatentDraws",
@@ -36,8 +35,6 @@ PUBLIC_NAMES = [
     "theta_from_ratio",
     "theta_series",
     "write_dataset_csv",
-    "write_mc_replicates_csv",
-    "write_theta_series_csv",
 ]
 
 SUBMODULES = ("copula", "data", "dgp", "estimator", "kernel")

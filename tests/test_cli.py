@@ -25,7 +25,7 @@ import coprisk.cli
 import coprisk.estimator
 from coprisk.cli import main
 from coprisk.copula import CopulaFamily
-from coprisk.data import Sample, read_dataset_csv, write_dataset_csv, write_theta_series_csv
+from coprisk.data import Sample, read_dataset_csv, write_dataset_csv
 from coprisk.dgp import default_config, simulate
 from coprisk.estimator import GridSpec, solve_surface, theta_series
 from coprisk.kernel import KernelSpec
@@ -156,7 +156,7 @@ def test_estimate_from_written_dataset_matches_in_memory_run(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("family, from_data", [("clayton", False), ("frank", True)])
-def test_surface_csv_solves_to_the_written_theta_series(tmp_path, capsys, family, from_data):
+def test_surface_csv_solves_to_the_written_theta_series(tmp_path, capsys, monkeypatch, family, from_data):
     run = ["estimate", *SMALL, "--family", family]
     if from_data:
         data = tmp_path / "data"
@@ -170,9 +170,11 @@ def test_surface_csv_solves_to_the_written_theta_series(tmp_path, capsys, family
     manifest = dict(line.split("=", 1) for line in (out / "manifest.txt").read_text().splitlines())
     trim = (-np.inf, np.inf) if manifest["trim"] == "none" else map(float, manifest["trim"].split(":"))
     series = solve_surface(t, np.array(surface).T, CopulaFamily(family), *trim)
-    write_theta_series_csv(series, tmp_path / "resolved.csv")
-    assert (tmp_path / "resolved.csv").read_bytes() == (out / "theta_series.csv").read_bytes()
     assert stdout.strip() == f"theta_hat={series.theta_hat!r} n_included={series.n_included}"
+    # the same run writing the resolved series in place of its own estimate
+    monkeypatch.setattr(coprisk.cli, "theta_series", lambda *args: series)
+    assert run_cli([*run, "--out", str(tmp_path / "resolved")], capsys)[0] == 0
+    assert (tmp_path / "resolved" / "theta_series.csv").read_bytes() == (out / "theta_series.csv").read_bytes()
 
 
 def test_estimate_data_does_not_build_the_simulation_design(tmp_path, capsys):
@@ -591,13 +593,33 @@ def test_overflowing_kernel_weights_exit_3(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
-def test_dataset_wider_than_the_bandwidths_exits_3(tmp_path, capsys):
-    data = tmp_path / "wide.csv"
-    write_dataset_csv(Sample([1.0, 2.0, 1.5], [1, 2, 1], [[0.1, 0.2, 0.3], [0.0, 0.1, 0.2], [-0.1, 0.0, 0.1]]), data)
-    code, _, err = run_cli(["estimate", "--data", str(data), "--out", str(tmp_path / "run")], capsys)
-    assert code == 3
-    assert err.startswith("error: estimation:") and "3 covariates" in err
-    assert err.count("\n") == 1
+def test_a_bandwidth_count_unlike_the_datasets_exits_2(tmp_path, capsys):
+    # one value is h,h: two bandwidths for a file with three covariates, and
+    # three given for a file with two; either is refused before estimation
+    wide, narrow = tmp_path / "wide.csv", tmp_path / "narrow.csv"
+    write_dataset_csv(Sample([1.0, 2.0, 1.5], [1, 2, 1], [[0.1, 0.2, 0.3], [0.0, 0.1, 0.2], [-0.1, 0.0, 0.1]]), wide)
+    write_dataset_csv(Sample([1.0, 2.0, 1.5], [1, 2, 1], [[0.1, 0.2], [0.0, 0.1], [-0.1, 0.0]]), narrow)
+    refused = [(wide, "0.8", "2 values for the 3 covariates"), (narrow, "0.8,0.8,0.8", "3 values for the 2 covariates")]
+    for data, bandwidth, counts in refused:
+        out = tmp_path / f"run-{data.stem}"
+        code, printed, err = run_cli(
+            ["estimate", "--data", str(data), "--bandwidth", bandwidth, "--out", str(out)], capsys
+        )
+        assert (code, printed) == (2, "")
+        assert err == f"error: config: bandwidth: {counts} in {data}\n"
+        assert list(out.iterdir()) == []
+
+
+def test_an_empty_data_path_exits_2(tmp_path, capsys):
+    # an empty path once simulated a dataset and recorded no data line
+    config = tmp_path / "empty-data.txt"
+    config.write_text("command=estimate\ndata = \n")
+    for name, args in (("flag", ["--data", ""]), ("config", ["--config", str(config)])):
+        out = tmp_path / name
+        code, printed, err = run_cli(["estimate", "--n", "600", *args, "--out", str(out)], capsys)
+        assert (code, printed) == (2, "")
+        assert err == "error: config: data: the path is empty\n"
+        assert not out.exists()
 
 
 def test_a_bandwidth_per_covariate_estimates_a_wider_dataset(tmp_path, capsys):
@@ -1008,12 +1030,12 @@ def test_out_of_memory_exits_2_with_one_line(tmp_path, capsys, monkeypatch):
 
 
 def test_interrupt_exits_130_and_removes_partial_files(tmp_path, capsys, monkeypatch):
-    def interrupted(summary, path):
+    def interrupted(path, header, columns):
         with open(path, "w") as fh:
             fh.write("replicate,")
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(coprisk.cli, "write_mc_replicates_csv", interrupted)
+    monkeypatch.setattr(coprisk.cli, "_write_csv", interrupted)
     out = tmp_path / "run"
     code, _, err = run_cli(["montecarlo", *MC, "--threads", "1", "--out", str(out)], capsys)
     assert code == 130

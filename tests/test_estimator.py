@@ -4,7 +4,8 @@ Covers grid resolution and validation, the exclusion rules that decide which
 grid points enter the trimmed average, exactness on closed-form oracle
 surfaces, the data-driven trim suggestion, replicate orchestration
 (determinism, worker invariance and cap, seed wraparound), summary
-statistics with nearest-rank percentiles, and the CSV emitters.
+statistics with nearest-rank percentiles, and the command line's CSV layout
+of a series and of a study.
 
 Three distributional targets for the 50-replicate benchmark at bandwidth 0.3
 are marked strict expected-fail at the bottom of this file.  Measurement
@@ -31,8 +32,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import coprisk
+import coprisk.cli
+import coprisk.kernel
 from coprisk.copula import CopulaFamily, CopulaModel, NoRootError, kendalls_tau, theta_from_ratio
-from coprisk.data import Sample, write_mc_replicates_csv, write_theta_series_csv
+from coprisk.data import Sample
 from coprisk.dgp import default_config, oracle_surface, simulate
 from coprisk.estimator import (
     AllPointsExcludedError,
@@ -40,6 +44,7 @@ from coprisk.estimator import (
     McSummary,
     ThetaSeries,
     _percentiles,
+    _replicate_job,
     _summarize,
     _worker_count,
     monte_carlo,
@@ -595,6 +600,21 @@ def test_summary_raises_when_every_replicate_fails(monkeypatch):
         _study_of(monkeypatch, [_oracle_surface_for_theta(0.5)], trim=(100.0, 200.0))
 
 
+def test_an_empty_kernel_window_fails_every_replicate_end_to_end():
+    # the kernel's own error, with no seam patched: one class from the
+    # kernel to the package
+    assert coprisk.kernel.AllPointsExcludedError is coprisk.AllPointsExcludedError
+    assert AllPointsExcludedError is coprisk.AllPointsExcludedError
+    dgp, spec, _ = _small_design()
+    far = GridSpec(z_eval=(50.0, 50.0), trim_lo=0.9, trim_hi=1.9)
+    for r in range(3):
+        record = _replicate_job((replace(dgp, seed=dgp.seed + r), spec, far, CopulaFamily.CLAYTON))
+        assert np.array_equal(record, [math.nan, 0, math.nan, 0], equal_nan=True), r
+    for workers in (1, 2):
+        with pytest.raises(AllPointsExcludedError, match="every replicate failed"):
+            monte_carlo(dgp, spec, far, CopulaFamily.CLAYTON, 3, workers=workers)
+
+
 def test_summary_rejects_empty_input():
     # no replicate, no summary: monte_carlo refuses replicates=0 first
     with pytest.raises(AllPointsExcludedError):
@@ -732,15 +752,22 @@ def test_grid_solve_equals_pointwise_solve_bitwise(family, theta):
 
 
 # ---------------------------------------------------------------------------
-# CSV emitters
+# The command line's CSV artifacts
 # ---------------------------------------------------------------------------
 
 
-def test_theta_series_csv_round_trips(tmp_path):
+def _artifact(monkeypatch, tmp_path, command, result, name):
+    """Artifact ``name`` of a command-line run whose estimate or study
+    returned ``result``."""
+    seam = {"estimate": "theta_series", "montecarlo": "monte_carlo"}[command]
+    monkeypatch.setattr(coprisk.cli, seam, lambda *args, **kwargs: result)
+    assert coprisk.cli.main([command, "--n", "50", "--out", str(tmp_path)]) == 0
+    return (tmp_path / name).read_bytes()
+
+
+def test_theta_series_csv_round_trips(tmp_path, monkeypatch):
     series = _series_from([_clayton_surface(th) for th in (0.25, 0.5, 0.75)] + [NO_ESTIMATE])
-    path = tmp_path / "series.csv"
-    write_theta_series_csv(series, path)
-    raw = path.read_bytes()
+    raw = _artifact(monkeypatch, tmp_path, "estimate", series, "theta_series.csv")
     assert b"\r" not in raw
     lines = raw.decode().splitlines()
     assert lines[0] == "t,theta,included"
@@ -755,12 +782,11 @@ def test_theta_series_csv_round_trips(tmp_path):
         assert inc_str == str(int(series.included[i]))
 
 
-def test_mc_replicates_csv_round_trips(tmp_path):
+def test_mc_replicates_csv_round_trips(tmp_path, monkeypatch):
     ok = solve_surface(ORACLE_T, _oracle_surface_for_theta(0.5), CopulaFamily.CLAYTON)
     summary = _summarize([ok.theta_hat, math.nan], [ok.n_included, 0])
-    path = tmp_path / "reps.csv"
-    write_mc_replicates_csv(summary, path)
-    raw = path.read_bytes()
+    study = replace(summary, untrimmed=summary)  # the run also writes mc_summary.csv
+    raw = _artifact(monkeypatch, tmp_path, "montecarlo", study, "mc_replicates.csv")
     assert b"\r" not in raw
     lines = raw.decode().splitlines()
     assert lines[0] == "replicate,theta_hat,n_included,failed"

@@ -17,7 +17,7 @@ from coprisk.copula import CopulaFamily
 from coprisk.data import Sample
 from coprisk.dgp import default_config, oracle_surface, simulate
 from coprisk.kernel import (
-    EmptyNeighborhoodError,
+    AllPointsExcludedError,
     KernelSpec,
     _suffix_sums,
     _surface_rows,
@@ -35,7 +35,7 @@ def mass(x):
     """b_at_z at covariate point (x, 0); zero where the window is empty."""
     try:
         return estimate_surface_grid(ORIGIN, UNIT, [0.5], [x, 0.0])[0].b_at_z
-    except EmptyNeighborhoodError:
+    except AllPointsExcludedError:
         return 0.0
 
 
@@ -504,9 +504,10 @@ def test_grid_evaluation_is_bitwise_identical_to_pointwise():
 def test_empty_neighborhood_raises():
     sample = Sample([1.0, 2.0], [1, 2], [[5.0, 5.0], [5.2, 4.8]])
     spec = KernelSpec((0.3, 0.3))
-    with pytest.raises(EmptyNeighborhoodError):
+    empty = "^no kernel mass at the evaluation covariate point$"
+    with pytest.raises(AllPointsExcludedError, match=empty):
         estimate_surface_grid(sample, spec, [1.0], [0.0, 0.0])
-    with pytest.raises(EmptyNeighborhoodError):
+    with pytest.raises(AllPointsExcludedError, match=empty):
         estimate_surface_grid(sample, spec, [0.5, 1.0], [0.0, 0.0])
 
 
