@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .copula import _SOLVABLE, CopulaFamily, _d2phi, _dphi, _solve_ratio, theta_for_tau
+from .copula import CopulaFamily, _d2phi, _dphi, _solve_ratio, theta_for_tau
 from .data import _fmt, _write_csv, read_dataset_csv, write_dataset_csv
 from .dgp import default_config, oracle_surface, simulate
 from .estimator import (
@@ -83,7 +83,7 @@ def _parse_float(raw, key):
 
 
 def _parse_family(raw, key):
-    names = [family.value for family in _SOLVABLE]
+    names = [family.value for family in CopulaFamily]
     value = str(raw).strip().lower()
     if value not in names:
         raise ConfigError(f"{key}: expected one of {', '.join(names)}, got {raw!r}")
@@ -356,7 +356,10 @@ def _cmd_estimate(settings, out_dir):
         except (OSError, ValueError) as exc:
             raise ConfigError(f"data: {exc}") from None
         if spec.d != sample.d:
-            raise ConfigError(f"bandwidth: {spec.d} values for the {sample.d} covariates in {settings['data']}")
+            h = settings["bandwidth"]
+            shared = " (one value stands for two)" if h == h[:1] * 2 else ""  # as _parse_bandwidth expands it
+            counts = f"{spec.d} values for the {sample.d} covariates"
+            raise ConfigError(f"bandwidth: {counts} in {settings['data']}{shared}")
     else:
         sample = simulate(_dgp_config(settings))
         _atomic_write(out_dir, "dataset.csv", lambda p: write_dataset_csv(sample, p))

@@ -16,7 +16,8 @@ from 0.02 up (2.3e-14 measured against 50 digits); below that, the rounding
 of the double curvature bounds it, up to about 5e-16/pi near theta = 0.
 
 All generators are evaluated in cancellation-safe forms (expm1/log1p) so
-that near-independence parameters remain usable.
+that near-independence parameters remain usable.  Independence itself is no
+family here: it is the Clayton limit theta -> 0.
 
 Frank's Kendall tau 1 - (4/theta)(1 - D1(theta)), with D1 the first Debye
 function, is summed from two series of D1 (Abramowitz and Stegun 27.1),
@@ -65,7 +66,6 @@ class CopulaFamily(Enum):
     CLAYTON = "clayton"
     GUMBEL = "gumbel"
     FRANK = "frank"
-    INDEPENDENCE = "independence"
 
 
 @dataclass(frozen=True)
@@ -75,20 +75,18 @@ class CopulaModel:
     Parameter domains: Clayton theta in [-1, inf) excluding 0, Gumbel theta
     in (1, inf), Frank any finite theta with |theta| >= FRANK_DEAD_ZONE
     (closer to 0 its generator loses precision, and is NaN once exp(-theta)
-    rounds to 1).  The independence family carries no parameter, so theta
-    must be None there (it is the Clayton limit theta -> 0).
+    rounds to 1).  A family that is not a CopulaFamily member, such as its
+    name as a string, raises ValueError.
     """
 
     family: CopulaFamily
-    theta: float | None = None
+    theta: float
 
     def __post_init__(self) -> None:
         fam = self.family
         theta = self.theta
-        if fam is CopulaFamily.INDEPENDENCE:
-            if theta is not None:
-                raise ValueError("independence copula carries no theta")
-            return
+        if not isinstance(fam, CopulaFamily):
+            raise ValueError(f"family must be a CopulaFamily, got {fam!r}")
         if theta is None or not math.isfinite(theta):
             raise ValueError(f"{fam.value} copula needs a finite theta, got {theta!r}")
         if fam is CopulaFamily.CLAYTON and (theta < -1.0 or theta == 0.0):
@@ -119,47 +117,41 @@ class ThetaSolution:
 # ----------------------------------------------------------------------
 
 
-def _phi(family: CopulaFamily, theta: float | None, s):
+def _phi(family: CopulaFamily, theta: float, s):
     if family is CopulaFamily.CLAYTON:
         return np.expm1(-theta * np.log(s)) / theta
     if family is CopulaFamily.GUMBEL:
         return (-np.log(s)) ** theta
-    if family is CopulaFamily.FRANK:
-        # identical np ops in both terms so phi(1) cancels to exactly 0;
-        # clamp the remaining sub-ulp artifacts (phi >= 0 by convexity)
-        if theta > 0:
-            raw = np.log1p(-np.exp(-theta)) - np.log1p(-np.exp(-theta * s))
-        else:
-            q = -theta
-            raw = q * (1.0 - s) + np.log1p(-np.exp(-q)) - np.log1p(-np.exp(-q * s))
-        return np.maximum(raw, 0.0)
-    return -np.log(s)
+    # Frank: identical np ops in both terms so phi(1) cancels to exactly 0;
+    # clamp the remaining sub-ulp artifacts (phi >= 0 by convexity)
+    if theta > 0:
+        raw = np.log1p(-np.exp(-theta)) - np.log1p(-np.exp(-theta * s))
+    else:
+        q = -theta
+        raw = q * (1.0 - s) + np.log1p(-np.exp(-q)) - np.log1p(-np.exp(-q * s))
+    return np.maximum(raw, 0.0)
 
 
-def _dphi(family: CopulaFamily, theta: float | None, s):
+def _dphi(family: CopulaFamily, theta: float, s):
     if family is CopulaFamily.CLAYTON:
         return -np.exp(-(theta + 1.0) * np.log(s))
     if family is CopulaFamily.GUMBEL:
         ell = -np.log(s)
         return -theta * ell ** (theta - 1.0) / s
-    if family is CopulaFamily.FRANK:
-        return -theta / np.expm1(theta * s)
-    return -1.0 / s
+    return -theta / np.expm1(theta * s)
 
 
-def _d2phi(family: CopulaFamily, theta: float | None, s):
+def _d2phi(family: CopulaFamily, theta: float, s):
     if family is CopulaFamily.CLAYTON:
         return (theta + 1.0) * np.exp(-(theta + 2.0) * np.log(s))
     if family is CopulaFamily.GUMBEL:
         ell = -np.log(s)
         return theta * ((theta - 1.0) * ell ** (theta - 2.0) + ell ** (theta - 1.0)) / (s * s)
-    if family is CopulaFamily.FRANK:
-        x = -np.abs(theta * s)  # e^x/(e^x-1)^2 is symmetric in the sign of x
-        return theta * theta * np.exp(x) / np.expm1(x) ** 2
-    return 1.0 / (s * s)
+    x = -np.abs(theta * s)  # Frank's e^x/(e^x-1)^2 is symmetric in the sign of x
+    return theta * theta * np.exp(x) / np.expm1(x) ** 2
 
 
-def _phi_inv(family: CopulaFamily, theta: float | None, u):
+def _phi_inv(family: CopulaFamily, theta: float, u):
     if family is CopulaFamily.CLAYTON:
         tu = theta * u
         ok = tu > -1.0  # theta < 0 has phi(0) = -1/theta; past it the inverse is 0
@@ -167,15 +159,13 @@ def _phi_inv(family: CopulaFamily, theta: float | None, u):
         return np.where(ok, np.exp(-lg / theta), 0.0)
     if family is CopulaFamily.GUMBEL:
         return np.exp(-(u ** (1.0 / theta)))
-    if family is CopulaFamily.FRANK:
-        if theta > 0:
-            # 1 + expm1(-theta)e^{-u} rewritten without cancellation so the
-            # inverse stays accurate near u = 0 for large theta
-            return -np.log(np.exp(-u - theta) - np.expm1(-u)) / theta
-        q = -theta
-        x = q + math.log1p(-math.exp(-q)) - u
-        return _softplus(x) / q
-    return np.exp(-u)
+    if theta > 0:
+        # Frank's 1 + expm1(-theta)e^{-u} rewritten without cancellation so
+        # the inverse stays accurate near u = 0 for large theta
+        return -np.log(np.exp(-u - theta) - np.expm1(-u)) / theta
+    q = -theta
+    x = q + math.log1p(-math.exp(-q)) - u
+    return _softplus(x) / q
 
 
 def _softplus(x):
@@ -193,15 +183,6 @@ def _frank_curvature(theta, pi):
         return np.where(near, -1.0 / pi, theta / np.where(near, 1.0, np.expm1(-x)))
 
 
-_SOLVABLE = (CopulaFamily.CLAYTON, CopulaFamily.GUMBEL, CopulaFamily.FRANK)
-
-
-def _check_solvable(family: CopulaFamily) -> None:
-    """The one family gate of the solve: no dependence parameter, no solve."""
-    if family not in _SOLVABLE:
-        raise ValueError(f"family {family!r} has no dependence parameter to estimate")
-
-
 def _solve_ratio(family: CopulaFamily, pi, ratio):
     """Solve phi_theta''(pi)/phi_theta'(pi) = -ratio for theta, elementwise.
 
@@ -209,7 +190,8 @@ def _solve_ratio(family: CopulaFamily, pi, ratio):
     (theta, admissible).  Clayton and Gumbel invert in closed form.  Frank
     bisects theta/expm1(-theta*pi) + ratio, which falls strictly in theta,
     _FRANK_HALVINGS times over FRANK_BRACKET; an exact zero at a bracket end
-    returns that end, and no sign change over the bracket gives NaN.
+    returns that end, and no sign change over the bracket gives NaN.  A
+    family that is not a CopulaFamily member raises ValueError.
     """
     if family is CopulaFamily.CLAYTON:
         theta = pi * ratio - 1.0
@@ -217,7 +199,8 @@ def _solve_ratio(family: CopulaFamily, pi, ratio):
     if family is CopulaFamily.GUMBEL:
         theta = 1.0 + (1.0 - pi * ratio) * np.log(pi)
         return theta, theta > 1.0
-    _check_solvable(family)
+    if family is not CopulaFamily.FRANK:
+        raise ValueError(f"family must be a CopulaFamily, got {family!r}")
     lo_end, hi_end = FRANK_BRACKET
     lo = np.full(pi.shape, lo_end)
     hi = np.full(pi.shape, hi_end)
@@ -254,7 +237,7 @@ def theta_from_ratio(family: CopulaFamily, pi: float, ratio: float) -> ThetaSolu
     Parameters
     ----------
     family : CopulaFamily
-        Clayton, Gumbel or Frank (independence has no parameter to solve).
+        Clayton, Gumbel or Frank.
     pi : float
         Joint survival level in (0, 1) at which the surface was measured.
     ratio : float
@@ -334,16 +317,14 @@ def kendalls_tau(model: CopulaModel) -> float:
 
     Clayton theta/(theta+2), Gumbel 1 - 1/theta, Frank
     1 - (4/theta)(1 - D1(theta)) with D1 the first Debye function, summed
-    from its series (within 3 ulp, and exactly odd in theta), independence 0.
+    from its series (within 3 ulp, and exactly odd in theta).
     """
     fam, theta = model.family, model.theta
     if fam is CopulaFamily.CLAYTON:
         return theta / (theta + 2.0)
     if fam is CopulaFamily.GUMBEL:
         return 1.0 - 1.0 / theta
-    if fam is CopulaFamily.FRANK:
-        return _frank_tau(theta)
-    return 0.0
+    return _frank_tau(theta)
 
 
 def theta_for_tau(family: CopulaFamily, tau: float) -> float:
@@ -375,7 +356,7 @@ def theta_for_tau(family: CopulaFamily, tau: float) -> float:
                 hi = mid
         th = lo if tau - _frank_tau(lo) < _frank_tau(hi) - tau else hi
     else:
-        raise ValueError(f"family {family!r} has no parameter to match tau")
+        raise ValueError(f"family must be a CopulaFamily, got {family!r}")
     CopulaModel(family, th)  # domain check; raises ValueError if unreachable
     return float(th)
 
@@ -390,8 +371,6 @@ def check_ordering_condition(
     that the two parameter values are distinguishable from the curvature
     ratio, which is what makes the theta inversion single-valued.
     """
-    if family is CopulaFamily.INDEPENDENCE:
-        raise ValueError("ordering condition needs a parametric family")
     CopulaModel(family, theta1)
     CopulaModel(family, theta2)
     if not theta1 > theta2:

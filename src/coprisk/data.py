@@ -11,10 +11,10 @@ A float's text is ``repr``'s, byte for byte, but found for a whole block of
 values at once: a vectorised shortest round-trip formatter in long double,
 with ``repr`` itself for each value it cannot decide within its error bound.
 
-Working set: the writer and the covariate mean work ``_BLOCK_ROWS`` rows at
-a time, so each temporary is block-sized, its columns under glibc's 128 KiB
-mmap threshold, and the heap reuses it block after block instead of mapping
-fresh pages.  The one row-sized temporary is the percentiles' duration copy.
+Working set: the writer works ``_BLOCK_ROWS`` rows at a time, so each
+temporary is block-sized, its columns under glibc's 128 KiB mmap threshold,
+and the heap reuses it block after block instead of mapping fresh pages.
+The one row-sized temporary is the percentiles' duration copy.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 __all__ = ["Sample", "read_dataset_csv", "write_dataset_csv"]
 
 
-# rows per block of the CSV writer and of the covariate mean
+# rows per block of the CSV writer
 _BLOCK_ROWS = 2048
 
 
@@ -76,13 +76,8 @@ class Sample:
         return self.t.size
 
     def mean_covariates(self) -> np.ndarray:
-        """Sample average of each covariate column, ``z.mean(axis=0)`` bit
-        for bit: row by row down each column from +0.0, as numpy's axis-0
-        reduction sums, each block's cumsum running on from the total."""
-        total = np.zeros(self.d)
-        for lo in range(0, len(self), _BLOCK_ROWS):
-            total = np.cumsum(np.vstack((total, self.z[lo : lo + _BLOCK_ROWS])), axis=0)[-1]
-        return total / len(self)
+        """Sample average of each covariate column, ``z.mean(axis=0)``."""
+        return self.z.mean(axis=0)
 
 
 def _fmt(x: float) -> str:

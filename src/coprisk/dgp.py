@@ -249,10 +249,9 @@ def conditional_copula_inverse(model: CopulaModel, s1, v2):
     2006, An Introduction to Copulas, secs. 2.9 and 4.3).  Clayton and Frank
     invert in closed form (Clayton theta = -1 is the counter-monotone edge
     with the point-mass conditional s2 = 1 - s1); Gumbel takes a few Newton
-    steps on its conditional equation; independence returns v2.  Every
-    input must lie strictly inside (0, 1).  Accepts scalars or arrays; a
-    scalar runs as a 1-element array, so it gets the bits of the same
-    element in an array call.
+    steps on its conditional equation.  Every input must lie strictly inside
+    (0, 1).  Accepts scalars or arrays; a scalar runs as a 1-element array,
+    so it gets the bits of the same element in an array call.
     """
     s1 = np.asarray(s1, dtype=float)
     v2 = np.asarray(v2, dtype=float)
@@ -264,9 +263,7 @@ def conditional_copula_inverse(model: CopulaModel, s1, v2):
     # numpy's scalar power differs from its array loop in the last bit
     s1, v2 = np.atleast_1d(s1, v2)
     fam, theta = model.family, model.theta
-    if fam is CopulaFamily.INDEPENDENCE:
-        out = np.broadcast_to(v2, np.broadcast(s1, v2).shape).copy()
-    elif fam is CopulaFamily.CLAYTON:
+    if fam is CopulaFamily.CLAYTON:
         if theta == -1.0:
             out = 1.0 - s1 + 0.0 * v2  # broadcast; v2 is irrelevant at the edge
         else:

@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .copula import CopulaFamily, _check_solvable, _solve_ratio
+from .copula import CopulaFamily, _solve_ratio
 from .data import Sample
 from .dgp import DgpConfig, simulate
 from .kernel import AllPointsExcludedError, KernelSpec, _surface_rows
@@ -231,11 +231,10 @@ def theta_series(
     Resolves the grid against ``sample``, estimates the (G, 4) kernel
     surface along it and solves that array under the grid's trim window
     with solve_surface; the returned series carries the surface it solved.
-    A family without a dependence parameter raises ValueError before the
-    kernel runs; AllPointsExcludedError means the kernel window at the
-    evaluation point is empty or nothing survives definedness and trimming.
+    AllPointsExcludedError means the kernel window at the evaluation point
+    is empty or nothing survives definedness and trimming; a family that is
+    no CopulaFamily member raises ValueError in the solve, after the kernel.
     """
-    _check_solvable(family)
     t, z = grid.resolve(sample)
     surface, _ = _surface_rows(sample, spec, t, z)
     return solve_surface(t, surface, family, grid.trim_lo, grid.trim_hi)

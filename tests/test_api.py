@@ -45,6 +45,10 @@ def test_package_exports_exactly_the_public_names():
     assert len(set(coprisk.__all__)) == len(coprisk.__all__)
 
 
+def test_copula_families_are_exactly_the_three_with_a_parameter():
+    assert [f.value for f in coprisk.CopulaFamily] == ["clayton", "gumbel", "frank"]
+
+
 def test_every_name_in_every_all_resolves():
     modules = [coprisk, *(importlib.import_module(f"coprisk.{name}") for name in SUBMODULES)]
     for module in modules:

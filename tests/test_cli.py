@@ -595,18 +595,23 @@ def test_overflowing_kernel_weights_exit_3(tmp_path, capsys):
 
 def test_a_bandwidth_count_unlike_the_datasets_exits_2(tmp_path, capsys):
     # one value is h,h: two bandwidths for a file with three covariates, and
-    # three given for a file with two; either is refused before estimation
+    # three given for a file with two; either is refused before estimation,
+    # and the message says when one typed value stood for two
     wide, narrow = tmp_path / "wide.csv", tmp_path / "narrow.csv"
     write_dataset_csv(Sample([1.0, 2.0, 1.5], [1, 2, 1], [[0.1, 0.2, 0.3], [0.0, 0.1, 0.2], [-0.1, 0.0, 0.1]]), wide)
     write_dataset_csv(Sample([1.0, 2.0, 1.5], [1, 2, 1], [[0.1, 0.2], [0.0, 0.1], [-0.1, 0.0]]), narrow)
-    refused = [(wide, "0.8", "2 values for the 3 covariates"), (narrow, "0.8,0.8,0.8", "3 values for the 2 covariates")]
-    for data, bandwidth, counts in refused:
-        out = tmp_path / f"run-{data.stem}"
+    refused = [
+        (wide, "0.8", "2 values for the 3 covariates", " (one value stands for two)"),
+        (wide, "0.8,0.9", "2 values for the 3 covariates", ""),
+        (narrow, "0.8,0.8,0.8", "3 values for the 2 covariates", ""),
+    ]
+    for i, (data, bandwidth, counts, shared) in enumerate(refused):
+        out = tmp_path / f"run-{i}"
         code, printed, err = run_cli(
             ["estimate", "--data", str(data), "--bandwidth", bandwidth, "--out", str(out)], capsys
         )
         assert (code, printed) == (2, "")
-        assert err == f"error: config: bandwidth: {counts} in {data}\n"
+        assert err == f"error: config: bandwidth: {counts} in {data}{shared}\n"
         assert list(out.iterdir()) == []
 
 

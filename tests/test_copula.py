@@ -51,7 +51,6 @@ from coprisk.copula import (
 CLAYTON = CopulaFamily.CLAYTON
 GUMBEL = CopulaFamily.GUMBEL
 FRANK = CopulaFamily.FRANK
-INDEP = CopulaFamily.INDEPENDENCE
 
 # mpmath 50-digit references
 CLAYTON_HALF_PHI = 0.82842712474619010
@@ -132,7 +131,7 @@ def _ratio(model, pi):
 
 
 def test_generator_at_one_is_zero():
-    for fam, th in [(CLAYTON, 0.5), (GUMBEL, 2.0), (FRANK, 1.0), (INDEP, None)]:
+    for fam, th in [(CLAYTON, 0.5), (GUMBEL, 2.0), (FRANK, 1.0)]:
         assert _phi(fam, th, 1.0) == 0.0
 
 
@@ -165,9 +164,9 @@ def test_derivatives_match_runtime_finite_differences(family, theta):
     np.testing.assert_allclose(d2phi, d2, rtol=1e-5)
 
 
-@pytest.mark.parametrize("family", [CLAYTON, GUMBEL, FRANK, INDEP])
+@pytest.mark.parametrize("family", [CLAYTON, GUMBEL, FRANK])
 def test_generator_shape(family):
-    theta = {CLAYTON: 0.7, GUMBEL: 1.8, FRANK: -2.0, INDEP: None}[family]
+    theta = {CLAYTON: 0.7, GUMBEL: 1.8, FRANK: -2.0}[family]
     phi, dphi, d2phi = _generator(CopulaModel(family, theta), np.linspace(0.01, 0.99, 25))
     assert np.all(phi > 0.0)
     assert np.all(dphi < 0.0)
@@ -191,7 +190,7 @@ def test_generator_decreasing_convex_clayton_edge(s):
 
 def test_inverse_at_zero_is_one():
     # phi(1) = 0, so C(1, 1) is phi_inv(0)
-    for fam, th in [(CLAYTON, 0.5), (CLAYTON, -0.5), (GUMBEL, 2.0), (FRANK, 3.0), (INDEP, None)]:
+    for fam, th in [(CLAYTON, 0.5), (CLAYTON, -0.5), (GUMBEL, 2.0), (FRANK, 3.0)]:
         assert _joint(CopulaModel(fam, th), 1.0, 1.0) == 1.0
 
 
@@ -215,18 +214,13 @@ def test_generator_round_trip(family, data, s):
     assert _joint(model, s, 1.0) == pytest.approx(s, abs=1e-10)
 
 
-def test_round_trip_independence():
-    s = np.array([1e-4, 0.3, 0.99, 1.0])
-    np.testing.assert_allclose(_joint(CopulaModel(INDEP), s, 1.0), s, rtol=0.0, atol=1e-12)
-
-
 # ----------------------------------------------------------------------
 # joint survival
 # ----------------------------------------------------------------------
 
 
 def test_joint_survival_unit_margin_is_identity():
-    for fam, th in [(CLAYTON, 0.5), (GUMBEL, 2.0), (FRANK, -3.0), (INDEP, None)]:
+    for fam, th in [(CLAYTON, 0.5), (GUMBEL, 2.0), (FRANK, -3.0)]:
         model = CopulaModel(fam, th)
         assert _joint(model, 1.0, 0.7) == pytest.approx(0.7, abs=1e-12)
         assert _joint(model, 0.7, 1.0) == pytest.approx(0.7, abs=1e-12)
@@ -274,23 +268,19 @@ def test_joint_survival_frechet_bounds(family, data, s1, s2):
 
 def _ratio_closed_form(model, pi):
     """phi''/phi' per family: Clayton -(theta+1)/pi, Gumbel
-    -(1 + (theta-1)/(-log pi))/pi, Frank theta/(e^(-theta*pi) - 1) and
-    independence -1/pi."""
+    -(1 + (theta-1)/(-log pi))/pi and Frank theta/(e^(-theta*pi) - 1)."""
     fam, th = model.family, model.theta
     if fam is CLAYTON:
         return -(th + 1.0) / pi
     if fam is GUMBEL:
         return -(1.0 + (th - 1.0) / (-np.log(pi))) / pi
-    if fam is FRANK:
-        return _curvature(th, pi)  # the curvature the Frank halvings evaluate
-    return -1.0 / pi
+    return _curvature(th, pi)  # the curvature the Frank halvings evaluate
 
 
 def test_ratio_closed_forms_against_frozen_fd():
     assert _ratio(CopulaModel(CLAYTON, 0.5), 0.5) == -3.0
     assert _ratio(CopulaModel(GUMBEL, 2.0), 0.5) == pytest.approx(GUMBEL2_RATIO_HALF_FD, rel=1e-6)
     assert _ratio(CopulaModel(FRANK, 1.0), 0.5) == pytest.approx(FRANK1_RATIO_HALF_FD, rel=1e-6)
-    assert _ratio(CopulaModel(INDEP), 0.25) == -4.0
 
 
 @pytest.mark.parametrize("family", [CLAYTON, GUMBEL, FRANK])
@@ -530,7 +520,6 @@ def test_frank_zero_at_a_bracket_end_returns_that_end():
 def test_tau_closed_forms():
     assert kendalls_tau(CopulaModel(CLAYTON, 0.5)) == pytest.approx(0.2, abs=1e-15)
     assert kendalls_tau(CopulaModel(GUMBEL, 2.0)) == 0.5
-    assert kendalls_tau(CopulaModel(INDEP)) == 0.0
 
 
 def test_frank_tau_against_frozen_quadrature():
@@ -638,8 +627,6 @@ def test_ordering_condition_rejects_bad_input():
         check_ordering_condition(CLAYTON, 2.0, 0.5, [0.5, 0.4])  # not increasing
     with pytest.raises(ValueError):
         check_ordering_condition(CLAYTON, 2.0, 0.5, [0.0, 0.5])  # touches 0
-    with pytest.raises(ValueError):
-        check_ordering_condition(INDEP, 1.0, 0.0, grid)
 
 
 # ----------------------------------------------------------------------
@@ -667,10 +654,7 @@ def test_model_domain_rejections():
         CopulaModel(CLAYTON, math.nan)
     with pytest.raises(ValueError):
         CopulaModel(CLAYTON, math.inf)
-    with pytest.raises(ValueError):
-        CopulaModel(INDEP, 1.0)
     CopulaModel(CLAYTON, -1.0)  # closed edge is legal
-    CopulaModel(INDEP)
 
 
 def test_argument_domain_rejections():
@@ -679,5 +663,3 @@ def test_argument_domain_rejections():
             theta_from_ratio(CLAYTON, bad, 1.0)
     with pytest.raises(ValueError):
         theta_from_ratio(CLAYTON, 0.5, math.inf)
-    with pytest.raises(ValueError):
-        theta_from_ratio(INDEP, 0.5, 1.0)

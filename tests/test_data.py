@@ -48,8 +48,8 @@ def test_sample_mean_covariates():
 
 @pytest.mark.parametrize("n", [_BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 3 * _BLOCK_ROWS + 5])
 def test_blocked_mean_is_one_pass_bit_for_bit(n):
-    # each block's cumulative sum runs on from the total of the blocks before
-    # it: the additions of one pass down each column, signs of zero included
+    # the mean of the column store is numpy's mean of the array it was given,
+    # at the writer's block edges and with signs of zero included
     rng = np.random.default_rng(n)
     z = np.column_stack([rng.normal(size=n) * 1e3, rng.normal(size=n) * 1e-3, np.full(n, -0.0)])
     zbar = Sample(np.ones(n), np.ones(n, dtype=np.int64), z).mean_covariates()

@@ -196,7 +196,6 @@ def test_conditional_inverse_matches_bisection_oracle(model):
 
 
 ALL_FAMILIES = [
-    CopulaModel(CopulaFamily.INDEPENDENCE),
     CopulaModel(CopulaFamily.CLAYTON, 0.5),
     CopulaModel(CopulaFamily.CLAYTON, -1.0),
     CopulaModel(CopulaFamily.GUMBEL, 1.25),
@@ -234,11 +233,6 @@ def test_conditional_inverse_near_independence_matches_v2():
     for s1 in (0.1, 0.5, 0.9):
         for v2 in (0.05, 0.4, 0.95):
             assert conditional_copula_inverse(model, s1, v2) == pytest.approx(v2, abs=1e-5)
-
-
-def test_conditional_inverse_independence_returns_v2():
-    model = CopulaModel(CopulaFamily.INDEPENDENCE)
-    assert conditional_copula_inverse(model, 0.37, 0.81) == 0.81
 
 
 def test_conditional_inverse_countermonotone_edge():
@@ -704,12 +698,6 @@ def test_bisection_families_sample_at_their_population_tau(model):
     assert abs(tau_hat - kendalls_tau(model)) < 0.02
 
 
-def test_independence_family_samples_near_zero_tau():
-    cfg = DgpConfig(copula=CopulaModel(CopulaFamily.INDEPENDENCE), n=20_000, seed=7)
-    lat = simulate_latent(cfg)
-    assert abs(kendalltau(lat.s1, lat.s2).statistic) < 0.02
-
-
 # ----------------------------------------------------------------------
 # observed sample
 # ----------------------------------------------------------------------
@@ -1089,20 +1077,6 @@ def test_oracle_surface_matches_clayton_closed_form(theta):
         closed = _clayton_closed_form(cfg, t_grid, z)
         np.testing.assert_array_equal(generic == 0.0, closed == 0.0)
         np.testing.assert_allclose(generic, closed, rtol=1e-13, atol=0.0)
-
-
-def test_oracle_surface_under_independence_is_the_product_of_the_margins():
-    cfg = DgpConfig(copula=CopulaModel(CopulaFamily.INDEPENDENCE), n=10, seed=1)
-    m1, m2 = cfg.marginals
-    t_grid = np.linspace(0.05, 5.0, 50)
-    z = (0.4, -0.3)
-    s1, s2 = m1.survival(t_grid, z[0]), m2.survival(t_grid, z[1])
-    ds1, ds2 = m1.survival_dz(t_grid, z[0]), m2.survival_dz(t_grid, z[1])
-    pi, dpi1, dpi2, d2pi = oracle_surface(cfg, t_grid, z).T
-    np.testing.assert_allclose(pi, s1 * s2, rtol=1e-14, atol=0.0)
-    np.testing.assert_allclose(dpi1, ds1 * s2, rtol=1e-14, atol=0.0)
-    np.testing.assert_allclose(dpi2, s1 * ds2, rtol=1e-14, atol=0.0)
-    np.testing.assert_allclose(d2pi, ds1 * ds2, rtol=1e-14, atol=0.0)
 
 
 def test_oracle_surface_negative_theta_derivatives_and_zero_region():

@@ -378,21 +378,22 @@ def test_empty_covariate_neighborhood_excludes_everything():
         theta_series(sample, KernelSpec(bandwidths=(0.3, 0.3)), grid, CopulaFamily.CLAYTON)
 
 
-def test_family_without_dependence_parameter_rejected():
-    with pytest.raises(ValueError, match="no dependence parameter") as given:
-        _series_from([_clayton_surface(0.5)], family=CopulaFamily.INDEPENDENCE)
-    # the sample route meets the same gate, in the solve both routes share
+def test_a_family_outside_copula_family_raises_value_error():
+    # a family's name is no member: CopulaModel("clayton", 0.5) once passed,
+    # simulated a Frank sample and gave a Kendall tau of 0
     sample = simulate(default_config(2000, seed=77_000))
-    with pytest.raises(ValueError) as estimated:
-        theta_series(sample, KernelSpec((0.9, 0.9)), GridSpec(n_points=30), CopulaFamily.INDEPENDENCE)
-    assert str(estimated.value) == str(given.value)
-    # the gate comes before the kernel: an empty window at z changes nothing
-    small, far = simulate(default_config(50, seed=77_001)), GridSpec(n_points=30, z_eval=(50.0, 50.0))
-    with pytest.raises(ValueError) as empty_window:
-        theta_series(small, KernelSpec((0.9, 0.9)), far, CopulaFamily.INDEPENDENCE)
-    assert str(empty_window.value) == str(given.value)
-    with pytest.raises(AllPointsExcludedError):  # a family with a parameter meets the empty window
-        theta_series(small, KernelSpec((0.9, 0.9)), far, CopulaFamily.CLAYTON)
+    routes = [
+        lambda family: CopulaModel(family, 0.5),
+        lambda family: _series_from([_clayton_surface(0.5)], family=family),
+        lambda family: theta_series(sample, KernelSpec((0.9, 0.9)), GridSpec(n_points=30), family),
+        lambda family: theta_from_ratio(family, 0.5, 3.0),
+        lambda family: coprisk.check_ordering_condition(family, 2.0, 0.5, np.linspace(0.01, 0.99, 50)),
+        lambda family: coprisk.theta_for_tau(family, 0.2),
+    ]
+    for route in routes:
+        for family in ("clayton", "frank"):
+            with pytest.raises(ValueError, match=f"family must be a CopulaFamily, got '{family}'"):
+                route(family)
 
 
 def test_surface_count_must_match_grid():
