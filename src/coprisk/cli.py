@@ -33,6 +33,7 @@ from .estimator import (
     AllPointsExcludedError,
     GridSpec,
     _DegenerateRangeError,
+    _WorkerDied,
     monte_carlo,
     solve_surface,
     theta_series,
@@ -377,13 +378,11 @@ def _cmd_montecarlo(settings, out_dir, threads):
     dgp = _dgp_config(settings)
     spec = KernelSpec(bandwidths=settings["bandwidth"])
     grid = _grid_spec(settings)
-    from concurrent.futures.process import BrokenProcessPool  # loads multiprocessing: only a study needs it
-
     try:
         summary = monte_carlo(
             dgp, spec, grid, settings["family"], settings["replicates"], workers=threads
         )
-    except BrokenProcessPool as exc:  # a worker process died
+    except _WorkerDied as exc:
         raise EstimationFailure(str(exc)) from None
     _write_table(
         out_dir,
@@ -498,8 +497,9 @@ def _build_parser():
             )
     common.add_argument(
         "--threads",
-        help="montecarlo worker processes, at most one per CPU and replicate; other commands "
-        "start none (outputs do not depend on it)",
+        help="montecarlo worker processes, forked directly where os.fork exists and not on macOS, "
+        "at most one per CPU and replicate; replicate r goes to worker r mod their count, and a "
+        "worker's death exits 3; other commands start none (outputs do not depend on it)",
     )
     common.add_argument("--out", help="output directory (default: current directory)")
 

@@ -12,9 +12,10 @@ import gc
 import hashlib
 import json
 import os
+import signal
 import subprocess
 import sys
-from concurrent.futures.process import BrokenProcessPool
+import time
 from pathlib import Path
 
 import numpy as np
@@ -881,7 +882,7 @@ import json, sys
 sys.modules["scipy"] = None
 
 def pool_modules():
-    return sorted(name for name in sys.modules if name.startswith("multiprocessing"))
+    return sorted(name for name in sys.modules if name.startswith(("multiprocessing", "concurrent.futures")))
 
 out = sys.argv[1]
 report = {}
@@ -907,6 +908,11 @@ for args in (
      "--out", out + "/frank_mc"],
 ):
     assert coprisk.cli.main(args) == 0, args
+assert coprisk.cli.main([
+    "montecarlo", "--family", "gumbel", "--tau", "0.2", "--n", "400", "--replicates", "3",
+    "--bandwidth", "0.9", "--grid-points", "40", "--seed", "1", "--threads", "2", "--out", out + "/gumbel_mc",
+]) == 0
+report["all_commands_pool"] = pool_modules()
 from coprisk.copula import CopulaFamily, theta_for_tau, theta_from_ratio
 report["frank_ratio"] = theta_from_ratio(CopulaFamily.FRANK, 0.4, 2.9).theta
 report["frank_tau"] = theta_for_tau(CopulaFamily.FRANK, 0.2)
@@ -930,9 +936,10 @@ def test_cold_import_loads_no_scipy(tmp_path):
     report = json.loads(result.stdout.splitlines()[-1])
     # every command ran with scipy blocked, Frank tau conversions included
     assert report["scipy"] == []
-    # only a Monte Carlo study with more than one worker starts a process pool
+    # no command loads a process pool: a study on two workers forks them itself
     assert report["import_pool"] == []
     assert report["clayton_gumbel_pool"] == []
+    assert report["all_commands_pool"] == []
     # bisection of the series tau curve down to adjacent doubles, and 64
     # halvings of the curvature bracket
     assert report["frank_tau"] == 1.8608837808585954
@@ -992,16 +999,46 @@ def test_no_temp_files_left_behind(tmp_path, capsys):
     assert leftovers == []
 
 
-def test_broken_worker_pool_exits_3(tmp_path, capsys, monkeypatch):
-    def broken(*args, **kwargs):
-        raise BrokenProcessPool("a process in the process pool was terminated abruptly")
+# what a forked worker does in place of a replicate, the exit code and the
+# one stderr line that follow
+_WORKER_FAILURES = {
+    "memory_error": (
+        2,
+        "error: config: Unable to allocate 7.28 TiB for an array; lower --n, --grid-points or --replicates\n",
+    ),
+    "value_error": (3, "error: estimation: t_grid must be finite\n"),
+    "exit_9": (3, "error: estimation: a worker process died (exit status 9)\n"),
+    "interrupt": (130, "error: interrupted\n"),
+}
 
-    monkeypatch.setattr(coprisk.cli, "monte_carlo", broken)
+
+@pytest.mark.skipif(not hasattr(os, "fork") or sys.platform == "darwin", reason="a study forks no worker here")
+@pytest.mark.parametrize("failure", sorted(_WORKER_FAILURES))
+def test_worker_failure_exits_with_one_line_and_no_child_left(failure, tmp_path, capsys, monkeypatch):
+    parent = os.getpid()
+
+    def failing_job(args):
+        # forked children inherit this patch; the parent must run no replicate
+        assert os.getpid() != parent, "the parent ran a replicate"
+        if failure == "memory_error":
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+        if failure == "value_error":
+            raise ValueError("t_grid must be finite")
+        if failure == "exit_9":
+            os._exit(9)
+        if args[0].seed == 1:  # replicate 0's worker interrupts the parent once
+            os.kill(parent, signal.SIGINT)
+        time.sleep(60)  # every worker is still running when the interrupt lands
+
+    monkeypatch.setattr(coprisk.estimator, "_replicate_job", failing_job)
+    # two workers on any host that forks
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     out = tmp_path / "run"
-    code, _, err = run_cli(["montecarlo", *MC, "--out", str(out)], capsys)
-    assert code == 3
-    assert err.startswith("error: estimation:") and "terminated abruptly" in err
-    assert err.count("\n") == 1
+    code, _, err = run_cli(["montecarlo", *MC, "--threads", "2", "--out", str(out)], capsys)
+    assert (code, err) == _WORKER_FAILURES[failure]
+    with pytest.raises(ChildProcessError):  # every worker was reaped
+        os.waitpid(-1, os.WNOHANG)
     assert [p.name for p in out.iterdir() if ".tmp" in p.name] == []
 
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -41,8 +42,6 @@ from coprisk.dgp import default_config, oracle_surface, simulate
 from coprisk.estimator import (
     AllPointsExcludedError,
     GridSpec,
-    McSummary,
-    ThetaSeries,
     _percentiles,
     _replicate_job,
     _summarize,
@@ -516,9 +515,13 @@ def test_replicate_seed_wraps_at_word_boundary():
     _check_replicates(dgp, 2, [2**64 - 1, 0])
 
 
-def test_worker_count_does_not_change_results():
+def test_worker_count_does_not_change_results(monkeypatch):
+    # two workers on any host: at 3 and 5 replicates they get unequal shares
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     dgp, _, _ = _small_design()
-    _check_replicates(dgp, 4, [dgp.seed + r for r in range(4)])
+    for replicates in (3, 4, 5):
+        _check_replicates(dgp, replicates, [dgp.seed + r for r in range(replicates)])
 
 
 @pytest.mark.parametrize("kwargs", [{"replicates": 0}, {"replicates": -1}, {"workers": 0}])
@@ -660,7 +663,9 @@ def test_monte_carlo_untrimmed_equals_a_study_without_window():
 
 
 def test_worker_count_is_capped_by_replicates_and_cpus(monkeypatch):
-    # resolves the pool size only: no process is started
+    # resolves the worker count only: no process is started
+    monkeypatch.setattr(sys, "platform", "linux")  # a platform that forks
+
     def host(cpus, allowed):
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         if allowed is None:  # a platform without affinity masks
@@ -681,6 +686,12 @@ def test_worker_count_is_capped_by_replicates_and_cpus(monkeypatch):
     assert _worker_count(8, 8) == 1
     host(64, 2)  # a process pinned to 2 of the host's 64 CPUs
     assert _worker_count(8, 50) == 2
+    # one process where the study should not fork, or cannot
+    monkeypatch.setattr(sys, "platform", "darwin")
+    assert _worker_count(8, 50) == 1
+    monkeypatch.setattr(sys, "platform", "linux")
+    monkeypatch.delattr(os, "fork")
+    assert _worker_count(8, 50) == 1
 
 
 def test_theta_series_carries_its_surface():
