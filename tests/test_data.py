@@ -44,13 +44,17 @@ def test_sample_mean_covariates():
     z = np.array([[-0.0, -0.0], [-0.0, 1.0], [-0.0, -0.0]])
     zbar = Sample([1.0, 2.0, 3.0], [1, 1, 2], z).mean_covariates()
     assert np.array_equal(zbar, z.mean(axis=0)) and not np.signbit(zbar).any()
-    # larger samples, with columns of very different scales: bit for bit
-    for n in (1, 8191, 8192, 24581):
-        rng = np.random.default_rng(n)
-        z = np.column_stack([rng.normal(size=n) * 1e3, rng.normal(size=n) * 1e-3, np.full(n, -0.0)])
-        zbar = Sample(np.ones(n), np.ones(n, dtype=np.int64), z).mean_covariates()
-        assert np.array_equal(zbar, z.mean(axis=0))
-        assert np.array_equal(np.signbit(zbar), np.signbit(z.mean(axis=0)))
+
+
+@pytest.mark.parametrize("n", [_BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 3 * _BLOCK_ROWS + 5])
+def test_blocked_mean_is_one_pass_bit_for_bit(n):
+    # the mean of the column store is numpy's mean of the array it was given,
+    # at the writer's block edges and with signs of zero included
+    rng = np.random.default_rng(n)
+    z = np.column_stack([rng.normal(size=n) * 1e3, rng.normal(size=n) * 1e-3, np.full(n, -0.0)])
+    zbar = Sample(np.ones(n), np.ones(n, dtype=np.int64), z).mean_covariates()
+    assert np.array_equal(zbar, z.mean(axis=0))
+    assert np.array_equal(np.signbit(zbar), np.signbit(z.mean(axis=0)))
 
 
 def test_sample_arrays_are_read_only():
