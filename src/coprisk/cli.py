@@ -27,13 +27,21 @@ import numpy as np
 
 from . import __version__
 from .copula import CopulaFamily, _d2phi, _dphi, _solve_ratio, theta_for_tau
-from .data import _fmt, _write_csv, read_dataset_csv, write_dataset_csv
+from ._fork import _WorkerDied
+from .data import (
+    _SPLIT_MIN_ROWS,
+    _fmt,
+    _split_row,
+    _write_csv,
+    _write_dataset_forked,
+    read_dataset_csv,
+    write_dataset_csv,
+)
 from .dgp import default_config, oracle_surface, simulate
 from .estimator import (
     AllPointsExcludedError,
     GridSpec,
     _DegenerateRangeError,
-    _WorkerDied,
     monte_carlo,
     solve_surface,
     theta_series,
@@ -317,6 +325,30 @@ def _write_table(out_dir, name, header, columns):
     return _atomic_write(out_dir, name, lambda path: _write_csv(path, header, columns))
 
 
+def _write_dataset(out_dir, sample, threads, estimate=lambda: None):
+    """Write dataset.csv and return ``estimate()``, run after the write or,
+    on a forked write (see data._split_row), while a child writes the tail
+    rows.  Either way dataset.csv is complete before an exception from the
+    estimate is raised."""
+    split = _split_row(len(sample), threads)
+    if split == len(sample):
+        _atomic_write(out_dir, "dataset.csv", lambda p: write_dataset_csv(sample, p))
+        return estimate()
+    outcome = []
+
+    def during():
+        try:
+            outcome.append((estimate(), None))
+        except Exception as exc:  # raised once dataset.csv is in place
+            outcome.append((None, exc))
+
+    _atomic_write(out_dir, "dataset.csv", lambda p: _write_dataset_forked(sample, p, split, during))
+    result, error = outcome[0]
+    if error is not None:
+        raise error
+    return result
+
+
 def _write_manifest(out_dir, command, settings):
     if command == "oracle-check":  # it reads the family alone
         keys = ["family"]
@@ -340,17 +372,17 @@ def _write_manifest(out_dir, command, settings):
 # ---------------------------------------------------------------------------
 
 
-def _cmd_simulate(settings, out_dir):
+def _cmd_simulate(settings, out_dir, threads):
     dgp = _dgp_config(settings)
-    sample = simulate(dgp)
-    path = _atomic_write(out_dir, "dataset.csv", lambda p: write_dataset_csv(sample, p))
+    _write_dataset(out_dir, simulate(dgp), threads)
     _write_manifest(out_dir, "simulate", settings)
-    print(f"dataset={path} n={dgp.n}")
+    print(f"dataset={os.path.join(out_dir, 'dataset.csv')} n={dgp.n}")
     return 0
 
 
-def _cmd_estimate(settings, out_dir):
+def _cmd_estimate(settings, out_dir, threads):
     spec = KernelSpec(bandwidths=settings["bandwidth"])
+    grid, family = _grid_spec(settings), settings["family"]
     if settings["data"]:
         try:
             sample = read_dataset_csv(settings["data"])
@@ -361,10 +393,10 @@ def _cmd_estimate(settings, out_dir):
             shared = " (one value stands for two)" if h == h[:1] * 2 else ""  # as _parse_bandwidth expands it
             counts = f"{spec.d} values for the {sample.d} covariates"
             raise ConfigError(f"bandwidth: {counts} in {settings['data']}{shared}")
+        series = theta_series(sample, spec, grid, family)
     else:
         sample = simulate(_dgp_config(settings))
-        _atomic_write(out_dir, "dataset.csv", lambda p: write_dataset_csv(sample, p))
-    series = theta_series(sample, spec, _grid_spec(settings), settings["family"])
+        series = _write_dataset(out_dir, sample, threads, lambda: theta_series(sample, spec, grid, family))
     _write_table(out_dir, "surface.csv", ["t", "pi", "dpi1", "dpi2", "d2pi"], [series.t, *series.surface.T])
     _write_table(
         out_dir, "theta_series.csv", ["t", "theta", "included"], [series.t, series.theta_pointwise, series.included]
@@ -378,12 +410,7 @@ def _cmd_montecarlo(settings, out_dir, threads):
     dgp = _dgp_config(settings)
     spec = KernelSpec(bandwidths=settings["bandwidth"])
     grid = _grid_spec(settings)
-    try:
-        summary = monte_carlo(
-            dgp, spec, grid, settings["family"], settings["replicates"], workers=threads
-        )
-    except _WorkerDied as exc:
-        raise EstimationFailure(str(exc)) from None
+    summary = monte_carlo(dgp, spec, grid, settings["family"], settings["replicates"], workers=threads)
     _write_table(
         out_dir,
         "mc_replicates.csv",
@@ -413,14 +440,15 @@ _CHECK_THETAS = {
 }
 
 
-def _cmd_oracle_check(settings, out_dir):
+def _cmd_oracle_check(settings, out_dir, threads):
     """Invert the curvature ratio back to the parameter it came from.
 
     For each check parameter of the family, sweeps survival levels through
     one array solve, then solves the exact surface at three covariate points
     with solve_surface, the solve step every estimate takes.  Prints the
     worst absolute error; a point that solves to no finite parameter is an
-    estimation failure.  Reads and records only the family.  The
+    estimation failure.  Reads and records only the family, and forks
+    nothing whatever ``threads`` is.  The
     durations keep every level in [0.037, 0.96]; on [0.4, 3.0] Frank theta
     = -12 falls to 3.6e-6 and errs by 1.7e-10, the bound the rounding of its
     curvature sets on the root.
@@ -454,11 +482,11 @@ def _cmd_oracle_check(settings, out_dir):
     return 0
 
 
-# montecarlo, the only command that starts processes, is called with the
-# worker count in main
+# each is called with the settings, the output directory and --threads
 _COMMANDS = {
     "simulate": _cmd_simulate,
     "estimate": _cmd_estimate,
+    "montecarlo": _cmd_montecarlo,
     "oracle-check": _cmd_oracle_check,
 }
 
@@ -497,9 +525,11 @@ def _build_parser():
             )
     common.add_argument(
         "--threads",
-        help="montecarlo worker processes, forked directly where os.fork exists and not on macOS, "
-        "at most one per CPU and replicate; replicate r goes to worker r mod their count, and a "
-        "worker's death exits 3; other commands start none (outputs do not depend on it)",
+        help="processes to fork, where os.fork exists and not on macOS, at most one per CPU: "
+        "montecarlo's workers, one per replicate at most, replicate r going to worker r mod their "
+        "count; with 2 or more, simulate and estimate without --data write a dataset of "
+        f"{_SPLIT_MIN_ROWS:,} rows or more in two processes; 1 forks nothing, and a forked "
+        "process's death exits 3 (outputs do not depend on it)",
     )
     common.add_argument("--out", help="output directory (default: current directory)")
 
@@ -528,9 +558,7 @@ def main(argv=None):
             os.makedirs(out_dir, exist_ok=True)
         except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
             raise ConfigError(f"out: {exc}") from None
-        if ns.command == "montecarlo":
-            return _cmd_montecarlo(settings, out_dir, threads)
-        return _COMMANDS[ns.command](settings, out_dir)
+        return _COMMANDS[ns.command](settings, out_dir, threads)
     except ConfigError as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return 2
@@ -538,7 +566,7 @@ def main(argv=None):
         print(f"error: estimation: {_degenerate_range_message(settings)}", file=sys.stderr)
         return 3
     # a ValueError here is a grid or surface the library rejects for a sample
-    except (AllPointsExcludedError, EstimationFailure, ValueError) as exc:
+    except (AllPointsExcludedError, EstimationFailure, _WorkerDied, ValueError) as exc:
         print(f"error: estimation: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

@@ -11,19 +11,30 @@ A float's text is ``repr``'s, byte for byte, but found for a whole block of
 values at once: a vectorised shortest round-trip formatter in long double,
 with ``repr`` itself for each value it cannot decide within its error bound.
 
-Working set: the writer works ``_BLOCK_ROWS`` rows at a time, so each
-temporary is block-sized, its columns under glibc's 128 KiB mmap threshold,
-and the heap reuses it block after block instead of mapping fresh pages.
-The one row-sized temporary is the percentiles' duration copy.
+A large dataset can be written on two CPUs (_write_dataset_forked): a child
+forked on the package's one fork-join path (_fork._forked) writes the tail
+rows to an anonymous memory file while the parent writes the head rows, and
+the parent appends the child's bytes.  A row's text does not depend on the
+rows around it, so the file is the one write_dataset_csv writes.
+
+Working set: the writer and the covariate mean work ``_BLOCK_ROWS`` rows at
+a time, so each temporary is block-sized, its columns under glibc's 128 KiB
+mmap threshold, and the heap reuses it block after block instead of mapping
+fresh pages.  A forked write holds the child's text, the tail rows' bytes,
+in memory until the parent appends it; its block temporaries live in the
+child.  The one row-sized temporary is the percentiles' duration copy.
 """
 
 from __future__ import annotations
 
 import functools
+import os
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
+
+from ._fork import _forked, _worker_count
 
 __all__ = ["Sample", "read_dataset_csv", "write_dataset_csv"]
 
@@ -76,8 +87,17 @@ class Sample:
         return self.t.size
 
     def mean_covariates(self) -> np.ndarray:
-        """Sample average of each covariate column, ``z.mean(axis=0)``."""
-        return self.z.mean(axis=0)
+        """Sample average of each covariate column, ``z.mean(axis=0)`` bit for
+        bit: numpy adds a C-ordered array's rows one after another from +0.0,
+        and so does this running cumulative sum, a block of rows at a time."""
+        n = len(self)
+        run = np.zeros((_BLOCK_ROWS + 1, self.d))  # row 0 carries the sum so far
+        for lo in range(0, n, _BLOCK_ROWS):
+            k = min(_BLOCK_ROWS, n - lo)
+            run[1 : k + 1] = self.z[lo : lo + k]
+            np.cumsum(run[: k + 1], axis=0, out=run[: k + 1])
+            run[0] = run[k]
+        return run[0] / n
 
 
 def _fmt(x: float) -> str:
@@ -309,8 +329,8 @@ def _text_cells(column) -> np.ndarray:
     return text.view(np.uint8).reshape(text.size, text.itemsize)
 
 
-def _write_csv(path, header, columns) -> None:
-    """Write a header row and equal-length columns with LF endings.
+def _write_rows(fh, columns) -> None:
+    """Write the rows of equal-length columns to a binary file.
 
     A float array becomes ``repr`` of each value, byte for byte: shortest
     round-trip decimals, found in bulk with a ``repr`` fallback (see
@@ -318,31 +338,98 @@ def _write_csv(path, header, columns) -> None:
     Each block of rows is laid out in one byte matrix, reused from block to
     block, of NUL-padded cells with their separators, and written with the
     NULs dropped, so that a large sample never exists as text all at once.
+    A row's text does not depend on the rows around it.
     """
     cells = np.empty((0, 0), dtype=np.uint8)
+    for lo in range(0, len(columns[0]), _BLOCK_ROWS):
+        block = [col[lo : lo + _BLOCK_ROWS] for col in columns]
+        text = [None if isinstance(c, np.ndarray) and c.dtype.kind == "f" else _text_cells(c) for c in block]
+        ends = np.cumsum([_FLOAT_CELL if c is None else 1 + c.shape[1] for c in text])
+        if cells.shape != (len(block[0]), ends[-1] + 1):
+            raw = bytearray(len(block[0]) * int(ends[-1] + 1))
+            cells = np.frombuffer(raw, dtype=np.uint8).reshape(len(block[0]), -1)
+            cells[:, -1] = ord("\n")
+        for col, txt, end in zip(block, text, ends):
+            if txt is None:
+                _float_cells(col, cells[:, end - _FLOAT_CELL : end])
+            else:
+                cells[:, end - txt.shape[1] : end] = txt
+        cells[:, ends[:-1]] = ord(",")  # each cell but the first starts with its separator
+        fh.write(raw.translate(None, b"\0"))
+
+
+def _write_csv(path, header, columns) -> None:
+    """Write a header row and equal-length columns with LF endings, each
+    row as _write_rows writes it."""
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
-        for lo in range(0, len(columns[0]), _BLOCK_ROWS):
-            block = [col[lo : lo + _BLOCK_ROWS] for col in columns]
-            text = [None if isinstance(c, np.ndarray) and c.dtype.kind == "f" else _text_cells(c) for c in block]
-            ends = np.cumsum([_FLOAT_CELL if c is None else 1 + c.shape[1] for c in text])
-            if cells.shape != (len(block[0]), ends[-1] + 1):
-                raw = bytearray(len(block[0]) * int(ends[-1] + 1))
-                cells = np.frombuffer(raw, dtype=np.uint8).reshape(len(block[0]), -1)
-                cells[:, -1] = ord("\n")
-            for col, txt, end in zip(block, text, ends):
-                if txt is None:
-                    _float_cells(col, cells[:, end - _FLOAT_CELL : end])
-                else:
-                    cells[:, end - txt.shape[1] : end] = txt
-            cells[:, ends[:-1]] = ord(",")  # each cell but the first starts with its separator
-            fh.write(raw.translate(None, b"\0"))
+        _write_rows(fh, columns)
+
+
+def _dataset_table(sample: Sample):
+    """The ``t,delta,z1,...`` header and columns of a sample."""
+    return ["t", "delta"] + [f"z{j + 1}" for j in range(sample.d)], [sample.t, sample.delta, *sample.z.T]
 
 
 def write_dataset_csv(sample: Sample, path) -> None:
     """Write a sample using the ``t,delta,z1,...`` schema with LF endings."""
-    header = ["t", "delta"] + [f"z{j + 1}" for j in range(sample.d)]
-    _write_csv(path, header, [sample.t, sample.delta, *sample.z.T])
+    _write_csv(path, *_dataset_table(sample))
+
+
+# Below this many rows a dataset is written in one process: the fork, the
+# child's exit and the join cost about as much as the second CPU saves.  A
+# fresh `coprisk simulate` on a 2-vCPU host broke even at 16,384 rows (12 of
+# 30 alternating pairs faster) and gained from 24,576 rows on (20 of 30).
+_SPLIT_MIN_ROWS = 20_000
+# The parent's share of the rows of a forked write, which it writes after the
+# work it runs meanwhile (an estimate's 14 ms at n = 100,000).  At 100,000
+# rows, share 0.5 (49,152 rows) had the parent reach the join within 0.1 ms
+# of the child's end; at 0.45 the parent waited 5-6 ms for the child, and at
+# 0.55 the parent finished last, 8-11 ms later than at 0.5.
+_HEAD_SHARE = 0.5
+
+
+def _split_row(n: int, workers: int) -> int:
+    """The row from which a forked child writes an n-row dataset, a block
+    boundary near ``_HEAD_SHARE`` of n; n, no child, below
+    ``_SPLIT_MIN_ROWS`` rows, on one worker (see _fork._worker_count) or
+    where there is no os.memfd_create."""
+    if n < _SPLIT_MIN_ROWS or not hasattr(os, "memfd_create") or _worker_count(workers, 2) < 2:
+        return n
+    return round(n * _HEAD_SHARE / _BLOCK_ROWS) * _BLOCK_ROWS
+
+
+def _write_tail(fd: int, columns) -> None:
+    """A forked writer's task: the rows of ``columns`` to the open file ``fd``."""
+    with open(fd, "wb", closefd=False) as fh:
+        _write_rows(fh, columns)
+
+
+def _write_dataset_forked(sample: Sample, path, split: int, during) -> None:
+    """Write a sample as write_dataset_csv does, in two processes.
+
+    A forked child writes rows [split, n) to an anonymous memory file while
+    this process calls ``during()`` and then writes the header and rows
+    [0, split) to ``path``; the child's bytes are appended once it is
+    joined.  An exception from the child or from ``during`` is raised here
+    with the child reaped, and killed first where it was still running.
+    """
+    header, columns = _dataset_table(sample)
+    _tables()  # built once, before the fork, not in both processes
+    tail = os.memfd_create("dataset-tail")
+    try:
+        with _forked([functools.partial(_write_tail, tail, [col[split:] for col in columns])]) as join:
+            during()
+            _write_csv(path, header, [col[:split] for col in columns])
+            join()
+        # not opened for appending: sendfile fails with EINVAL on such a file
+        with open(path, "r+b") as fh:
+            size, sent = os.fstat(tail).st_size, 0
+            fh.seek(0, os.SEEK_END)
+            while sent < size:
+                sent += os.sendfile(fh.fileno(), tail, sent, size - sent)
+    finally:
+        os.close(tail)
 
 
 def read_dataset_csv(path) -> Sample:

@@ -19,21 +19,20 @@ harness.  Replicates are independent jobs with derived seeds, each returning
 its average under the trim window and over the whole grid from one series;
 aggregation is keyed by replicate index, so both summaries are bitwise
 independent of worker count and scheduling.  With k > 1 workers the study
-forks k children and runs no replicate itself: child i runs replicates
-i, i + k, ... and sends their records back pickled through its own pipe.
+forks k children on the package's one fork-join path (_fork._forked) and
+runs no replicate itself: child i runs replicates i, i + k, ... and sends
+their records back pickled through its own pipe.
 """
 
 from __future__ import annotations
 
-import contextlib
+import functools
 import math
-import os
-import pickle
-import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._fork import _forked, _worker_count
 from .copula import CopulaFamily, _solve_ratio
 from .data import Sample
 from .dgp import DgpConfig, simulate
@@ -293,93 +292,9 @@ def _replicate_job(args) -> tuple[float, int, float, int]:
     return theta_hat, n_included, series.theta_hat, series.n_included
 
 
-def _worker_count(workers: int, replicates: int) -> int:
-    """Processes to fork: never more than replicates or the CPUs this process
-    may use (every worker starts at once), and 1 where os.fork is missing or
-    on macOS, whose system libraries are not fork-safe (CPython stopped
-    forking there by default)."""
-    if not hasattr(os, "fork") or sys.platform == "darwin":
-        return 1
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return min(workers, replicates, cpus or 1)
-
-
-class _WorkerDied(RuntimeError):
-    """A forked worker ended without sending its replicates' records."""
-
-
-def _worker(jobs, write_fd):
-    """A forked child's whole life: run ``jobs``, write their records (or the
-    exception one raised) pickled to ``write_fd``, and end with os._exit, so
-    it never unwinds into the caller's frames or runs the parent's exit
-    handlers.  Exit status 0 means the whole payload was written."""
-    code = 1
-    try:
-        try:
-            payload = pickle.dumps([_replicate_job(job) for job in jobs])
-        except BaseException as exc:  # whatever a job raises, the parent re-raises
-            try:
-                payload = pickle.dumps(exc)
-                pickle.loads(payload)  # some exceptions pickle but cannot be rebuilt
-            except Exception:
-                payload = pickle.dumps(RuntimeError(repr(exc)))
-        with open(write_fd, "wb") as pipe:
-            pipe.write(payload)
-        code = 0
-    finally:
-        os._exit(code)
-
-
-def _fork_join(jobs, n_workers: int) -> list:
-    """The records of ``jobs`` in order, from ``n_workers`` forked children:
-    child i runs jobs i, i + n_workers, ...  A worker's exception is raised
-    here with its own type, and a worker that ends without a result raises
-    _WorkerDied.  Every child is reaped before this returns or raises; on
-    any error, an interrupt included, the ones still running are killed."""
-    import signal  # only a forked study has workers to shield and kill
-
-    pids, pipes, results = [], [], []
-    try:
-        for i in range(n_workers):
-            read_fd, write_fd = os.pipe()
-            pipes.append(open(read_fd, "rb"))
-            # SIGINT stays blocked until the pid is recorded, so an interrupt
-            # cannot escape the kill below; the child keeps it blocked, as
-            # the parent kills it on an interrupt
-            mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    _worker(jobs[i::n_workers], write_fd)  # never returns
-                pids.append(pid)
-            finally:
-                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-                # no later child inherits this write end, so each pipe
-                # reaches EOF when its own child exits
-                os.close(write_fd)
-        for pid, pipe in zip(list(pids), pipes):
-            payload = pipe.read()
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            pids.remove(pid)
-            if code or not payload:
-                how = f"signal {-code}" if code < 0 else f"exit status {code}"
-                raise _WorkerDied(f"a worker process died ({how})")
-            result = pickle.loads(payload)  # bytes only _worker wrote
-            if isinstance(result, BaseException):
-                raise result
-            results.append(result)
-    finally:
-        for pid in pids:
-            # an interrupt between a reap and its removal leaves a reaped pid
-            with contextlib.suppress(ProcessLookupError, ChildProcessError):
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-        for pipe in pipes:
-            pipe.close()
-    records = [None] * len(jobs)
-    for i, result in enumerate(results):
-        records[i::n_workers] = result
-    return records
+def _replicates(jobs) -> list:
+    """The records of ``jobs``, one replicate after another: a worker's task."""
+    return [_replicate_job(job) for job in jobs]
 
 
 def _summarize(thetas, n_included) -> McSummary:
@@ -429,8 +344,13 @@ def monte_carlo(
     jobs = [(replace(dgp, seed=(dgp.seed + r) % 2**64), spec, grid, family) for r in range(replicates)]
     n_workers = _worker_count(workers, replicates)
     if n_workers == 1:
-        records = [_replicate_job(job) for job in jobs]
+        records = _replicates(jobs)
     else:
-        records = _fork_join(jobs, n_workers)
+        # worker i runs replicates i, i + n_workers, ...
+        with _forked([functools.partial(_replicates, jobs[i::n_workers]) for i in range(n_workers)]) as join:
+            shares = join()
+        records = [None] * len(jobs)
+        for i, share in enumerate(shares):
+            records[i::n_workers] = share
     thetas, n_included, whole_thetas, whole_n_included = zip(*records)
     return replace(_summarize(thetas, n_included), untrimmed=_summarize(whole_thetas, whole_n_included))

@@ -8,6 +8,7 @@ reproducibility (same settings, same bytes) is part of the contract.
 from __future__ import annotations
 
 import argparse
+import errno
 import gc
 import hashlib
 import json
@@ -23,6 +24,7 @@ import pytest
 
 import coprisk
 import coprisk.cli
+import coprisk.data
 import coprisk.estimator
 from coprisk.cli import main
 from coprisk.copula import CopulaFamily
@@ -912,6 +914,10 @@ assert coprisk.cli.main([
     "montecarlo", "--family", "gumbel", "--tau", "0.2", "--n", "400", "--replicates", "3",
     "--bandwidth", "0.9", "--grid-points", "40", "--seed", "1", "--threads", "2", "--out", out + "/gumbel_mc",
 ]) == 0
+assert coprisk.cli.main([
+    "estimate", "--n", "20000", "--seed", "4", "--bandwidth", "0.8", "--grid-points", "50", "--threads", "2",
+    "--out", out + "/split",
+]) == 0
 report["all_commands_pool"] = pool_modules()
 from coprisk.copula import CopulaFamily, theta_for_tau, theta_from_ratio
 report["frank_ratio"] = theta_from_ratio(CopulaFamily.FRANK, 0.4, 2.9).theta
@@ -936,7 +942,8 @@ def test_cold_import_loads_no_scipy(tmp_path):
     report = json.loads(result.stdout.splitlines()[-1])
     # every command ran with scipy blocked, Frank tau conversions included
     assert report["scipy"] == []
-    # no command loads a process pool: a study on two workers forks them itself
+    # no command loads a process pool: a study on two workers, and a dataset
+    # written on two, fork their children themselves
     assert report["import_pool"] == []
     assert report["clayton_gumbel_pool"] == []
     assert report["all_commands_pool"] == []
@@ -1040,6 +1047,100 @@ def test_worker_failure_exits_with_one_line_and_no_child_left(failure, tmp_path,
     with pytest.raises(ChildProcessError):  # every worker was reaped
         os.waitpid(-1, os.WNOHANG)
     assert [p.name for p in out.iterdir() if ".tmp" in p.name] == []
+
+
+_FORKS = not hasattr(os, "fork") or not hasattr(os, "memfd_create") or sys.platform == "darwin"
+# a sample large enough that two workers split its dataset.csv
+SPLIT = ["--n", str(coprisk.data._SPLIT_MIN_ROWS), "--seed", "4", "--bandwidth", "0.8", "--grid-points", "50"]
+
+
+def _two_cpus_counting_forks(monkeypatch):
+    """Two CPUs on any host, and the list of os.fork calls the parent made."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    forks, fork = [], os.fork
+
+    def counting_fork():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forks
+
+
+@pytest.mark.skipif(_FORKS, reason="a dataset is written in one process here")
+@pytest.mark.parametrize("command", ["simulate", "estimate"])
+def test_dataset_writes_do_not_depend_on_threads(command, tmp_path, capsys, monkeypatch):
+    forks = _two_cpus_counting_forks(monkeypatch)
+    outputs = {}
+    for threads, n_forks in (("1", 0), ("2", 1)):
+        out = tmp_path / threads
+        del forks[:]
+        code, stdout, err = run_cli([command, *SPLIT, "--threads", threads, "--out", str(out)], capsys)
+        assert (code, err, len(forks)) == (0, "", n_forks)
+        outputs[threads] = stdout.replace(str(out), "OUT"), {p.name: p.read_bytes() for p in out.iterdir()}
+    assert outputs["1"] == outputs["2"]
+    assert "dataset.csv" in outputs["1"][1]
+
+
+@pytest.mark.skipif(_FORKS, reason="a dataset is written in one process here")
+def test_a_failed_estimate_leaves_the_whole_dataset(tmp_path, capsys, monkeypatch):
+    # the trim window holds no grid point: exit 3 after the overlapped write
+    forks = _two_cpus_counting_forks(monkeypatch)
+    for threads in ("1", "2"):
+        code, _, err = run_cli(
+            ["estimate", *SPLIT, "--trim", "100:200", "--threads", threads, "--out", str(tmp_path / threads)], capsys
+        )
+        assert code == 3 and err.startswith("error: estimation: no grid point") and err.count("\n") == 1
+        assert sorted(p.name for p in (tmp_path / threads).iterdir()) == ["dataset.csv"]
+    assert len(forks) == 1
+    assert (tmp_path / "1" / "dataset.csv").read_bytes() == (tmp_path / "2" / "dataset.csv").read_bytes()
+
+
+# what the forked dataset writer does in place of its rows, the exit code and
+# the one stderr line that follow
+_WRITER_FAILURES = {
+    "memory_error": (
+        2,
+        "error: config: Unable to allocate 7.28 TiB for an array; lower --n, --grid-points or --replicates\n",
+    ),
+    "no_space": (2, "error: config: [Errno 28] No space left on device\n"),
+    "exit_9": (3, "error: estimation: a worker process died (exit status 9)\n"),
+    "interrupt": (130, "error: interrupted\n"),
+}
+
+
+@pytest.mark.skipif(_FORKS, reason="a dataset is written in one process here")
+@pytest.mark.parametrize("failure", sorted(_WRITER_FAILURES))
+def test_writer_failure_exits_with_one_line_and_no_child_left(failure, tmp_path, capsys, monkeypatch):
+    parent = os.getpid()
+    write_rows = coprisk.data._write_rows
+
+    def failing_rows(fh, columns):
+        if os.getpid() == parent:  # the parent's head rows
+            return write_rows(fh, columns)
+        if failure == "memory_error":
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+        if failure == "no_space":
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        if failure == "exit_9":
+            os._exit(9)
+        time.sleep(60)  # still writing when the interrupt lands
+
+    def interrupted_estimate(*args):
+        os.kill(parent, signal.SIGINT)  # during the overlapped estimate
+        time.sleep(60)
+
+    forks = _two_cpus_counting_forks(monkeypatch)
+    monkeypatch.setattr(coprisk.data, "_write_rows", failing_rows)
+    if failure == "interrupt":
+        monkeypatch.setattr(coprisk.cli, "theta_series", interrupted_estimate)
+    out = tmp_path / "run"
+    code, _, err = run_cli(["estimate", *SPLIT, "--threads", "2", "--out", str(out)], capsys)
+    assert (code, err, len(forks)) == (*_WRITER_FAILURES[failure], 1)
+    with pytest.raises(ChildProcessError):  # the writer was reaped
+        os.waitpid(-1, os.WNOHANG)
+    assert list(out.iterdir()) == []  # no temp file, and no dataset.csv
 
 
 def test_out_of_memory_exits_2_with_one_line(tmp_path, capsys, monkeypatch):

@@ -2,6 +2,8 @@
 
 import csv
 import hashlib
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -12,9 +14,13 @@ import coprisk.data
 from coprisk.copula import CopulaFamily
 from coprisk.data import (
     _BLOCK_ROWS,
+    _HEAD_SHARE,
+    _SPLIT_MIN_ROWS,
     Sample,
     _float_cells,
+    _split_row,
     _write_csv,
+    _write_dataset_forked,
     read_dataset_csv,
     write_dataset_csv,
 )
@@ -48,8 +54,8 @@ def test_sample_mean_covariates():
 
 @pytest.mark.parametrize("n", [_BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 3 * _BLOCK_ROWS + 5])
 def test_blocked_mean_is_one_pass_bit_for_bit(n):
-    # the mean of the column store is numpy's mean of the array it was given,
-    # at the writer's block edges and with signs of zero included
+    # the blocked running sum is numpy's mean of the array it was given, at
+    # the edges of its blocks and with signs of zero included
     rng = np.random.default_rng(n)
     z = np.column_stack([rng.normal(size=n) * 1e3, rng.normal(size=n) * 1e-3, np.full(n, -0.0)])
     zbar = Sample(np.ones(n), np.ones(n, dtype=np.int64), z).mean_covariates()
@@ -263,3 +269,57 @@ def test_csv_writer_formats_plain_sequences_value_by_value(tmp_path):
     path = tmp_path / "mixed.csv"
     _write_csv(path, ["name", "value"], [("mean", "n", "flag"), (np.float64(0.5), np.int64(3), True)])
     assert path.read_text() == "name,value\nmean,0.5\nn,3\nflag,1\n"
+
+
+# the split row of a 100,000-row dataset written on two CPUs
+_M = round(100_000 * _HEAD_SHARE / _BLOCK_ROWS) * _BLOCK_ROWS
+
+
+def _awkward_sample(n: int) -> Sample:
+    """n rows of integer causes and float columns that mix shortest decimals
+    with values that take the repr fallback: zeros of both signs,
+    subnormals, powers of two and extreme exponents."""
+    rng = np.random.default_rng(n)
+    special = np.array([0.0, -0.0, 5e-324, -(2.0**-1030), 2.0**-3, -4.0, 1e300, -1.7976931348623157e308, 1e-300])
+    z = rng.standard_normal((n, 3)) * 10.0 ** rng.uniform(-5, 5, (n, 3))
+    z[::3, 0] = np.resize(special, z[::3, 0].size)
+    z[1::4, 2] = np.resize(special[::-1], z[1::4, 2].size)
+    t = rng.exponential(1.0, n) + 1e-3
+    t[::5] = np.resize(np.array([0.5, 1.0, 2.0**-1074, 1e308, 1e16, 9.999999999999999e15]), t[::5].size)
+    return Sample(t, rng.integers(1, 3, n), z)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork") or not hasattr(os, "memfd_create"), reason="no forked write here")
+@pytest.mark.parametrize("n", [1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, _M - 1, _M, _M + 1, 2 * _BLOCK_ROWS + 1, 100_000])
+def test_forked_write_is_byte_identical(tmp_path, n):
+    sample = _awkward_sample(n)
+    one = tmp_path / "one.csv"
+    write_dataset_csv(sample, one)
+    # the rule's split, a child with every row, a child with none, and
+    # splits off the block boundaries
+    splits = {round(n * _HEAD_SHARE / _BLOCK_ROWS) * _BLOCK_ROWS, 0, n, n // 2, min(n, _M + 1)}
+    for split in sorted(s for s in splits if s <= n):
+        path = tmp_path / f"split{split}.csv"
+        _write_dataset_forked(sample, path, split, lambda: None)
+        assert path.read_bytes() == one.read_bytes(), split
+
+
+def test_split_row_forks_only_a_large_sample_on_two_workers(monkeypatch):
+    # resolves the split only: no process is started
+    monkeypatch.setattr(sys, "platform", "linux")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"), raising=False)
+    monkeypatch.setattr(os, "memfd_create", lambda *args: pytest.fail("made a file"), raising=False)
+    n = 100_000
+    assert _split_row(n, 2) == _M and _M % _BLOCK_ROWS == 0 and 0 < _M < n
+    assert 0 < _split_row(_SPLIT_MIN_ROWS, 8) < _SPLIT_MIN_ROWS  # the break-even splits
+    assert _split_row(_SPLIT_MIN_ROWS - 1, 2) == _SPLIT_MIN_ROWS - 1  # below the break-even
+    assert _split_row(n, 1) == n  # one worker
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert _split_row(n, 2) == n  # one CPU
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(sys, "platform", "darwin")
+    assert _split_row(n, 2) == n
+    monkeypatch.setattr(sys, "platform", "linux")
+    monkeypatch.delattr(os, "memfd_create")
+    assert _split_row(n, 2) == n
