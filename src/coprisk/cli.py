@@ -28,15 +28,7 @@ import numpy as np
 from . import __version__
 from .copula import CopulaFamily, _d2phi, _dphi, _solve_ratio, theta_for_tau
 from ._fork import _WorkerDied
-from .data import (
-    _SPLIT_MIN_ROWS,
-    _fmt,
-    _split_row,
-    _write_csv,
-    _write_dataset_forked,
-    read_dataset_csv,
-    write_dataset_csv,
-)
+from .data import _SPLIT_MIN_ROWS, _fmt, _write_csv, _write_dataset, read_dataset_csv
 from .dgp import default_config, oracle_surface, simulate
 from .estimator import (
     AllPointsExcludedError,
@@ -325,30 +317,6 @@ def _write_table(out_dir, name, header, columns):
     return _atomic_write(out_dir, name, lambda path: _write_csv(path, header, columns))
 
 
-def _write_dataset(out_dir, sample, threads, estimate=lambda: None):
-    """Write dataset.csv and return ``estimate()``, run after the write or,
-    on a forked write (see data._split_row), while a child writes the tail
-    rows.  Either way dataset.csv is complete before an exception from the
-    estimate is raised."""
-    split = _split_row(len(sample), threads)
-    if split == len(sample):
-        _atomic_write(out_dir, "dataset.csv", lambda p: write_dataset_csv(sample, p))
-        return estimate()
-    outcome = []
-
-    def during():
-        try:
-            outcome.append((estimate(), None))
-        except Exception as exc:  # raised once dataset.csv is in place
-            outcome.append((None, exc))
-
-    _atomic_write(out_dir, "dataset.csv", lambda p: _write_dataset_forked(sample, p, split, during))
-    result, error = outcome[0]
-    if error is not None:
-        raise error
-    return result
-
-
 def _write_manifest(out_dir, command, settings):
     if command == "oracle-check":  # it reads the family alone
         keys = ["family"]
@@ -374,7 +342,8 @@ def _write_manifest(out_dir, command, settings):
 
 def _cmd_simulate(settings, out_dir, threads):
     dgp = _dgp_config(settings)
-    _write_dataset(out_dir, simulate(dgp), threads)
+    sample = simulate(dgp)
+    _atomic_write(out_dir, "dataset.csv", lambda path: _write_dataset(sample, path, threads))
     _write_manifest(out_dir, "simulate", settings)
     print(f"dataset={os.path.join(out_dir, 'dataset.csv')} n={dgp.n}")
     return 0
@@ -393,10 +362,10 @@ def _cmd_estimate(settings, out_dir, threads):
             shared = " (one value stands for two)" if h == h[:1] * 2 else ""  # as _parse_bandwidth expands it
             counts = f"{spec.d} values for the {sample.d} covariates"
             raise ConfigError(f"bandwidth: {counts} in {settings['data']}{shared}")
-        series = theta_series(sample, spec, grid, family)
     else:
         sample = simulate(_dgp_config(settings))
-        series = _write_dataset(out_dir, sample, threads, lambda: theta_series(sample, spec, grid, family))
+        _atomic_write(out_dir, "dataset.csv", lambda path: _write_dataset(sample, path, threads))
+    series = theta_series(sample, spec, grid, family)
     _write_table(out_dir, "surface.csv", ["t", "pi", "dpi1", "dpi2", "d2pi"], [series.t, *series.surface.T])
     _write_table(
         out_dir, "theta_series.csv", ["t", "theta", "included"], [series.t, series.theta_pointwise, series.included]

@@ -11,11 +11,12 @@ A float's text is ``repr``'s, byte for byte, but found for a whole block of
 values at once: a vectorised shortest round-trip formatter in long double,
 with ``repr`` itself for each value it cannot decide within its error bound.
 
-A large dataset can be written on two CPUs (_write_dataset_forked): a child
-forked on the package's one fork-join path (_fork._forked) writes the tail
-rows to an anonymous memory file while the parent writes the head rows, and
-the parent appends the child's bytes.  A row's text does not depend on the
-rows around it, so the file is the one write_dataset_csv writes.
+_write_dataset writes a dataset in one process or, when _split_row splits a
+large one, on two CPUs (_write_dataset_forked): a child forked on the
+package's one fork-join path (_fork._forked) writes the tail rows to an
+anonymous memory file while the parent writes the head rows, and the parent
+appends the child's bytes.  A row's text does not depend on the rows around
+it, so the file is the one write_dataset_csv writes.
 
 Working set: the writer and the covariate mean work ``_BLOCK_ROWS`` rows at
 a time, so each temporary is block-sized, its columns under glibc's 128 KiB
@@ -56,6 +57,10 @@ class Sample:
 
     def __init__(self, t, delta, z) -> None:
         t = np.ascontiguousarray(t, dtype=float)
+        delta = np.asarray(delta)
+        # int64 would truncate a cause of 1.5 to 1, so any other dtype must hold 1 and 2 alone
+        if delta.dtype.kind not in "iu" and not np.isin(delta, (1, 2)).all():
+            raise ValueError("delta must be 1 or 2")
         delta = np.ascontiguousarray(delta, dtype=np.int64)
         z = np.ascontiguousarray(z, dtype=float)
         if t.ndim != 1 or t.size == 0:
@@ -373,7 +378,7 @@ def _dataset_table(sample: Sample):
 
 def write_dataset_csv(sample: Sample, path) -> None:
     """Write a sample using the ``t,delta,z1,...`` schema with LF endings."""
-    _write_csv(path, *_dataset_table(sample))
+    _write_dataset(sample, path, 1)
 
 
 # Below this many rows a dataset is written in one process: the fork, the
@@ -381,11 +386,13 @@ def write_dataset_csv(sample: Sample, path) -> None:
 # fresh `coprisk simulate` on a 2-vCPU host broke even at 16,384 rows (12 of
 # 30 alternating pairs faster) and gained from 24,576 rows on (20 of 30).
 _SPLIT_MIN_ROWS = 20_000
-# The parent's share of the rows of a forked write, which it writes after the
-# work it runs meanwhile (an estimate's 14 ms at n = 100,000).  At 100,000
-# rows, share 0.5 (49,152 rows) had the parent reach the join within 0.1 ms
-# of the child's end; at 0.45 the parent waited 5-6 ms for the child, and at
-# 0.55 the parent finished last, 8-11 ms later than at 0.5.
+# The parent's share of the rows of a forked write: it writes the header and
+# these rows while the child writes the rest.  At 100,000 rows on a 2-vCPU
+# host (medians of 12 fresh processes), share 0.5 (49,152 rows) had the
+# parent wait 1.5 ms for the child at the join, 0.45 had it wait 10 ms, and
+# at 0.55 the child ended 10 ms before the parent; the write took 61, 69 and
+# 63 ms.  A fresh `coprisk estimate` at share 0.52 (51,200 rows) was faster
+# than at 0.5 in 6 of 20 alternating pairs.
 _HEAD_SHARE = 0.5
 
 
@@ -405,21 +412,20 @@ def _write_tail(fd: int, columns) -> None:
         _write_rows(fh, columns)
 
 
-def _write_dataset_forked(sample: Sample, path, split: int, during) -> None:
+def _write_dataset_forked(sample: Sample, path, split: int) -> None:
     """Write a sample as write_dataset_csv does, in two processes.
 
     A forked child writes rows [split, n) to an anonymous memory file while
-    this process calls ``during()`` and then writes the header and rows
-    [0, split) to ``path``; the child's bytes are appended once it is
-    joined.  An exception from the child or from ``during`` is raised here
-    with the child reaped, and killed first where it was still running.
+    this process writes the header and rows [0, split) to ``path``; the
+    child's bytes are appended once it is joined.  An exception from the
+    child is raised here with the child reaped, and one raised here kills
+    and reaps the child first.
     """
     header, columns = _dataset_table(sample)
     _tables()  # built once, before the fork, not in both processes
     tail = os.memfd_create("dataset-tail")
     try:
         with _forked([functools.partial(_write_tail, tail, [col[split:] for col in columns])]) as join:
-            during()
             _write_csv(path, header, [col[:split] for col in columns])
             join()
         # not opened for appending: sendfile fails with EINVAL on such a file
@@ -430,6 +436,16 @@ def _write_dataset_forked(sample: Sample, path, split: int, during) -> None:
                 sent += os.sendfile(fh.fileno(), tail, sent, size - sent)
     finally:
         os.close(tail)
+
+
+def _write_dataset(sample: Sample, path, workers: int) -> None:
+    """Write a sample as write_dataset_csv does, forked where _split_row
+    splits it on ``workers`` (see _fork._worker_count)."""
+    split = _split_row(len(sample), workers)
+    if split == len(sample):
+        _write_csv(path, *_dataset_table(sample))
+    else:
+        _write_dataset_forked(sample, path, split)
 
 
 def read_dataset_csv(path) -> Sample:

@@ -233,7 +233,7 @@ def default_config(
     n: int,
     seed: int,
     *,
-    theta: float | None = 0.5,
+    theta: float = 0.5,
     family: CopulaFamily = CopulaFamily.CLAYTON,
     covariate_sd: float = math.sqrt(0.5),
 ) -> DgpConfig:

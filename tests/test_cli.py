@@ -1085,7 +1085,7 @@ def test_dataset_writes_do_not_depend_on_threads(command, tmp_path, capsys, monk
 
 @pytest.mark.skipif(_FORKS, reason="a dataset is written in one process here")
 def test_a_failed_estimate_leaves_the_whole_dataset(tmp_path, capsys, monkeypatch):
-    # the trim window holds no grid point: exit 3 after the overlapped write
+    # the trim window holds no grid point: exit 3 after the whole write
     forks = _two_cpus_counting_forks(monkeypatch)
     for threads in ("1", "2"):
         code, _, err = run_cli(
@@ -1095,6 +1095,24 @@ def test_a_failed_estimate_leaves_the_whole_dataset(tmp_path, capsys, monkeypatc
         assert sorted(p.name for p in (tmp_path / threads).iterdir()) == ["dataset.csv"]
     assert len(forks) == 1
     assert (tmp_path / "1" / "dataset.csv").read_bytes() == (tmp_path / "2" / "dataset.csv").read_bytes()
+
+
+@pytest.mark.skipif(_FORKS, reason="a dataset is written in one process here")
+def test_the_dataset_is_written_before_the_estimate(tmp_path, capsys, monkeypatch):
+    forks = _two_cpus_counting_forks(monkeypatch)
+    seen = {}
+
+    def spy(sample, *args):
+        dataset = tmp_path / threads / "dataset.csv"
+        seen[threads] = dataset.read_bytes() if dataset.exists() else None
+        return theta_series(sample, *args)
+
+    monkeypatch.setattr(coprisk.cli, "theta_series", spy)
+    for threads in ("1", "2"):
+        code, _, err = run_cli(["estimate", *SPLIT, "--threads", threads, "--out", str(tmp_path / threads)], capsys)
+        assert (code, err) == (0, "")
+    assert len(forks) == 1
+    assert seen["1"] == seen["2"] == (tmp_path / "1" / "dataset.csv").read_bytes()
 
 
 # what the forked dataset writer does in place of its rows, the exit code and
@@ -1118,6 +1136,9 @@ def test_writer_failure_exits_with_one_line_and_no_child_left(failure, tmp_path,
 
     def failing_rows(fh, columns):
         if os.getpid() == parent:  # the parent's head rows
+            if failure == "interrupt":
+                os.kill(parent, signal.SIGINT)  # while the child writes the tail
+                time.sleep(60)
             return write_rows(fh, columns)
         if failure == "memory_error":
             raise MemoryError("Unable to allocate 7.28 TiB for an array")
@@ -1127,14 +1148,8 @@ def test_writer_failure_exits_with_one_line_and_no_child_left(failure, tmp_path,
             os._exit(9)
         time.sleep(60)  # still writing when the interrupt lands
 
-    def interrupted_estimate(*args):
-        os.kill(parent, signal.SIGINT)  # during the overlapped estimate
-        time.sleep(60)
-
     forks = _two_cpus_counting_forks(monkeypatch)
     monkeypatch.setattr(coprisk.data, "_write_rows", failing_rows)
-    if failure == "interrupt":
-        monkeypatch.setattr(coprisk.cli, "theta_series", interrupted_estimate)
     out = tmp_path / "run"
     code, _, err = run_cli(["estimate", *SPLIT, "--threads", "2", "--out", str(out)], capsys)
     assert (code, err, len(forks)) == (*_WRITER_FAILURES[failure], 1)
@@ -1149,7 +1164,7 @@ def test_out_of_memory_exits_2_with_one_line(tmp_path, capsys, monkeypatch):
     def no_memory(*args, **kwargs):
         raise MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000000000000,) and data type float64")
 
-    def half_written(sample, path):
+    def half_written(sample, path, workers):
         with open(path, "w") as fh:
             fh.write("t,delta")
         raise MemoryError
@@ -1157,7 +1172,7 @@ def test_out_of_memory_exits_2_with_one_line(tmp_path, capsys, monkeypatch):
     stubs = [
         ("simulate", "simulate", no_memory),
         ("estimate", "simulate", no_memory),
-        ("estimate", "write_dataset_csv", half_written),
+        ("estimate", "_write_dataset", half_written),
         ("montecarlo", "monte_carlo", no_memory),
     ]
     for command, name, stub in stubs:

@@ -83,6 +83,8 @@ def test_sample_arrays_are_read_only():
         ([1.0, 2.0], [1, 2], [0.0, 0.0]),  # z not 2-d
         ([1.0, 2.0], [1, 2], [[0.0], [0.0]]),  # only one covariate
         ([1.0, 2.0], [1, 2], [[0.0, np.nan], [0.0, 0.0]]),  # nonfinite covariate
+        ([1.0, 2.0], [1.5, 2.9], [[0.0, 0.0], [0.0, 0.0]]),  # causes that are not integers
+        ([1.0, 2.0], [1.0, np.nan], [[0.0, 0.0], [0.0, 0.0]]),  # a cause that is NaN
     ],
 )
 def test_sample_validation_rejects(t, delta, z):
@@ -300,7 +302,7 @@ def test_forked_write_is_byte_identical(tmp_path, n):
     splits = {round(n * _HEAD_SHARE / _BLOCK_ROWS) * _BLOCK_ROWS, 0, n, n // 2, min(n, _M + 1)}
     for split in sorted(s for s in splits if s <= n):
         path = tmp_path / f"split{split}.csv"
-        _write_dataset_forked(sample, path, split, lambda: None)
+        _write_dataset_forked(sample, path, split)
         assert path.read_bytes() == one.read_bytes(), split
 
 
