@@ -34,6 +34,7 @@ from .estimator import (
     AllPointsExcludedError,
     GridSpec,
     _DegenerateRangeError,
+    _GRID_PERCENTILES,
     monte_carlo,
     solve_surface,
     theta_series,
@@ -276,8 +277,9 @@ def _degenerate_range_message(settings):
         durations, remedy = f"the durations in {settings['data']}", "lower --grid-points"
     else:
         durations, remedy = "the simulated durations", "raise --n or lower --grid-points"
+    lo, hi = _GRID_PERCENTILES
     return (
-        f"degenerate duration range: {durations} between their 0.5th and 99.5th "
+        f"degenerate duration range: {durations} between their {lo}th and {hi}th "
         f"percentiles are too close together for {settings['grid_points']} distinct "
         f"grid points; {remedy}"
     )
@@ -466,9 +468,8 @@ _COMMANDS = {
 
 
 class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # single-line, machine-parsable, exit code 2
-        print(f"error: config: {message}", file=sys.stderr)
-        raise SystemExit(2)
+    def error(self, message):  # main prints the one line and exits 2
+        raise ConfigError(message)
 
 
 def _add_flag(parser, key, **kwargs):
@@ -516,8 +517,8 @@ def _build_parser():
 
 def main(argv=None):
     parser = _build_parser()
-    ns = parser.parse_args(argv)
     try:
+        ns = parser.parse_args(argv)
         settings = _resolve_settings(ns)
         threads = os.cpu_count() or 1
         if ns.threads is not None:

@@ -371,9 +371,14 @@ def _write_csv(path, header, columns) -> None:
         _write_rows(fh, columns)
 
 
+def _dataset_header(d: int) -> list[str]:
+    """The ``t,delta,z1,...`` header of a dataset with d covariates."""
+    return ["t", "delta"] + [f"z{j + 1}" for j in range(d)]
+
+
 def _dataset_table(sample: Sample):
-    """The ``t,delta,z1,...`` header and columns of a sample."""
-    return ["t", "delta"] + [f"z{j + 1}" for j in range(sample.d)], [sample.t, sample.delta, *sample.z.T]
+    """The header and columns of a sample."""
+    return _dataset_header(sample.d), [sample.t, sample.delta, *sample.z.T]
 
 
 def write_dataset_csv(sample: Sample, path) -> None:
@@ -460,8 +465,7 @@ def read_dataset_csv(path) -> Sample:
         if not line:
             raise ValueError(f"{path}: empty dataset file")
         header = line.rstrip("\r\n").split(",")
-        expected = ["t", "delta"] + [f"z{j + 1}" for j in range(len(header) - 2)]
-        if header != expected or len(header) < 4:
+        if header != _dataset_header(len(header) - 2) or len(header) < 4:
             raise ValueError(f"{path}: bad header {header!r}, want t,delta,z1,z2,...")
         dtype = np.dtype([("t", float), ("delta", np.int64), ("z", float, (len(header) - 2,))])
         with warnings.catch_warnings():

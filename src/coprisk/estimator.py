@@ -49,6 +49,10 @@ __all__ = [
 ]
 
 
+# the percentiles of the durations that bound a resolved grid
+_GRID_PERCENTILES = (0.5, 99.5)
+
+
 class _DegenerateRangeError(ValueError):
     """A sample's percentile duration range cannot hold the grid's points."""
 
@@ -125,7 +129,7 @@ class GridSpec:
         if self.t_grid is not None:
             t = np.asarray(self.t_grid, dtype=float)
         else:
-            lo, hi = _percentiles(sample.t, (0.5, 99.5))
+            lo, hi = _percentiles(sample.t, _GRID_PERCENTILES)
             t = np.linspace(lo, hi, self.n_points)
             # percentiles a few ulps apart give repeated points, not just lo == hi
             if not np.all(np.diff(t) > 0.0):
@@ -277,11 +281,10 @@ def _nearest_rank(sorted_values: np.ndarray, percent: float) -> float:
     return float(sorted_values[k - 1])
 
 
-def _replicate_job(args) -> tuple[float, int, float, int]:
+def _replicate_job(dgp, spec, grid, family) -> tuple[float, int, float, int]:
     """One replicate's (theta_hat, n_included) under the grid's trim window,
     then over the whole grid: both averages of one untrimmed series, and
     (NaN, 0) where there is none."""
-    dgp, spec, grid, family = args
     try:
         series = theta_series(simulate(dgp), spec, replace(grid, trim_lo=-math.inf, trim_hi=math.inf), family)
     except AllPointsExcludedError:
@@ -292,9 +295,9 @@ def _replicate_job(args) -> tuple[float, int, float, int]:
     return theta_hat, n_included, series.theta_hat, series.n_included
 
 
-def _replicates(jobs) -> list:
-    """The records of ``jobs``, one replicate after another: a worker's task."""
-    return [_replicate_job(job) for job in jobs]
+def _replicates(dgps, spec, grid, family) -> list:
+    """The records of the replicates ``dgps``, one after another: a worker's task."""
+    return [_replicate_job(dgp, spec, grid, family) for dgp in dgps]
 
 
 def _summarize(thetas, n_included) -> McSummary:
@@ -341,15 +344,16 @@ def monte_carlo(
         raise ValueError(f"replicates must be a positive integer, got {replicates!r}")
     if not isinstance(workers, int) or workers < 1:
         raise ValueError(f"workers must be a positive integer, got {workers!r}")
-    jobs = [(replace(dgp, seed=(dgp.seed + r) % 2**64), spec, grid, family) for r in range(replicates)]
+    dgps = [replace(dgp, seed=(dgp.seed + r) % 2**64) for r in range(replicates)]
     n_workers = _worker_count(workers, replicates)
     if n_workers == 1:
-        records = _replicates(jobs)
+        records = _replicates(dgps, spec, grid, family)
     else:
         # worker i runs replicates i, i + n_workers, ...
-        with _forked([functools.partial(_replicates, jobs[i::n_workers]) for i in range(n_workers)]) as join:
+        tasks = [functools.partial(_replicates, dgps[i::n_workers], spec, grid, family) for i in range(n_workers)]
+        with _forked(tasks) as join:
             shares = join()
-        records = [None] * len(jobs)
+        records = [None] * replicates
         for i, share in enumerate(shares):
             records[i::n_workers] = share
     thetas, n_included, whole_thetas, whole_n_included = zip(*records)

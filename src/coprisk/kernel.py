@@ -18,16 +18,16 @@ Every kernel sum is accumulated exactly and rounded once, so it is the
 correctly rounded value of the exact real sum (what math.fsum returns).
 Numbers are therefore bitwise independent of summation order, of
 scheduling across evaluation points, and of whether a duration grid is
-evaluated in one pass or point by point.  The weights at z are built once,
-and every sum of the grid is taken from them in one numpy sweep: each
-weight is split into 32-bit integer limbs, the limbs are summed exactly in
-int64 from the right end of the duration order, and each sum is rounded
-from its top 64 bits, with no Python-int arithmetic.  The surface itself
-is computed as one (G, 4) array (_surface_rows, the route theta_series
-takes); the public entry point, estimate_surface_grid, packages its rows as
-SurfaceEstimate objects.  A z with no observation in its window raises
-AllPointsExcludedError, the one error of a grid without a usable point,
-which the estimator raises as well.
+evaluated in one pass or point by point.  _surface_rows, the route
+theta_series takes, builds the weights at z once (_window_weights) and
+takes every sum of the grid from them in one numpy sweep: each weight is
+split into 32-bit integer limbs, the limbs are summed exactly in int64
+from the right end of the duration order, and each sum is rounded from its
+top 64 bits, with no Python-int arithmetic.  It returns the surface as one
+(G, 4) array; the public entry point, estimate_surface_grid, packages its
+rows as SurfaceEstimate objects.  A z with no observation in its window
+raises AllPointsExcludedError, the one error of a grid without a usable
+point, which the estimator raises as well.
 
 Working set: the window search and the limb sums run in blocks of rows
 (``_BLOCK_ROWS``), their columns under glibc's 128 KiB mmap threshold, so
@@ -209,57 +209,54 @@ def _window(sample: Sample, h: np.ndarray, z: np.ndarray) -> np.ndarray:
     return np.concatenate(parts)
 
 
-class _ZWeights:
-    """All per-observation kernel weights for one covariate evaluation point.
+def _window_weights(sample: Sample, spec: KernelSpec, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The kernel weights at one covariate point: (t_sorted, columns).
 
-    Observations outside the product-kernel support (_window) are dropped;
-    the rest are sorted by duration (ties in any order, which the exact sums
-    do not see) so that the indicator sum over {T_i > t} is a suffix,
-    located by binary search.  ``columns`` holds the weight w and its derivatives
-    dw/dz_1, dw/dz_2 and d2w/dz_1dz_2 in the two cause-specific covariates,
-    for any number of covariates; every sum a duration grid needs is taken
-    from them in one sweep of exact int64 limb sums (_suffix_sums), rounded
-    once per sum.
+    Observations outside the product-kernel support (_window) are dropped,
+    the rest sorted by duration (ties in any order, which the exact sums do
+    not see), so the sum over {T_i > t} is a suffix.  ``columns`` holds the
+    weight w and its derivatives dw/dz_1, dw/dz_2 and d2w/dz_1dz_2 in the
+    two cause-specific covariates, for any number of covariates.
     """
-
-    __slots__ = ("t_sorted", "columns")
-
-    def __init__(self, sample: Sample, spec: KernelSpec, z: np.ndarray) -> None:
-        d = sample.z.shape[1]
-        h = np.asarray(spec.bandwidths, dtype=float)
-        # a tiny bandwidth overflows distances (those rows leave the window)
-        # and weights (checked below) without a floating-point warning
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            inside = _window(sample, h, z)
-            # by duration; the exact sums do not see the order of ties
-            inside = inside[np.argsort(sample.t[inside])]
-            u = [(z[k] - sample.z[inside, k]) / h[k] for k in range(d)]
-            factor = [0.75 * (1.0 - uk * uk) / hk for uk, hk in zip(u, h)]  # K(u_k)/h_k
-            d1, d2 = (-1.5 * uk / (hk * hk) for uk, hk in zip(u[:2], h[:2]))  # K'(u_k)/h_k^2
-            f1, f2 = factor[:2]
-            columns = np.empty((inside.size, 4))  # w, dw/dz_1, dw/dz_2, d2w/dz_1dz_2
-            for k, (x, y) in enumerate(((f1, f2), (d1, f2), (f1, d2), (d1, d2))):
-                np.multiply(x, y, out=columns[:, k])
-            for f in factor[2:]:  # a further covariate only weights the four
-                columns *= f[:, None]
-        if not np.all(np.isfinite(columns)):
-            raise ValueError(
-                f"kernel weights overflow: bandwidths too small for floating point, got {spec.bandwidths!r}"
-            )
-        self.t_sorted = sample.t[inside]
-        self.columns = columns
-
-    def sums(self, ts) -> np.ndarray:
-        """Row 0: the b-side totals (b, b_1, b_2, b_12); row 1 + i: the
-        sums over {T_i > ts[i]} (a, a_1, a_2, a_12)."""
-        starts = np.searchsorted(self.t_sorted, ts, side="right")
-        try:
-            return _suffix_sums(self.columns, np.concatenate(([0], starts)))
-        except OverflowError:  # finite weights whose exact sum is beyond the float range
-            raise ValueError("kernel weights overflow: their sum exceeds the float range") from None
+    d = sample.z.shape[1]
+    h = np.asarray(spec.bandwidths, dtype=float)
+    # a tiny bandwidth overflows distances (those rows leave the window)
+    # and weights (checked below) without a floating-point warning
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        inside = _window(sample, h, z)
+        # by duration; the exact sums do not see the order of ties
+        inside = inside[np.argsort(sample.t[inside])]
+        u = [(z[k] - sample.z[inside, k]) / h[k] for k in range(d)]
+        factor = [0.75 * (1.0 - uk * uk) / hk for uk, hk in zip(u, h)]  # K(u_k)/h_k
+        d1, d2 = (-1.5 * uk / (hk * hk) for uk, hk in zip(u[:2], h[:2]))  # K'(u_k)/h_k^2
+        f1, f2 = factor[:2]
+        columns = np.empty((inside.size, 4))  # w, dw/dz_1, dw/dz_2, d2w/dz_1dz_2
+        for k, (x, y) in enumerate(((f1, f2), (d1, f2), (f1, d2), (d1, d2))):
+            np.multiply(x, y, out=columns[:, k])
+        for f in factor[2:]:  # a further covariate only weights the four
+            columns *= f[:, None]
+    if not np.all(np.isfinite(columns)):
+        raise ValueError(
+            f"kernel weights overflow: bandwidths too small for floating point, got {spec.bandwidths!r}"
+        )
+    return sample.t[inside], columns
 
 
-def _check_point(sample: Sample, spec: KernelSpec, z) -> np.ndarray:
+def _surface_rows(sample: Sample, spec: KernelSpec, t_grid, z) -> tuple[np.ndarray, float]:
+    """The surface along a duration grid at one covariate point, as arrays.
+
+    Returns the (G, 4) rows (pi, dpi_1, dpi_2, d2pi), one per grid point,
+    the layout of ThetaSeries.surface, and the kernel mass b.  The weights
+    are built in their own function, whose temporaries are freed before
+    one exact sweep (_suffix_sums) takes every sum from them: row 0 the
+    b-side totals (b, b_1, b_2, b_12), row 1 + i the suffix sums over
+    {T > t_grid[i]} (a, a_1, a_2, a_12).  The quotient rule runs as
+    elementwise numpy operations in the order of the scalar formulas, so
+    every value is the one those formulas give in Python floats.  Raises
+    AllPointsExcludedError when no observation carries kernel weight at z;
+    the empty window is duration independent, hence raised for the grid as
+    a whole.
+    """
     z = np.asarray(z, dtype=float)
     d = sample.z.shape[1]
     if z.shape != (d,):
@@ -267,31 +264,19 @@ def _check_point(sample: Sample, spec: KernelSpec, z) -> np.ndarray:
     if not np.all(np.isfinite(z)):
         raise ValueError("z must be finite")
     if spec.d != d:
-        raise ValueError(
-            f"kernel spec has {spec.d} bandwidths but the sample has {d} covariates"
-        )
-    return z
-
-
-def _surface_rows(sample: Sample, spec: KernelSpec, t_grid, z) -> tuple[np.ndarray, float]:
-    """The surface along a duration grid at one covariate point, as arrays.
-
-    Returns the (G, 4) rows (pi, dpi_1, dpi_2, d2pi), one per grid point,
-    the layout of ThetaSeries.surface, and the kernel mass b.  The quotient
-    rule runs as elementwise numpy operations in the order of the scalar
-    formulas, so every value is the one those formulas give in Python
-    floats.  Raises AllPointsExcludedError when no observation carries
-    kernel weight at z; the empty window is duration independent, hence
-    raised for the grid as a whole.
-    """
-    z = _check_point(sample, spec, z)
+        raise ValueError(f"kernel spec has {spec.d} bandwidths but the sample has {d} covariates")
     ts = np.asarray(t_grid, dtype=float).ravel()
     if ts.size == 0:
         raise ValueError("t_grid must be nonempty")
     bad = ~np.isfinite(ts)
     if bad.any():
         raise ValueError(f"t must be finite, got {float(ts[bad][0])!r}")
-    sums = _ZWeights(sample, spec, z).sums(ts)
+    t_sorted, columns = _window_weights(sample, spec, z)
+    starts = np.searchsorted(t_sorted, ts, side="right")
+    try:
+        sums = _suffix_sums(columns, np.concatenate(([0], starts)))
+    except OverflowError:  # finite weights whose exact sum is beyond the float range
+        raise ValueError("kernel weights overflow: their sum exceeds the float range") from None
     b, b1, b2, b12 = sums[0].tolist()
     if b == 0.0:
         raise AllPointsExcludedError("no kernel mass at the evaluation covariate point")

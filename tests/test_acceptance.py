@@ -438,7 +438,7 @@ def test_acceptance_7_parameter_error_decreases_with_n(consistency_runs):
 def _run_cli(args):
     try:
         code = cli_main(list(args))
-    except SystemExit as exc:  # argparse's own rejections land here
+    except SystemExit as exc:  # --help exits here; main returns every error's code
         code = exc.code
     return code
 

@@ -37,7 +37,7 @@ from coprisk.kernel import KernelSpec
 def run_cli(args, capsys):
     try:
         code = main(list(args))
-    except SystemExit as exc:  # argparse's own rejections land here
+    except SystemExit as exc:  # --help exits here; main returns every error's code
         code = exc.code
     out, err = capsys.readouterr()
     return code, out, err
@@ -156,6 +156,23 @@ def test_estimate_from_written_dataset_matches_in_memory_run(tmp_path, capsys):
     assert code == 0
     assert sha(a / "theta_series.csv") == sha(b / "theta_series.csv")
     assert sha(a / "surface.csv") == sha(b / "surface.csv")
+
+
+def test_a_crlf_dataset_reads_and_estimates_as_its_lf_file(tmp_path, capsys):
+    lf = tmp_path / "sim" / "dataset.csv"
+    assert run_cli(["simulate", *SMALL, "--out", str(lf.parent)], capsys)[0] == 0
+    assert b"\r" not in lf.read_bytes()
+    crlf = tmp_path / "crlf.csv"
+    crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+    want, got = read_dataset_csv(lf), read_dataset_csv(crlf)
+    for name in ("t", "delta", "z"):
+        a, b = getattr(want, name), getattr(got, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+    outs = {data: tmp_path / f"est-{data.stem}" for data in (lf, crlf)}
+    for data, out in outs.items():
+        assert run_cli(["estimate", *SMALL, "--data", str(data), "--out", str(out)], capsys)[0] == 0
+    for name in ("surface.csv", "theta_series.csv"):
+        assert sha(outs[lf] / name) == sha(outs[crlf] / name), name
 
 
 @pytest.mark.parametrize("family, from_data", [("clayton", False), ("frank", True)])
@@ -557,6 +574,14 @@ def test_config_violations_exit_2(tmp_path, capsys, args):
     assert code == 2
     assert err.startswith("error: config:")
     assert err.count("\n") == 1
+
+
+def test_an_argparse_rejection_returns_2_from_main(tmp_path, capsys):
+    # main holds the one exit-code map: argparse's rejection raises no SystemExit
+    code = main(["simulate", "--theta", "0.5", "--tau", "0.2", "--out", str(tmp_path)])
+    _, err = capsys.readouterr()
+    assert code == 2
+    assert err == "error: config: argument --tau: not allowed with argument --theta\n"
 
 
 def test_a_path_with_a_nul_byte_exits_2(tmp_path, capsys):
@@ -1024,7 +1049,7 @@ _WORKER_FAILURES = {
 def test_worker_failure_exits_with_one_line_and_no_child_left(failure, tmp_path, capsys, monkeypatch):
     parent = os.getpid()
 
-    def failing_job(args):
+    def failing_job(dgp, spec, grid, family):
         # forked children inherit this patch; the parent must run no replicate
         assert os.getpid() != parent, "the parent ran a replicate"
         if failure == "memory_error":
@@ -1033,7 +1058,7 @@ def test_worker_failure_exits_with_one_line_and_no_child_left(failure, tmp_path,
             raise ValueError("t_grid must be finite")
         if failure == "exit_9":
             os._exit(9)
-        if args[0].seed == 1:  # replicate 0's worker interrupts the parent once
+        if dgp.seed == 1:  # replicate 0's worker interrupts the parent once
             os.kill(parent, signal.SIGINT)
         time.sleep(60)  # every worker is still running when the interrupt lands
 

@@ -612,7 +612,7 @@ def test_an_empty_kernel_window_fails_every_replicate_end_to_end():
     dgp, spec, _ = _small_design()
     far = GridSpec(z_eval=(50.0, 50.0), trim_lo=0.9, trim_hi=1.9)
     for r in range(3):
-        record = _replicate_job((replace(dgp, seed=dgp.seed + r), spec, far, CopulaFamily.CLAYTON))
+        record = _replicate_job(replace(dgp, seed=dgp.seed + r), spec, far, CopulaFamily.CLAYTON)
         assert np.array_equal(record, [math.nan, 0, math.nan, 0], equal_nan=True), r
     for workers in (1, 2):
         with pytest.raises(AllPointsExcludedError, match="every replicate failed"):

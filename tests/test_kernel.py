@@ -21,7 +21,7 @@ from coprisk.kernel import (
     KernelSpec,
     _suffix_sums,
     _surface_rows,
-    _ZWeights,
+    _window_weights,
     estimate_surface_grid,
 )
 
@@ -39,15 +39,22 @@ def mass(x):
         return 0.0
 
 
+def sweep(sample, spec, z, ts):
+    """The kernel sums _surface_rows takes at z: row 0 the b-side totals
+    (b, b_1, b_2, b_12), row 1 + i the sums over {T > ts[i]}."""
+    t_sorted, columns = _window_weights(sample, spec, np.asarray(z, dtype=float))
+    starts = np.searchsorted(t_sorted, ts, side="right")
+    return _suffix_sums(columns, np.concatenate(([0], starts)))
+
+
 def mass_slope(x):
     """z1-slope of the kernel mass at (x, 0): b_grad[0], row 0 of the sweep."""
-    return _ZWeights(ORIGIN, UNIT, np.array([x, 0.0])).sums([0.5])[0, 1]
+    return sweep(ORIGIN, UNIT, [x, 0.0], [0.5])[0, 1]
 
 
 def raw_sums(sample, spec, t, z):
-    """Numerator/denominator sums of the private weight class's sweep at (t, z)."""
-    weights = _ZWeights(sample, spec, np.asarray(z, dtype=float))
-    (b, *b_grad, b_cross), (a, *a_grad, a_cross) = weights.sums([t]).tolist()
+    """Numerator/denominator sums of the kernel sweep at (t, z)."""
+    (b, *b_grad, b_cross), (a, *a_grad, a_cross) = sweep(sample, spec, z, [t]).tolist()
     return SimpleNamespace(
         a=a, b=b, a_grad=tuple(a_grad), b_grad=tuple(b_grad), a_cross=a_cross, b_cross=b_cross
     )
@@ -272,7 +279,7 @@ def test_suffix_sweep_equals_fsum(case):
     want = [[_reference_sum(columns[s:, j].tolist()) for j in range(columns.shape[1])] for s in starts]
     with mock.patch.object(coprisk.kernel, "_BLOCK_ROWS", block):
         if any(w is None for row in want for w in row):
-            with pytest.raises(OverflowError):  # _ZWeights.sums turns it into ValueError
+            with pytest.raises(OverflowError):  # _surface_rows turns it into ValueError
                 _suffix_sums(columns, np.array(starts, dtype=np.intp))
             return
         got = _suffix_sums(columns, np.array(starts, dtype=np.intp))
@@ -341,11 +348,11 @@ def test_window_keeps_rows_exactly_at_the_support_edge():
     z = np.array([[a, b] for a in edge for b in edge])
     sample = Sample(_distinct_durations(len(z)), [1] * len(z), z)
     spec = KernelSpec((h, h))
-    weights = _ZWeights(sample, spec, np.zeros(2))
+    t_sorted, columns = _window_weights(sample, spec, np.zeros(2))
     want = _window_durations(sample, spec, [0.0, 0.0])
     assert want.size == 9  # |u| = 1 exactly stays inside; one ulp past it does not
-    assert weights.t_sorted.tolist() == want.tolist()
-    assert weights.columns.shape == (9, 4)
+    assert t_sorted.tolist() == want.tolist()
+    assert columns.shape == (9, 4)
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -356,9 +363,9 @@ def test_window_matches_the_full_mask(d):
     for h in (0.2, 0.7, 3.0):
         spec = KernelSpec((h,) * d)
         for z in (np.zeros(d), rng.normal(size=d)):
-            weights = _ZWeights(sample, spec, z)
-            assert weights.t_sorted.tolist() == _window_durations(sample, spec, z).tolist()
-            assert weights.columns.shape == (weights.t_sorted.size, 4)
+            t_sorted, columns = _window_weights(sample, spec, z)
+            assert t_sorted.tolist() == _window_durations(sample, spec, z).tolist()
+            assert columns.shape == (t_sorted.size, 4)
 
 
 _B = coprisk.kernel._BLOCK_ROWS
@@ -391,7 +398,7 @@ def test_window_distances_that_overflow_raise_no_warning():
     spec = KernelSpec((h, h))
     assert _window_durations(sample, spec, [0.0, 0.0]).tolist() == [1.0, 4.0]
     with pytest.raises(ValueError, match="kernel weights overflow"):
-        _ZWeights(sample, spec, np.zeros(2))
+        _window_weights(sample, spec, np.zeros(2))
     with pytest.raises(ValueError, match="kernel weights overflow"):
         estimate_surface_grid(sample, spec, [0.5], [0.0, 0.0])
 
@@ -432,7 +439,7 @@ def test_array_quotient_rule_equals_the_scalar_formulas(d):
     z = rng.normal(scale=0.2, size=d)
     grid = np.linspace(0.01, 3.0, 60)
     rows, b = _surface_rows(sample, spec, grid, z)
-    (b_sum, *b_grad, b_cross), *a_rows = _ZWeights(sample, spec, z).sums(grid).tolist()
+    (b_sum, *b_grad, b_cross), *a_rows = sweep(sample, spec, z, grid).tolist()
     assert b == b_sum
     want = [_scalar_quotient_rule(a, a_grad, a_cross, b, b_grad, b_cross) for a, *a_grad, a_cross in a_rows]
     assert rows.tolist() == want
