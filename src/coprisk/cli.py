@@ -48,10 +48,6 @@ class ConfigError(Exception):
     """A setting is missing, malformed, or inconsistent (exit code 2)."""
 
 
-class EstimationFailure(Exception):
-    """The data admit no estimate under the requested settings (exit code 3)."""
-
-
 # ---------------------------------------------------------------------------
 # Value parsers (shared by config files and flags, so both error identically)
 # ---------------------------------------------------------------------------
@@ -433,7 +429,7 @@ def _cmd_oracle_check(settings, out_dir, threads):
         solved, _ = _solve_ratio(family, levels, ratios)
         unsolved = ~np.isfinite(solved)
         if unsolved.any():
-            raise EstimationFailure(
+            raise ValueError(
                 f"no parameter solves the curvature ratio of theta={theta!r}"
                 f" at pi={float(levels[unsolved][0])!r}"
             )
@@ -443,7 +439,7 @@ def _cmd_oracle_check(settings, out_dir, threads):
             series = solve_surface(t_grid, oracle_surface(dgp, t_grid, z), family)
             unsolved = ~np.isfinite(series.theta_pointwise)
             if unsolved.any():
-                raise EstimationFailure(
+                raise ValueError(
                     f"the exact surface of theta={theta!r} at z={z!r} solves to no"
                     f" parameter at t={float(t_grid[unsolved][0])!r}"
                 )
@@ -535,8 +531,9 @@ def main(argv=None):
     except _DegenerateRangeError:
         print(f"error: estimation: {_degenerate_range_message(settings)}", file=sys.stderr)
         return 3
-    # a ValueError here is a grid or surface the library rejects for a sample
-    except (AllPointsExcludedError, EstimationFailure, _WorkerDied, ValueError) as exc:
+    # a ValueError here is a grid or surface the library rejects for a sample,
+    # or an oracle-check point that solves to no finite parameter
+    except (AllPointsExcludedError, _WorkerDied, ValueError) as exc:
         print(f"error: estimation: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

@@ -38,8 +38,6 @@ __all__ = [
     "CopulaModel",
     "NoRootError",
     "ThetaSolution",
-    "FRANK_BRACKET",
-    "FRANK_DEAD_ZONE",
     "check_ordering_condition",
     "kendalls_tau",
     "theta_for_tau",
@@ -101,10 +99,14 @@ class CopulaModel:
 class ThetaSolution:
     """Result of inverting the curvature ratio for theta.
 
-    ``admissible`` is False when the solved value falls outside the family
-    domain (kept as a flag, not an error, because single grid points of an
-    estimated surface may stray).  ``iterations`` counts the halvings of the
-    Frank root search (0 for the closed-form families).
+    ``admissible`` is False when the solved value breaks the estimation
+    rule: Clayton theta >= -1 and nonzero, Gumbel theta > 1, Frank any
+    finite nonzero theta (kept as a flag, not an error, because single grid
+    points of an estimated surface may stray).  FRANK_DEAD_ZONE bounds the
+    parameter a CopulaModel takes, so it limits the generator in
+    simulation, not estimation: a Frank solve a rounding hair from zero is
+    admissible, as a Clayton one is.  ``iterations`` counts the halvings of
+    the Frank root search (0 for the closed-form families).
     """
 
     theta: float
@@ -190,8 +192,10 @@ def _solve_ratio(family: CopulaFamily, pi, ratio):
     (theta, admissible).  Clayton and Gumbel invert in closed form.  Frank
     bisects theta/expm1(-theta*pi) + ratio, which falls strictly in theta,
     _FRANK_HALVINGS times over FRANK_BRACKET; an exact zero at a bracket end
-    returns that end, and no sign change over the bracket gives NaN.  A
-    family that is not a CopulaFamily member raises ValueError.
+    returns that end, and no sign change over the bracket gives NaN.
+    ``admissible`` applies the estimation rule of ThetaSolution, under which
+    a Frank theta inside FRANK_DEAD_ZONE is admissible.  A family that is
+    not a CopulaFamily member raises ValueError.
     """
     if family is CopulaFamily.CLAYTON:
         theta = pi * ratio - 1.0

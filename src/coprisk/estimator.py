@@ -39,7 +39,6 @@ from .dgp import DgpConfig, simulate
 from .kernel import AllPointsExcludedError, KernelSpec, _surface_rows
 
 __all__ = [
-    "AllPointsExcludedError",
     "GridSpec",
     "McSummary",
     "ThetaSeries",
@@ -147,7 +146,8 @@ class ThetaSeries:
 
     ``theta_pointwise`` holds the solved value where one exists (NaN where
     the surface gave nothing to solve), ``defined`` marks points whose
-    solution exists and lies inside the family domain, and ``included``
+    solution exists and is admissible under ThetaSolution's estimation rule
+    (a Frank theta inside FRANK_DEAD_ZONE counts), and ``included``
     additionally applies the trim window; ``theta_hat`` is the arithmetic
     mean of the included values.  ``surface`` is the solved surface, one
     (pi, dpi1, dpi2, d2pi) row per grid point, NaN where there was no
@@ -340,9 +340,9 @@ def monte_carlo(
     where the platform does not fork) without changing any value; a
     worker's exception is raised here with its own type.
     """
-    if not isinstance(replicates, int) or replicates < 1:
+    if isinstance(replicates, bool) or not isinstance(replicates, int) or replicates < 1:
         raise ValueError(f"replicates must be a positive integer, got {replicates!r}")
-    if not isinstance(workers, int) or workers < 1:
+    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
         raise ValueError(f"workers must be a positive integer, got {workers!r}")
     dgps = [replace(dgp, seed=(dgp.seed + r) % 2**64) for r in range(replicates)]
     n_workers = _worker_count(workers, replicates)

@@ -862,6 +862,35 @@ def test_oracle_check_fails_on_a_point_without_a_finite_theta(tmp_path, capsys, 
     assert err.count("\n") == 1 and err.startswith("error: estimation:") and where in err
 
 
+def _nan_solve(family, pi, ratio):
+    return np.full(pi.shape, np.nan), np.zeros(pi.shape, dtype=bool)
+
+
+def _nan_first_row(oracle_surface):
+    def patched(dgp, t_grid, z):
+        surface = oracle_surface(dgp, t_grid, z)
+        surface[0] = np.nan
+        return surface
+
+    return patched
+
+
+# each of oracle-check's two failures is one exit-3 line, and nothing is written
+@pytest.mark.parametrize(
+    "name, line",
+    [
+        ("_solve_ratio", "no parameter solves the curvature ratio of theta=-12.0 at pi=0.05"),
+        ("oracle_surface", "the exact surface of theta=-12.0 at z=(0.0, 0.0) solves to no parameter at t=0.05"),
+    ],
+)
+def test_oracle_check_failure_is_one_estimation_line(tmp_path, capsys, monkeypatch, name, line):
+    nan = _nan_solve if name == "_solve_ratio" else _nan_first_row(coprisk.cli.oracle_surface)
+    monkeypatch.setattr(coprisk.cli, name, nan)
+    code, out, err = run_cli(["oracle-check", "--family", "frank", "--out", str(tmp_path)], capsys)
+    assert (code, out, err) == (3, "", f"error: estimation: {line}\n")
+    assert [p.name for p in tmp_path.iterdir() if ".tmp" in p.name] == []
+
+
 # ---------------------------------------------------------------------------
 # entry points and output handling
 # ---------------------------------------------------------------------------

@@ -362,6 +362,14 @@ def test_frank_near_independence_dead_zone():
     assert abs(sol.theta) < 1e-6
 
 
+def test_frank_solution_inside_the_dead_zone_is_admissible():
+    # the dead zone limits the generator a CopulaModel simulates from, not the
+    # solve: a rounding hair from zero is admissible, as it is for Clayton
+    sol = theta_from_ratio(FRANK, 0.5, 2.0)
+    assert abs(sol.theta) < 1e-15
+    assert sol.admissible
+
+
 def test_frank_curvature_monotone_in_theta():
     # strict decrease over the bracket backs uniqueness of the root
     pis = (0.2, 0.5, 0.8)

@@ -127,6 +127,9 @@ def test_covariate_scale_readings():
         {"covariate_sd": -1.0},
         {"covariate_sd": math.nan},
         {"covariate_sd": math.inf},
+        # bool is an int subclass, but not a count
+        {"n": True},
+        {"seed": True},
     ],
 )
 def test_config_validation_rejects(kwargs):

@@ -524,7 +524,9 @@ def test_worker_count_does_not_change_results(monkeypatch):
         _check_replicates(dgp, replicates, [dgp.seed + r for r in range(replicates)])
 
 
-@pytest.mark.parametrize("kwargs", [{"replicates": 0}, {"replicates": -1}, {"workers": 0}])
+@pytest.mark.parametrize(
+    "kwargs", [{"replicates": 0}, {"replicates": -1}, {"workers": 0}, {"replicates": True}, {"workers": True}]
+)
 def test_replicate_argument_validation(kwargs):
     dgp, spec, grid = _small_design()
     call = {"replicates": 1, **kwargs}
